@@ -19,7 +19,7 @@ from .errors import (
     ScenarioError,
     ThermodynamicError,
 )
-from .grid import BoundarySpec, FieldState, Grid, Loads, LoadsSample, make_grid, sample_loads
+from .grid import FieldState, Grid, Loads, LoadsSample, make_grid, sample_loads
 from .constitutive import MaterialParams, ThermalLaw, canonical_thermal_law
 from .stepper import StepOptions, StepReport, step
 from .energetics import EnergyLedger, BalanceReport, audit_step, energy_ledger
@@ -28,7 +28,6 @@ from .scenarios import ScenarioConfig, run_scenario
 __all__ = [
     "AuditError",
     "BalanceReport",
-    "BoundarySpec",
     "CflViolation",
     "ConfigError",
     "ConstitutiveError",

@@ -143,7 +143,7 @@ def cmd_run(args) -> int:
         manifest["audit_pass"] = ok
         manifest["audit_detail"] = why
         if ok and config.experiment in EXPERIMENTS:
-            report = EXPERIMENTS[config.experiment](config, out_dir=out_dir / "experiment")
+            report = EXPERIMENTS[config.experiment](traj, out_dir=out_dir / "experiment")
             report.pop("trajectory", None)
             report.pop("trajectories", None)
             report.pop("loop", None)

@@ -133,15 +133,6 @@ def omega(m: np.ndarray, theta, params: MaterialParams) -> np.ndarray:
     return params.a0 * (np.asarray(theta) - params.theta_c) * _m2(m)
 
 
-def omega_hat(m: np.ndarray, params: MaterialParams) -> np.ndarray:
-    """omega_hat = d omega / d theta = a0 |m|^2."""
-    return params.a0 * _m2(m)
-
-
-def omega_hat_prime(m: np.ndarray, params: MaterialParams) -> np.ndarray:
-    return 2.0 * params.a0 * m
-
-
 def omega_eps(m: np.ndarray, theta, params: MaterialParams, eps: float) -> np.ndarray:
     """Regularized omega_eps = omega / (1 + eps |m|^2); eps=0 gives omega."""
     return omega(m, theta, params) / (1.0 + eps * _m2(m))
@@ -224,11 +215,6 @@ def maxwell_viscosity(theta, params: MaterialParams):
     s = _logistic((theta - params.theta_melt) / (params.melt_width / 8.0))
     ln_m = math.log(params.M_magma) + (math.log(params.M_solid) - math.log(params.M_magma)) * s
     return np.exp(ln_m)
-
-
-def conductivity(theta, params: MaterialParams):
-    """Heat conductivity K(theta); constant in the shipped model."""
-    return np.full_like(np.asarray(theta, dtype=np.float64), params.K_cond)
 
 
 def buoyancy_b(theta, params: MaterialParams):
@@ -398,7 +384,6 @@ __all__ = [
     "ThermalLaw",
     "buoyancy_b",
     "canonical_thermal_law",
-    "conductivity",
     "entropy_density",
     "equilibrium_m",
     "h_anisotropy",
@@ -410,8 +395,6 @@ __all__ = [
     "omega_eps_hat",
     "omega_eps_hat_prime",
     "omega_eps_m",
-    "omega_hat",
-    "omega_hat_prime",
     "phi_m_prime",
     "phi_mech",
     "stress_elastic",

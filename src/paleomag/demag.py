@@ -197,15 +197,9 @@ def demag_energy_pairing(sol: DemagSolution, m: np.ndarray, grid: Grid, mu0: flo
     return -mu0 * float(np.sum(m * sol.h_dem)) * grid.cell_volume
 
 
-def demag_update_rate(u_new: np.ndarray, u_old: np.ndarray, dt: float) -> np.ndarray:
-    """(u_new - u_old)/dt for the energy audit."""
-    return (u_new - u_old) / dt
-
-
 __all__ = [
     "DemagSolution",
     "solve_demag",
-    "demag_update_rate",
     "demag_energy_pairing",
     "h_dem_from_u",
 ]

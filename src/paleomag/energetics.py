@@ -32,7 +32,16 @@ from . import kinematics as kin
 from .errors import AuditError
 from .grid import NCOMP, FieldState, Grid, LoadsSample
 from .demag import h_dem_from_u
-from .stepper import _xi_field, boundary_source, stress_structural
+from .stepper import (
+    _adiabatic_coupling,
+    _drive_field,
+    _heat_residual_field,
+    _objective_rates,
+    _stress,
+    _velocity_gradient,
+    _xi_field,
+    boundary_source,
+)
 
 
 @dataclass
@@ -106,7 +115,7 @@ def demag_energy_from_u(u: np.ndarray, grid: Grid, mu0: float) -> float:
 def exchange_energy(m: np.ndarray, grid: Grid, params: con.MaterialParams) -> float:
     if params.kappa == 0.0 or grid.dim == 0:
         return 0.0
-    gm = np.stack([kin.grad_scalar(m[..., i], grid) for i in range(NCOMP)], axis=-2)
+    gm = kin.grad_vector(m, grid)
     return 0.5 * params.kappa * params.mu0 * grid.integrate(np.sum(gm * gm, axis=(-2, -1)))
 
 
@@ -145,21 +154,6 @@ def energy_ledger(
     )
 
 
-def _drive_L(state_new: FieldState, loads_k: LoadsSample, grid: Grid, params) -> tuple:
-    """Velocity gradient of the step and whether kinematics were prescribed."""
-    if loads_k.grad_v_k is not None:
-        return np.broadcast_to(loads_k.grad_v_k, grid.spatial_shape + (NCOMP, NCOMP)), True
-    if loads_k.stress_dev_k is not None:
-        L = (
-            loads_k.stress_dev_k
-            - kin.dev(con.stress_elastic(state_new.Ee, state_new.m, params))
-        ) / params.nu1
-        return np.broadcast_to(L, grid.spatial_shape + (NCOMP, NCOMP)), True
-    if grid.dim == 0:
-        return np.zeros((NCOMP, NCOMP)), False
-    return kin.grad_vector(state_new.v, grid, kind="velocity"), False
-
-
 def audit_step(
     state_prev: FieldState,
     state_new: FieldState,
@@ -179,29 +173,17 @@ def audit_step(
     v = state_new.v
     m_new = state_new.m
 
-    L, driven = _drive_L(state_new, loads_k, grid, params)
+    L, driven = _velocity_gradient(v, state_new.Ee, m_new, loads_k, grid, params)
     Ev = kin.sym(L)
-    Wsp = kin.skw(L)
-    divv = kin.tensor_trace(L)
 
     # discrete rates reconstructed exactly as the stepper defines them
-    adv_Ep = kin.upwind_advect(state_new.Ep, v, grid) if grid.dim >= 1 else 0.0
-    R = (
-        (state_new.Ep - state_prev.Ep) / tau
-        + adv_Ep
-        - kin.matmat(Wsp, state_new.Ep)
-        + kin.matmat(state_new.Ep, Wsp)
-    )
-    adv_m = kin.upwind_advect(m_new, v, grid) if grid.dim >= 1 else 0.0
-    r_conv = (m_new - state_prev.m) / tau + adv_m
-    r = r_conv - kin.matvec(Wsp, m_new)
+    R, r, r_conv = _objective_rates(state_new, state_prev, L, grid, tau)
 
     # dissipation and adiabatic coupling (same formulas as the heat update)
     xi = dissipation_xi(theta_prev, Ev, R, r, grid, params)
     xi_total = grid.integrate(xi)
-    adiab = (
-        theta_new * np.sum(con.omega_eps_hat_prime(m_new, params, eps) * r_conv, axis=-1)
-        + (theta_new * con.omega_eps_hat(m_new, params, eps) + thermal.phi(theta_new)) * divv
+    adiab = _adiabatic_coupling(
+        theta_new, m_new, r_conv, kin.tensor_trace(L), params, thermal, eps
     )
     adiab_total = grid.integrate(adiab)
     # thermomagnetic transfer in the mechanical identity
@@ -222,32 +204,19 @@ def audit_step(
 
     p_drive = 0.0
     if driven:
-        h_dem = h_dem_from_u(state_new.u, grid)
-        h_drv = con.h_anisotropy(state_new.Ee, m_new, theta_new, params, eps) + loads_k.h_ext_k
-        if params.kappa != 0.0 and grid.dim >= 1:
-            h_drv = h_drv + params.kappa * kin.laplacian(m_new, grid)
-        grad_m = np.stack(
-            [kin.grad_scalar(m_new[..., i], grid) for i in range(NCOMP)], axis=-2
-        )
-        S_str = stress_structural(m_new, grad_m, h_drv + h_dem, params)
-        S = con.stress_elastic(state_new.Ee, m_new, params) + params.nu1 * Ev + S_str
+        h_eff = _drive_field(
+            state_new.Ee, m_new, theta_new, loads_k, grid, params, eps
+        ) + h_dem_from_u(state_new.u, grid)
+        S = _stress(state_new.Ee, m_new, Ev, h_eff, grid, params)
         p_drive = grid.integrate(kin.ddot(S, L))
 
     # theta-control: implied per-cell control flux (the heat-equation residual)
-    q_ctrl = grid.scalar_field() if hasattr(grid, "scalar_field") else np.zeros(grid.spatial_shape)
     q_ctrl_total = 0.0
     ctrl_entropy = 0.0
     j_src = boundary_source(loads_k.j_ext_k, grid)
     if loads_k.theta_k is not None:
-        adv_w = kin.advect_scalar(state_new.w, v, grid, tau, np.inf) if grid.dim >= 1 else 0.0
-        cond = params.K_cond * kin.laplacian(np.asarray(theta_new), grid) if grid.dim >= 1 else 0.0
-        q_ctrl = (
-            (state_new.w - state_prev.w) / tau
-            + np.asarray(adv_w)
-            - np.asarray(cond)
-            - (1.0 - eps) * xi
-            - adiab
-            - j_src
+        q_ctrl = _heat_residual_field(
+            state_new.w, state_prev.w, v, theta_new, xi, adiab, j_src, grid, params, tau, eps
         )
         q_ctrl_total = grid.integrate(q_ctrl)
         ctrl_entropy = grid.integrate(q_ctrl / np.asarray(theta_new))
@@ -315,8 +284,6 @@ def audit_step(
     )
 
 
-entropy_density = con.entropy_density
-
 __all__ = [
     "EnergyLedger",
     "BalanceReport",
@@ -325,5 +292,4 @@ __all__ = [
     "dissipation_xi",
     "demag_energy_from_u",
     "exchange_energy",
-    "entropy_density",
 ]

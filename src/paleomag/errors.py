@@ -21,11 +21,7 @@ class NumericalError(PaleomagError):
     """Linear/nonlinear solver failure with no recovery."""
 
 
-class StepRejected(PaleomagError):
-    """Signal that the current time step must be rejected and retried smaller."""
-
-
-class CflViolation(StepRejected):
+class CflViolation(PaleomagError):
     """Advective CFL bound exceeded for the attempted dt."""
 
 

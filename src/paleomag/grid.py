@@ -1,4 +1,4 @@
-"""Spatial discretization, state container, boundary tags, and load sampling.
+"""Spatial discretization, state container, and load sampling.
 
 Conventions used across the whole package:
 
@@ -14,7 +14,7 @@ Conventions used across the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -119,28 +119,6 @@ def make_grid(
     if pad_factor < 2:
         raise ConfigError(f"pad_factor must be >= 2, got {pad_factor}")
     return Grid(dim=dim, extents=extents, cells=cells, pad_factor=int(pad_factor))
-
-
-# The model admits exactly one boundary-condition set (impermeable free-slip
-# walls with hyperstress, natural conditions for R and m, Fourier flux); the
-# spec keeps the tags explicit so every face carries them visibly.
-_STANDARD_TAGS = ("v.n=0", "tangential-traction-free", "(n.grad)R=0", "(n.grad)m=0", "fourier-flux")
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Per-face boundary tags; all faces carry the model's standard set."""
-
-    face_tags: tuple[tuple[str, ...], ...] = ()
-
-    @staticmethod
-    def standard(grid: Grid) -> "BoundarySpec":
-        return BoundarySpec(face_tags=tuple(_STANDARD_TAGS for _ in range(2 * grid.dim)))
-
-    def validate(self) -> None:
-        for tags in self.face_tags:
-            if tuple(tags) != _STANDARD_TAGS:
-                raise ConfigError(f"unsupported boundary tag set {tags}")
 
 
 @dataclass
@@ -302,10 +280,8 @@ __all__ = [
     "NCOMP",
     "Grid",
     "make_grid",
-    "BoundarySpec",
     "FieldState",
     "Loads",
     "LoadsSample",
     "sample_loads",
-    "replace",
 ]

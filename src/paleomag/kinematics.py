@@ -46,16 +46,6 @@ def dev(T: np.ndarray) -> np.ndarray:
     return T - sph(T)
 
 
-def strain_rate(grad_v: np.ndarray) -> np.ndarray:
-    """Small strain rate E(v) = sym(grad v)."""
-    return sym(grad_v)
-
-
-def spin(grad_v: np.ndarray) -> np.ndarray:
-    """Material spin W = skw(grad v)."""
-    return skw(grad_v)
-
-
 def matvec(T: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", T, x)
 
@@ -237,8 +227,6 @@ __all__ = [
     "dev",
     "sph",
     "tensor_trace",
-    "strain_rate",
-    "spin",
     "matvec",
     "matmat",
     "ddot",

@@ -637,27 +637,33 @@ def _continue_config(base: ScenarioConfig, **changes) -> ScenarioConfig:
     return cfg
 
 
-def trm_experiment(
-    config: Optional[ScenarioConfig] = None, out_dir=None, audit: bool = True
-) -> dict:
+def _report_dir(out_dir) -> Optional[Path]:
+    """The experiment's output directory, created; None when not writing."""
+    if out_dir is None:
+        return None
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
     """Thermoremanence end-to-end: cool under bias, rotate rigidly, reheat.
 
     Phases: (1) controlled cooling 1.3 -> 0.3 under a small bias field
-    (remanence acquisition and blocking); (2) bias removed (sticking);
+    (remanence acquisition and blocking), the finished run ``traj1`` of the
+    trm scenario; then, integrated here, (2) bias removed (sticking);
     (3) rigid 90-degree rotation (remanence co-rotates); (4) controlled
     reheating above the Curie point (remanence erased).
     """
-    base = copy.deepcopy(config) if config is not None else builtin_config("trm")
-    base.experiment = None
+    base = traj1.config
     params = base.material
     theta_sched = make_scalar_schedule(base.theta_schedule)
     theta_final = float(theta_sched(base.duration))
 
-    out = Path(out_dir) if out_dir is not None else None
+    out = _report_dir(out_dir)
     def sub(name):
         return None if out is None else out / name
 
-    traj1 = run_scenario(base, out_dir=sub("phase1_cool"), audit=audit)
     m_acquired = traj1.final_state.m.reshape(-1, NCOMP)[0].copy()
     m_sat_final = float(con.m_sat(theta_final, params))
 
@@ -710,15 +716,10 @@ def trm_experiment(
     return report
 
 
-def irm_experiment(
-    config: Optional[ScenarioConfig] = None, out_dir=None, audit: bool = True
-) -> dict:
-    """Run the shipped IRM cycling scenario and extract its loop."""
-    cfg = copy.deepcopy(config) if config is not None else builtin_config("irm")
-    cfg.experiment = None
-    traj = run_scenario(cfg, out_dir=out_dir, audit=audit)
+def irm_experiment(traj: Trajectory, out_dir=None) -> dict:
+    """Extract the loop of a finished IRM cycling run."""
     loop = extract_loop(
-        traj.column("h_ext_x"), traj.column("m_x"), cfg.material.mu0,
+        traj.column("h_ext_x"), traj.column("m_x"), traj.config.material.mu0,
         np.array([rep.dt * rep.xi_total for rep in traj.reports]),
     )
     report = {
@@ -728,8 +729,8 @@ def irm_experiment(
         "cycle_dissipation": loop.dissipation,
         "closed": loop.closed,
     }
-    if out_dir is not None:
-        out = Path(out_dir)
+    out = _report_dir(out_dir)
+    if out is not None:
         with open(out / "loop.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("h_applied", "m_parallel"))
@@ -741,13 +742,9 @@ def irm_experiment(
     return report
 
 
-def vrm_experiment(
-    config: Optional[ScenarioConfig] = None, out_dir=None, audit: bool = True
-) -> dict:
+def vrm_experiment(traj: Trajectory, out_dir=None) -> dict:
     """Viscous creep under a field just above the sticking threshold."""
-    cfg = copy.deepcopy(config) if config is not None else builtin_config("vrm")
-    cfg.experiment = None
-    traj = run_scenario(cfg, out_dir=out_dir, audit=audit)
+    cfg = traj.config
     t = np.asarray(traj.times)
     mx = traj.column("m_x")
     # first-step secant: the anisotropy back-reaction is still negligible
@@ -765,10 +762,9 @@ def vrm_experiment(
         "h_c": float(con.h_c(theta0, cfg.material)),
         "h_applied": float(np.linalg.norm(np.asarray(h0))),
     }
-    if out_dir is not None:
-        (Path(out_dir) / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+    out = _report_dir(out_dir)
+    if out is not None:
+        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     report["trajectory"] = traj
     return report
 
@@ -804,13 +800,9 @@ def _relaxation_fixture(
     return -1.0 / slope, traj
 
 
-def melt_experiment(
-    config: Optional[ScenarioConfig] = None, out_dir=None, audit: bool = True
-) -> dict:
+def melt_experiment(traj: Trajectory, out_dir=None) -> dict:
     """Viscosity collapse across the melting window plus remanence erasure."""
-    base = copy.deepcopy(config) if config is not None else builtin_config("melt")
-    base.experiment = None
-    traj = run_scenario(base, out_dir=out_dir, audit=audit)
+    base = traj.config
     params = base.material
 
     theta_cold, theta_hot = 0.5, 2.0
@@ -830,10 +822,9 @@ def melt_experiment(
         "m_initial_norm": m0,
         "m_final_norm": m_final,
     }
-    if out_dir is not None:
-        (Path(out_dir) / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+    out = _report_dir(out_dir)
+    if out is not None:
+        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     report["trajectory"] = traj
     return report
 

@@ -60,9 +60,6 @@ class StepReport:
     accepted: bool = False
     dt: float = 0.0
     message: str = ""
-    energy_ledger_before: object = None   # attached by the scenario driver
-    energy_ledger_after: object = None
-    dissipation: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +169,83 @@ def stress_structural(
     return S
 
 
+# ---------------------------------------------------------------------------
+# discrete operators shared by the sweep, the residual check and the audit
+
+
+def _velocity_gradient(v, Ee, m, loads_k: LoadsSample, grid: Grid, params) -> tuple:
+    """Velocity gradient L of the step and whether the kinematics are driven.
+
+    Prescribed grad_v, or quasi-static deviatoric stress control (Jeffreys
+    element: nu1 E(v) + dev S_E = sigma_applied), or the solved velocity;
+    a 0D material point has no velocity gradient of its own.
+    """
+    if loads_k.grad_v_k is not None:
+        return np.broadcast_to(loads_k.grad_v_k, grid.spatial_shape + (NCOMP, NCOMP)), True
+    if loads_k.stress_dev_k is not None:
+        S_dev = kin.dev(con.stress_elastic(Ee, m, params))
+        return (loads_k.stress_dev_k - S_dev) / params.nu1, True
+    if grid.dim == 0:
+        return np.zeros((NCOMP, NCOMP)), False
+    return kin.grad_vector(v, grid, kind="velocity"), False
+
+
+def _drive_field(Ee, m, theta, loads_k: LoadsSample, grid: Grid, params, eps) -> np.ndarray:
+    """h_drv = h_anisotropy + h_ext + kappa Delta m (demag added by the caller)."""
+    h_drv = con.h_anisotropy(Ee, m, theta, params, eps) + loads_k.h_ext_k
+    if params.kappa != 0.0 and grid.dim >= 1:
+        h_drv = h_drv + params.kappa * kin.laplacian(m, grid)
+    return h_drv
+
+
+def _objective_rates(state_new: FieldState, state_prev: FieldState, L, grid: Grid, tau) -> tuple:
+    """ZJ rates R of Ep and r of m over the step, and the convective rate of m."""
+    v, m = state_new.v, state_new.m
+    R = (state_new.Ep - state_prev.Ep) / tau + kin.bzj_tensor(v, L, state_new.Ep, grid)
+    r = (m - state_prev.m) / tau + kin.bzj_vector(v, L, m, grid)
+    r_conv = r + kin.matvec(kin.skw(L), m)
+    return R, r, r_conv
+
+
+def _adiabatic_coupling(theta, m, r_conv, divv, params, thermal: con.ThermalLaw, eps):
+    """theta [omega_eps_hat]'(m) . r_conv + (theta omega_eps_hat(m) + phi(theta)) div v."""
+    return (
+        theta * np.sum(con.omega_eps_hat_prime(m, params, eps) * r_conv, axis=-1)
+        + (theta * con.omega_eps_hat(m, params, eps) + thermal.phi(theta)) * divv
+    )
+
+
+def _heat_residual_field(
+    w_new, w_prev, v, theta_new, xi, adiab, j_src, grid: Grid, params, tau, eps
+):
+    """Residual of the enthalpy equation; under theta control, the control flux."""
+    adv_w = kin.advect_scalar(w_new, v, grid, tau, np.inf) if grid.dim >= 1 else 0.0
+    cond = params.K_cond * kin.laplacian(np.asarray(theta_new), grid) if grid.dim >= 1 else 0.0
+    return (w_new - w_prev) / tau + adv_w - cond - (1.0 - eps) * xi - adiab - j_src
+
+
+def _stress(Ee, m, Ev, h_eff, grid: Grid, params) -> np.ndarray:
+    """Stress S_E + nu1 E(v) + S_str (the hyperstress enters separately)."""
+    S_str = stress_structural(m, kin.grad_vector(m, grid), h_eff, params)
+    return con.stress_elastic(Ee, m, params) + params.nu1 * Ev + S_str
+
+
+def _momentum_residual_field(
+    v, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k: LoadsSample, grid: Grid, params, tau
+):
+    """Residual of the discrete momentum balance at velocity v."""
+    Ev = kin.sym(kin.grad_vector(v, grid, kind="velocity"))
+    f_mag = params.mu0 * kin.matvec(np.swapaxes(kin.grad_vector(h_dem, grid), -1, -2), m)
+    return (
+        params.rho * ((v - v_prev) / tau + kin.upwind_advect(v, v, grid))
+        + 0.5 * params.rho * kin.div_vector(v, grid, kind="velocity")[..., None] * v
+        - kin.div_tensor(_stress(Ee, m, Ev, h_eff, grid, params), grid)
+        + _hyperstress_force(Ev, grid, params)
+        - f_mag
+        - params.rho * loads_k.g * (1.0 - np.asarray(b_lag))[..., None]
+    )
+
+
 def step(
     state_prev: FieldState,
     loads_k: LoadsSample,
@@ -182,9 +256,9 @@ def step(
 ) -> tuple[FieldState, StepReport]:
     """Advance one fully implicit step; returns (new state, report).
 
-    On solver non-convergence the previous state is returned with
-    report.accepted = False (the caller halves dt).  CFL violations raise
-    CflViolation; w < -tol_abs raises ThermodynamicError.
+    On solver non-convergence, including a failed Krylov solve, the previous
+    state is returned with report.accepted = False (the caller halves dt).
+    CFL violations raise CflViolation; w < -tol_abs raises ThermodynamicError.
     """
     opts.validate()
     if thermal is None:
@@ -212,29 +286,24 @@ def step(
 
     driven = loads_k.grad_v_k is not None or loads_k.stress_dev_k is not None
     converged = False
-    iterations = 0
+    report = StepReport(dt=tau)
 
     for it in range(opts.max_iters):
-        iterations = it + 1
+        report.iterations = it + 1
         # --- kinematic block -------------------------------------------------
-        if loads_k.grad_v_k is not None:
-            L = np.broadcast_to(loads_k.grad_v_k, grid.spatial_shape + (NCOMP, NCOMP))
-            v_new = v
-        elif loads_k.stress_dev_k is not None:
-            # quasi-static deviatoric stress control (Jeffreys element):
-            # nu1 E(v) + dev S_E = sigma_applied, iterated on the Ee block
-            L = (loads_k.stress_dev_k - kin.dev(con.stress_elastic(Ee, m, params))) / params.nu1
+        if driven:
             v_new = v
         elif grid.dim == 0:
             v_new = state_prev.v + tau * loads_k.g * (1.0 - b_lag)
-            L = np.zeros((NCOMP, NCOMP))
         else:
-            v_new = _momentum_solve(
-                state_prev, v, Ee, Ep, m, u, h_dem, theta_prev, b_lag, loads_k,
-                grid, params, opts, eps, theta_k,
+            v_new, info = _momentum_solve(
+                state_prev.v, v, Ee, m, h_dem, b_lag, theta_k, loads_k, grid, params, opts
             )
+            if info != 0:
+                report.message = f"momentum solve failed (bicgstab info={info})"
+                return state_prev, report
             _check_cfl(v_new, grid, tau, opts.cfl_max)
-            L = kin.grad_vector(v_new, grid, kind="velocity")
+        L, _ = _velocity_gradient(v_new, Ee, m, loads_k, grid, params)
         Ev = kin.sym(L)
         Wsp = kin.skw(L)
         wspin = np.asarray(Wsp[..., 1, 0])
@@ -265,10 +334,7 @@ def step(
         # --- magnetization block --------------------------------------------
         m_it = m
         for _ in range(60):
-            h_drv = con.h_anisotropy(Ee_new, m_it, theta_k, params, eps) + loads_k.h_ext_k
-            if params.kappa != 0.0 and grid.dim >= 1:
-                h_drv = h_drv + params.kappa * kin.laplacian(m_it, grid)
-            h_eff = h_drv + h_dem
+            h_eff = _drive_field(Ee_new, m_it, theta_k, loads_k, grid, params, eps) + h_dem
             r = con.zeta_resolvent(theta_prev, h_eff, params)
             adv_m = kin.upwind_advect(m_it, v_new, grid) if grid.dim >= 1 else 0.0
             m_cand = _solve_m(tau, wspin, state_prev.m / tau - adv_m + r)
@@ -292,14 +358,12 @@ def step(
             h_dem = np.zeros_like(m_new)
 
         # --- enthalpy block ---------------------------------------------------
-        divv = kin.tensor_trace(L)
         xi = _xi_field(Ev, R_new, r, theta_prev, grid, params)
         r_conv = (m_new - state_prev.m) / tau + (
             kin.upwind_advect(m_new, v_new, grid) if grid.dim >= 1 else 0.0
         )
-        adiab = (
-            theta_k * np.sum(con.omega_eps_hat_prime(m_new, params, eps) * r_conv, axis=-1)
-            + (theta_k * con.omega_eps_hat(m_new, params, eps) + thermal.phi(theta_k)) * divv
+        adiab = _adiabatic_coupling(
+            theta_k, m_new, r_conv, kin.tensor_trace(L), params, thermal, eps
         )
         if loads_k.theta_k is not None:
             w_new = np.broadcast_to(
@@ -308,10 +372,12 @@ def step(
         elif grid.dim == 0:
             w_new = state_prev.w + tau * ((1.0 - eps) * xi + adiab + j_src)
         else:
-            w_new = _heat_solve(
-                state_prev.w, w, v_new, xi, adiab, j_src, theta_prev, grid, params,
-                thermal, tau, eps, opts,
+            w_new, info = _heat_solve(
+                state_prev.w, w, v_new, xi, adiab, j_src, grid, params, tau, eps, opts.cfl_max
             )
+            if info != 0:
+                report.message = f"heat solve failed (bicgstab info={info})"
+                return state_prev, report
         theta_new = thermal.theta_of_w(np.maximum(w_new, 0.0))
 
         # --- convergence ------------------------------------------------------
@@ -332,9 +398,8 @@ def step(
             converged = True
             break
 
-    report = StepReport(iterations=iterations, dt=tau, accepted=False)
     if not converged:
-        report.message = f"no convergence after {iterations} sweeps (change {change:.3e})"
+        report.message = f"no convergence after {report.iterations} sweeps (change {change:.3e})"
         return state_prev, report
 
     if float(np.min(w)) < -opts.tol_abs:
@@ -377,60 +442,42 @@ def _xi_field(Ev, R, r, theta_prev, grid: Grid, params: con.MaterialParams):
     return xi
 
 
-def _momentum_solve(
-    state_prev, v_cur, Ee, Ep, m, u, h_dem, theta_prev, b_lag, loads_k,
-    grid: Grid, params: con.MaterialParams, opts: StepOptions, eps, theta_k,
-):
-    """Implicit Stokes-like solve with the remaining momentum terms lagged."""
+def _bicgstab(apply_op, rhs: np.ndarray, x0: np.ndarray) -> tuple:
+    """Matrix-free bicgstab solve of apply_op(x) = rhs from x0; (x, info)."""
     import scipy.sparse.linalg as spla
 
-    tau = opts.dt
-    rho = params.rho
-    Ev_cur = kin.sym(kin.grad_vector(v_cur, grid, kind="velocity"))
-    S_E = con.stress_elastic(Ee, m, params)
-    grad_m = np.stack(
-        [kin.grad_scalar(m[..., i], grid) for i in range(NCOMP)], axis=-2
-    )
-    h_drv = con.h_anisotropy(Ee, m, theta_k, params, eps) + loads_k.h_ext_k
-    if params.kappa != 0.0:
-        h_drv = h_drv + params.kappa * kin.laplacian(m, grid)
-    S_str = stress_structural(m, grad_m, h_drv + h_dem, params)
-    grad_hext = np.zeros(grid.spatial_shape + (NCOMP, NCOMP))  # uniform h_ext
-    grad_hdem = np.stack(
-        [kin.grad_scalar(h_dem[..., i], grid) for i in range(NCOMP)], axis=-2
-    )
-    f_mag = params.mu0 * (
-        kin.matvec(np.swapaxes(grad_hext, -1, -2), m)
-        + kin.matvec(np.swapaxes(grad_hdem, -1, -2), m)
-    )
-    F = (
-        rho * state_prev.v / tau
-        - rho * kin.upwind_advect(v_cur, v_cur, grid)
-        - 0.5 * rho * kin.div_vector(v_cur, grid, kind="velocity")[..., None] * v_cur
-        + kin.div_tensor(S_E + S_str, grid)
-        - _hyperstress_force(Ev_cur, grid, params)
-        + f_mag
-        + rho * loads_k.g * (1.0 - np.asarray(b_lag))[..., None]
-    )
+    n = rhs.size
+    op = spla.LinearOperator((n, n), matvec=apply_op, dtype=np.float64)
+    sol, info = spla.bicgstab(op, rhs.ravel(), x0=x0.ravel(), rtol=1e-12, atol=1e-14)
+    return sol.reshape(x0.shape), info
 
-    shape = v_cur.shape
+
+def _momentum_solve(
+    v_prev, v_cur, Ee, m, h_dem, b_lag, theta_k, loads_k: LoadsSample,
+    grid: Grid, params: con.MaterialParams, opts: StepOptions,
+):
+    """Implicit Stokes-like solve with the remaining momentum terms lagged.
+
+    The operator A v = rho v / tau - div(nu1 E(v)) is implicit; the rest of
+    the balance enters through the right-hand side A v_cur - res(v_cur).
+    """
+    tau = opts.dt
+    h_eff = _drive_field(Ee, m, theta_k, loads_k, grid, params, opts.eps) + h_dem
+    res = _momentum_residual_field(
+        v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
+    )
 
     def apply_op(x):
-        vv = np.asarray(x, dtype=np.float64).reshape(shape)
+        vv = np.asarray(x, dtype=np.float64).reshape(v_cur.shape)
         Ev = kin.sym(kin.grad_vector(vv, grid, kind="velocity"))
-        return (rho / tau * vv - kin.div_tensor(params.nu1 * Ev, grid)).ravel()
+        return (params.rho / tau * vv - kin.div_tensor(params.nu1 * Ev, grid)).ravel()
 
-    n = int(np.prod(shape))
-    op = spla.LinearOperator((n, n), matvec=apply_op, dtype=np.float64)
-    sol, info = spla.bicgstab(op, F.ravel(), x0=v_cur.ravel(), rtol=1e-12, atol=1e-14)
-    if info != 0:
-        raise NumericalError(f"momentum solve failed (bicgstab info={info})")
-    return sol.reshape(shape)
+    return _bicgstab(apply_op, apply_op(v_cur) - res.ravel(), v_cur)
 
 
 def _heat_solve(
-    w_prev, w_cur, v_new, xi, adiab, j_src, theta_prev, grid: Grid,
-    params: con.MaterialParams, thermal, tau, eps, opts: StepOptions,
+    w_prev, w_cur, v_new, xi, adiab, j_src, grid: Grid,
+    params: con.MaterialParams, tau, eps, cfl_max,
 ):
     """Implicit conduction solve; advection and sources at the current sweep.
 
@@ -438,41 +485,16 @@ def _heat_solve(
     implicit Fourier term (the shipped thermal law); a nonlinear law would
     lag theta in conduction.
     """
-    import scipy.sparse.linalg as spla
-
-    adv = kin.advect_scalar(w_cur, v_new, grid, tau, opts.cfl_max)
+    adv = kin.advect_scalar(w_cur, v_new, grid, tau, cfl_max)
     rhs = w_prev / tau - adv + (1.0 - eps) * xi + adiab + j_src
     c_v = params.c_v
-    shape = w_prev.shape
 
     def apply_op(x):
-        ww = np.asarray(x, dtype=np.float64).reshape(shape)
+        ww = np.asarray(x, dtype=np.float64).reshape(w_prev.shape)
         cond = params.K_cond * kin.laplacian(ww / c_v, grid)
         return (ww / tau - cond).ravel()
 
-    n = int(np.prod(shape))
-    op = spla.LinearOperator((n, n), matvec=apply_op, dtype=np.float64)
-    sol, info = spla.bicgstab(op, rhs.ravel(), x0=w_cur.ravel(), rtol=1e-12, atol=1e-14)
-    if info != 0:
-        raise NumericalError(f"heat solve failed (bicgstab info={info})")
-    return sol.reshape(shape)
-
-
-def green_naghdi_update(
-    Ee_prev: np.ndarray, Ep_rate: np.ndarray, v_new: np.ndarray, dt: float, grid: Grid
-) -> np.ndarray:
-    """Solve the discrete ZJ(Ee) = E(v) - R strain split for Ee_new.
-
-    Corotation is implicit per cell; advection is taken at Ee_prev.
-    Symmetry is preserved by construction.
-    """
-    L = kin.grad_vector(v_new, grid, kind="velocity")
-    wspin = np.asarray(kin.skw(L)[..., 1, 0])
-    Ev = kin.sym(L)
-    adv = kin.upwind_advect(Ee_prev, v_new, grid) if grid.dim >= 1 else 0.0
-    A = np.eye(3) / dt + _corot_matrix(wspin)
-    rhs = _pack(Ev - Ep_rate + Ee_prev / dt - adv)
-    return _unpack(_solve_sym(A, rhs))
+    return _bicgstab(apply_op, rhs, w_cur)
 
 
 def residuals(
@@ -496,47 +518,30 @@ def residuals(
     theta_prev = thermal.theta_of_w(state_prev.w)
     theta_new = thermal.theta_of_w(state_trial.w)
     M_lag = np.asarray(con.maxwell_viscosity(theta_prev, params))
-    v = state_trial.v
+    v, Ee, m = state_trial.v, state_trial.Ee, state_trial.m
 
-    if loads_k.grad_v_k is not None:
-        L = np.broadcast_to(loads_k.grad_v_k, grid.spatial_shape + (NCOMP, NCOMP))
-    elif loads_k.stress_dev_k is not None:
-        L = (loads_k.stress_dev_k - kin.dev(con.stress_elastic(state_trial.Ee, state_trial.m, params))) / params.nu1
-    elif grid.dim == 0:
-        L = np.zeros((NCOMP, NCOMP))
-    else:
-        L = kin.grad_vector(v, grid, kind="velocity")
+    L, driven = _velocity_gradient(v, Ee, m, loads_k, grid, params)
     Ev = kin.sym(L)
-    Wsp = kin.skw(L)
-
-    def zj_tensor(T_new, T_prev):
-        adv = kin.upwind_advect(T_new, v, grid) if grid.dim >= 1 else 0.0
-        return (T_new - T_prev) / tau + adv - kin.matmat(Wsp, T_new) + kin.matmat(T_new, Wsp)
+    R, r, r_conv = _objective_rates(state_trial, state_prev, L, grid, tau)
 
     # (b) strain split
-    res_b = zj_tensor(state_trial.Ee, state_prev.Ee) + zj_tensor(state_trial.Ep, state_prev.Ep) - Ev
-    scale_b = max(1.0, float(np.max(np.abs(state_trial.Ee)))) / tau
+    res_b = (Ee - state_prev.Ee) / tau + kin.bzj_tensor(v, L, Ee, grid) + R - Ev
+    scale_b = max(1.0, float(np.max(np.abs(Ee)))) / tau
 
     # (c) inelastic flow rule M(theta^{k-1}) R = dev S_E + varkappa lap R
-    R = zj_tensor(state_trial.Ep, state_prev.Ep)
     lapR = kin.laplacian(R, grid) if (params.varkappa != 0.0 and grid.dim >= 1) else 0.0
-    devS = kin.dev(con.stress_elastic(state_trial.Ee, state_trial.m, params))
+    devS = kin.dev(con.stress_elastic(Ee, m, params))
     res_c = M_lag[..., None, None] * R - devS - params.varkappa * np.asarray(lapR)
     scale_c = max(float(np.max(np.abs(devS))), float(np.max(M_lag * np.max(np.abs(R)))), 1e-30)
 
     # (d) magnetization inclusion
-    adv_m = kin.upwind_advect(state_trial.m, v, grid) if grid.dim >= 1 else 0.0
-    r = (state_trial.m - state_prev.m) / tau + adv_m - kin.matvec(Wsp, state_trial.m)
-    h_drv = con.h_anisotropy(state_trial.Ee, state_trial.m, theta_new, params, eps) + loads_k.h_ext_k
-    if params.kappa != 0.0 and grid.dim >= 1:
-        h_drv = h_drv + params.kappa * kin.laplacian(state_trial.m, grid)
     h_dem = h_dem_from_u(state_trial.u, grid)
-    h_eff = h_drv + h_dem
+    h_eff = _drive_field(Ee, m, theta_new, loads_k, grid, params, eps) + h_dem
     rmag = np.sqrt(np.sum(r * r, axis=-1))
     H = np.sqrt(np.sum(h_eff * h_eff, axis=-1))
     hc_val = np.broadcast_to(np.asarray(con.h_c(theta_prev, params)), H.shape)
     # rates at the roundoff floor of the m update count as sticking
-    rate_floor = 64.0 * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(state_trial.m)))) / tau
+    rate_floor = 64.0 * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(m)))) / tau
     moving = rmag > rate_floor
     zp = con.zeta_prime(theta_prev, np.maximum(rmag, 1e-300), params)
     unit_r = r / np.maximum(rmag, 1e-300)[..., None]
@@ -547,7 +552,7 @@ def residuals(
 
     # (e) demag potential
     if opts.demag and grid.dim >= 1:
-        sol = solve_demag(state_trial.m, grid, params.mu0, opts.demag_boundary)
+        sol = solve_demag(m, grid, params.mu0, opts.demag_boundary)
         res_e = float(np.max(np.abs(state_trial.u - sol.u)))
         scale_e = max(1.0, float(np.max(np.abs(sol.u))))
     else:
@@ -555,42 +560,28 @@ def residuals(
         scale_e = 1.0
 
     # (f) enthalpy
-    divv = kin.tensor_trace(L)
-    xi = _xi_field(Ev, R, r, theta_prev, grid, params)
-    r_conv = (state_trial.m - state_prev.m) / tau + adv_m
-    adiab = (
-        theta_new * np.sum(con.omega_eps_hat_prime(state_trial.m, params, eps) * r_conv, axis=-1)
-        + (theta_new * con.omega_eps_hat(state_trial.m, params, eps) + thermal.phi(theta_new)) * divv
-    )
     if loads_k.theta_k is not None:
         res_f = float(np.max(np.abs(state_trial.w - thermal.w_of_theta(loads_k.theta_k))))
         scale_f = max(1.0, float(np.max(np.abs(state_trial.w))))
     else:
-        adv_w = kin.advect_scalar(state_trial.w, v, grid, tau, np.inf) if grid.dim >= 1 else 0.0
-        cond = params.K_cond * kin.laplacian(theta_new, grid) if grid.dim >= 1 else 0.0
-        res_f_field = (
-            (state_trial.w - state_prev.w) / tau + adv_w - np.asarray(cond)
-            - (1.0 - eps) * xi - adiab - boundary_source(loads_k.j_ext_k, grid)
+        xi = _xi_field(Ev, R, r, theta_prev, grid, params)
+        adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params, thermal, eps)
+        res_f_field = _heat_residual_field(
+            state_trial.w, state_prev.w, v, theta_new, xi, adiab,
+            boundary_source(loads_k.j_ext_k, grid), grid, params, tau, eps,
         )
         res_f = float(np.max(np.abs(res_f_field)))
         scale_f = max(1.0, float(np.max(np.abs(state_trial.w)))) / tau
 
     # (a) momentum
-    if loads_k.grad_v_k is not None or loads_k.stress_dev_k is not None:
-        res_a, scale_a = 0.0, 1.0  # kinematics prescribed; momentum not solved
-    elif grid.dim == 0:
-        b_lag = con.buoyancy_b(theta_prev, params)
-        res_a = float(
-            np.max(np.abs(params.rho * (state_trial.v - state_prev.v) / tau
-                          - params.rho * loads_k.g * (1.0 - np.asarray(b_lag))[..., None]))
-        )
-        scale_a = params.rho * max(1.0, float(np.max(np.abs(state_trial.v)))) / tau
-    else:
+    res_a, scale_a = 0.0, 1.0  # kinematics prescribed; momentum not solved
+    if not driven:
         res_a_field = _momentum_residual_field(
-            state_trial, state_prev, loads_k, grid, params, thermal, opts, h_eff, h_dem
+            v, state_prev.v, Ee, m, h_eff, h_dem, con.buoyancy_b(theta_prev, params),
+            loads_k, grid, params, tau,
         )
         res_a = float(np.max(np.abs(res_a_field)))
-        scale_a = params.rho * max(1.0, float(np.max(np.abs(state_trial.v)))) / tau
+        scale_a = params.rho * max(1.0, float(np.max(np.abs(v)))) / tau
 
     return {
         "momentum": (res_a, scale_a),
@@ -602,40 +593,11 @@ def residuals(
     }
 
 
-def _momentum_residual_field(
-    state_trial, state_prev, loads_k, grid, params, thermal, opts, h_eff, h_dem
-):
-    theta_prev = thermal.theta_of_w(state_prev.w)
-    v = state_trial.v
-    tau = opts.dt
-    L = kin.grad_vector(v, grid, kind="velocity")
-    Ev = kin.sym(L)
-    S_E = con.stress_elastic(state_trial.Ee, state_trial.m, params)
-    grad_m = np.stack(
-        [kin.grad_scalar(state_trial.m[..., i], grid) for i in range(NCOMP)], axis=-2
-    )
-    S_str = stress_structural(state_trial.m, grad_m, h_eff, params)
-    grad_hdem = np.stack(
-        [kin.grad_scalar(h_dem[..., i], grid) for i in range(NCOMP)], axis=-2
-    )
-    f_mag = params.mu0 * kin.matvec(np.swapaxes(grad_hdem, -1, -2), state_trial.m)
-    b_lag = con.buoyancy_b(theta_prev, params)
-    return (
-        params.rho * ((v - state_prev.v) / tau + kin.upwind_advect(v, v, grid))
-        + 0.5 * params.rho * kin.div_vector(v, grid, kind="velocity")[..., None] * v
-        - kin.div_tensor(S_E + params.nu1 * Ev + S_str, grid)
-        + _hyperstress_force(Ev, grid, params)
-        - f_mag
-        - params.rho * loads_k.g * (1.0 - np.asarray(b_lag))[..., None]
-    )
-
-
 __all__ = [
     "StepOptions",
     "StepReport",
     "step",
     "residuals",
-    "green_naghdi_update",
     "stress_structural",
     "boundary_source",
 ]

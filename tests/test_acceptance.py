@@ -325,8 +325,9 @@ class TestCriterion10Positivity:
 
 
 class TestCriterion11TrmEndToEnd:
-    def test_full_experiment(self):
-        report = trm_experiment(audit=False)
+    def test_full_experiment(self, shipped_runs):
+        # phase 1 is the shipped trm run; output_every does not affect integration
+        report = trm_experiment(shipped_runs["trm"][1], audit=False)
         m_sat_final = report["m_sat_final"]
         assert abs(report["m_acquired_norm"] - m_sat_final) <= 0.02 * m_sat_final
         assert abs(report["rotation_deg"] - 90.0) <= 2.0

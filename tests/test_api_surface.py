@@ -1,0 +1,45 @@
+"""Every public name of the engine has a caller.
+
+Each module of ``paleomag`` lists its public names in ``__all__``.  A name
+counts as used when it is read somewhere in the package or the tests: as a
+plain name, as an attribute, or in a from-import.  The package's
+``__init__.py`` only re-exports, so its imports do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "paleomag"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _used_names() -> set:
+    used = set()
+    for path in MODULES + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def _public_names(path: Path) -> list:
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_public_name_has_a_caller(path):
+    used = _used_names()
+    unused = [name for name in _public_names(path) if name not in used]
+    assert not unused, f"{path.stem}: public names without a caller: {unused}"

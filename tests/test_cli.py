@@ -1,5 +1,6 @@
 """CLI entry points: run / audit / sweep exit codes and artifacts."""
 
+import csv
 import json
 import struct
 
@@ -45,6 +46,17 @@ class TestRun:
             report["drift_rate_oracle"], rel=0.01
         )
         assert (out / "experiment" / "report.json").exists()
+
+    def test_experiment_reuses_the_run(self, tmp_path):
+        # the report is computed from the main run, not from a second one
+        out = tmp_path / "vrm"
+        assert run_cli("run", "--config", "vrm", "--out", str(out),
+                       "--set", "duration=0.5") == 0
+        assert not (out / "experiment" / "snapshots").exists()
+        with open(out / "series.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))
+        report = json.loads((out / "manifest.json").read_text())["experiment_report"]
+        assert report["drift_rate_measured"] == float(first["m_x"]) / float(first["t"])
 
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,4 @@
-"""Grid construction, state validation, boundary tags, load sampling."""
+"""Grid construction, state validation, load sampling."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from paleomag.errors import ConfigError, ScenarioError
 from paleomag.grid import (
     NCOMP,
-    BoundarySpec,
     FieldState,
     Loads,
     make_grid,
@@ -55,17 +54,6 @@ class TestMakeGrid:
     def test_invalid(self, args):
         with pytest.raises(ConfigError):
             make_grid(**args)
-
-
-class TestBoundarySpec:
-    def test_standard_validates(self, grid2):
-        spec = BoundarySpec.standard(grid2)
-        assert len(spec.face_tags) == 4
-        spec.validate()
-
-    def test_nonstandard_rejected(self):
-        with pytest.raises(ConfigError):
-            BoundarySpec(face_tags=(("v.n=0",),)).validate()
 
 
 class TestFieldState:

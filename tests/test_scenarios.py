@@ -165,7 +165,7 @@ class TestVrm:
     def test_drift_matches_resolvent_oracle(self):
         cfg = builtin_config("vrm")
         cfg.duration = 0.5
-        report = vrm_experiment(cfg)
+        report = vrm_experiment(run_scenario(cfg))
         assert report["drift_rate_measured"] == pytest.approx(
             report["drift_rate_oracle"], rel=0.01
         )
@@ -173,13 +173,13 @@ class TestVrm:
     def test_doubling_tau_c_halves_drift(self):
         base = builtin_config("vrm")
         base.duration = 0.25
-        r1 = vrm_experiment(base)["drift_rate_measured"]
+        r1 = vrm_experiment(run_scenario(base))["drift_rate_measured"]
         doubled = builtin_config("vrm")
         doubled.duration = 0.25
         doubled.material = con.MaterialParams.from_dict(
             {**doubled.material.to_dict(), "tau_c": 2 * doubled.material.tau_c}
         )
-        r2 = vrm_experiment(doubled)["drift_rate_measured"]
+        r2 = vrm_experiment(run_scenario(doubled))["drift_rate_measured"]
         assert r1 / r2 == pytest.approx(2.0, rel=0.02)
 
     def test_unregularized_coercive_potential(self):
