@@ -6,6 +6,14 @@ solved exactly (to roundoff) by a type-I discrete sine transform with
 Dirichlet ghost values taken either as zero or from the continuum
 dipole far field of the magnetization (default), which sharply reduces
 the domain-truncation error of the pad.  h_dem = -grad u on Omega.
+
+The far-field ghosts and the cells of Omega lie on one lattice, so the
+dipole sum over the cells is a discrete convolution with the kernel
+1 / (dx + i dy) of the lattice offsets; it is evaluated exactly, to
+roundoff, by one zero-padded complex FFT (lattice Green's function
+convolution, Hockney & Eastwood 1988).  Kernel offsets that no ghost
+can see, the near field around dz = 0, are zeroed, which changes no
+ghost value and keeps the FFT roundoff at the scale of the ghost values.
 """
 
 from __future__ import annotations
@@ -46,31 +54,38 @@ def _farfield_ring(m: np.ndarray, grid: Grid):
     """Continuum dipole-potential values at the four ghost-cell rings (2D).
 
     u(x) = sum_j m_j . (x - x_j) / (2 pi |x - x_j|^2) * cell_volume,
-    the far field of Delta u = div(chi m) in the plane.
+    the far field of Delta u = div(chi m) in the plane.  With z = x + i y
+    and mu = m_x + i m_y, m . d / |d|^2 = Re(mu / d), so
+
+        u(z) = cell_volume / (2 pi) * Re sum_j mu_j / (z - z_j).
+
+    Ghosts (lattice index -1 and P per axis) and sources (the cells of
+    Omega) sit on one lattice, so the sum is a discrete convolution of mu
+    with the kernel 1 / dz over lattice offsets, evaluated exactly (to
+    roundoff) by one zero-padded FFT (Hockney & Eastwood 1988).  Offsets
+    with |di| <= sx.start and |dj| <= sy.start (dz = 0 among them) are
+    zeroed: every ghost lies beyond that box, so the ring values do not
+    change, and the FFT roundoff stays at the scale of the ring values.
     """
     hx, hy = grid.spacing
+    nx, ny = grid.cells
     Px, Py = grid.padded_cells
     sx, sy = _omega_slices(grid)
-    xs = (np.arange(Px) + 0.5) * hx
-    ys = (np.arange(Py) + 0.5) * hy
-    cx = xs[sx]
-    cy = ys[sy]
-    X, Y = np.meshgrid(cx, cy, indexing="ij")
-    src = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    mom = m.reshape(-1, NCOMP) * grid.cell_volume
-
-    def u_at(points: np.ndarray) -> np.ndarray:
-        d = points[:, None, :] - src[None, :, :]
-        r2 = np.maximum(np.sum(d * d, axis=-1), 1e-300)
-        return np.sum(np.sum(d * mom[None, :, :], axis=-1) / r2, axis=-1) / (2.0 * np.pi)
-
-    gx_lo, gx_hi = -0.5 * hx, (Px + 0.5) * hx
-    gy_lo, gy_hi = -0.5 * hy, (Py + 0.5) * hy
-    left = u_at(np.stack([np.full(Py, gx_lo), ys], axis=-1))
-    right = u_at(np.stack([np.full(Py, gx_hi), ys], axis=-1))
-    bottom = u_at(np.stack([xs, np.full(Px, gy_lo)], axis=-1))
-    top = u_at(np.stack([xs, np.full(Px, gy_hi)], axis=-1))
-    return left, right, bottom, top
+    # offsets (target index -1..P) - (source index in Omega), ascending
+    di = np.arange(-sx.start - nx, Px - sx.start + 1)
+    dj = np.arange(-sy.start - ny, Py - sy.start + 1)
+    near = (np.abs(di)[:, None] <= sx.start) & (np.abs(dj)[None, :] <= sy.start)
+    dz = np.where(near, 1.0, di[:, None] * hx + 1j * (dj[None, :] * hy))
+    kern = np.where(near, 0.0, 1.0 / dz)
+    mu = m[..., 0] + 1j * m[..., 1]
+    # at least the kernel's size: the circular wrap-around lands only on
+    # targets below index -1, never on the ring
+    shape = [scipy.fft.next_fast_len(s) for s in kern.shape]
+    conv = scipy.fft.ifft2(scipy.fft.fft2(kern, shape) * scipy.fft.fft2(mu, shape))
+    # conv[a, b] holds target index (a - nx, b - ny)
+    u = conv.real[nx - 1 : nx + Px + 1, ny - 1 : ny + Py + 1]
+    u *= grid.cell_volume / (2.0 * np.pi)
+    return u[0, 1:-1], u[-1, 1:-1], u[1:-1, 0], u[1:-1, -1]
 
 
 def _solve_dirichlet_2d(rhs: np.ndarray, ghosts, grid: Grid) -> np.ndarray:

@@ -35,11 +35,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import constitutive as con
+from .demag import solve_demag
 from .energetics import BalanceReport, audit_step
 from .errors import CflViolation, ConfigError, ScenarioError
 from .grid import NCOMP, FieldState, Grid, Loads, make_grid, sample_loads
 from .snapshots import write_snapshot
-from .stepper import StepOptions, step
+from .stepper import StepOptions, _potential_residual, _within_tolerance, step
 
 # ---------------------------------------------------------------------------
 # schedules
@@ -254,6 +255,9 @@ class ScenarioConfig:
         state.v[...] = np.asarray(self.v0, dtype=np.float64)
         state.Ee[...] = np.asarray(self.Ee0, dtype=np.float64)
         state.Ep[...] = np.asarray(self.Ep0, dtype=np.float64)
+        if self.demag and grid.dim >= 1:
+            # u solved at t = 0, so step 1 does not book the demag energy as a jump
+            state.u[...] = solve_demag(state.m, grid, self.material.mu0, self.demag_boundary).u
         state.validate(grid)
         return state
 
@@ -368,14 +372,26 @@ def run_scenario(
     """Integrate a scenario over [0, duration]; audit every accepted step.
 
     Rejected steps halve dt (down to dt_min, then ScenarioError); accepted
-    steps let dt recover by dt_growth up to the configured dt.
+    steps let dt recover by dt_growth up to the configured dt.  A supplied
+    ``initial_state`` whose u fails the stepper's potential residual gate
+    against its m raises ConfigError.
     """
     config.validate()
     grid = config.build_grid()
     params = config.material
     thermal = con.thermal_law_for(params)
     loads = config.build_loads()
-    state = initial_state.copy() if initial_state is not None else config.initial_state(grid, thermal)
+    if initial_state is None:
+        state = config.initial_state(grid, thermal)
+    else:
+        state = initial_state.copy()
+        opts = config.step_options(config.dt)
+        res, scale = _potential_residual(state.u, state.m, grid, params, opts)
+        if not _within_tolerance(res, scale, opts):
+            raise ConfigError(
+                f"{config.name}: initial u does not match its m "
+                f"(potential residual {res:.3e}, scale {scale:.3e})"
+            )
     t0 = state.t
 
     traj = Trajectory(config=config, series={k: [] for k in SERIES_COLUMNS})
@@ -646,6 +662,15 @@ def _report_dir(out_dir) -> Optional[Path]:
     return out
 
 
+def _restart(state: FieldState) -> FieldState:
+    """A phase's final state as the t = 0 state of the next phase.
+
+    run_scenario samples the loads at absolute t, so each phase's schedules
+    start from their own t = 0.
+    """
+    return dataclasses.replace(state, t=0.0)
+
+
 def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
     """Thermoremanence end-to-end: cool under bias, rotate rigidly, reheat.
 
@@ -653,7 +678,8 @@ def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
     (remanence acquisition and blocking), the finished run ``traj1`` of the
     trm scenario; then, integrated here, (2) bias removed (sticking);
     (3) rigid 90-degree rotation (remanence co-rotates); (4) controlled
-    reheating above the Curie point (remanence erased).
+    reheating above the Curie point (remanence erased).  Each phase starts
+    from the previous phase's final state, its clock reset to t = 0.
     """
     base = traj1.config
     params = base.material
@@ -672,7 +698,9 @@ def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
         theta_schedule={"kind": "const", "value": theta_final},
         h_ext_schedule=None,
     )
-    traj2 = run_scenario(cfg2, out_dir=sub("phase2_hold"), audit=audit)
+    traj2 = run_scenario(
+        cfg2, initial_state=_restart(traj1.final_state), out_dir=sub("phase2_hold"), audit=audit
+    )
 
     rate = 0.1
     dur3 = 0.5 * math.pi / rate
@@ -681,7 +709,7 @@ def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
         grad_v_schedule={"kind": "rotation", "rate": rate},
     )
     traj3 = run_scenario(
-        cfg3, initial_state=traj2.final_state, out_dir=sub("phase3_rotate"), audit=audit
+        cfg3, initial_state=_restart(traj2.final_state), out_dir=sub("phase3_rotate"), audit=audit
     )
     m_rot = traj3.final_state.m.reshape(-1, NCOMP)[0].copy()
     ang = math.degrees(
@@ -696,7 +724,7 @@ def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
         theta_schedule={"kind": "linear", "start": theta_final, "end": 1.3, "t0": 0.0, "t1": 50.0},
     )
     traj4 = run_scenario(
-        cfg4, initial_state=traj3.final_state, out_dir=sub("phase4_reheat"), audit=audit
+        cfg4, initial_state=_restart(traj3.final_state), out_dir=sub("phase4_reheat"), audit=audit
     )
     m_erased = float(np.linalg.norm(traj4.final_state.m.reshape(-1, NCOMP)[0]))
 

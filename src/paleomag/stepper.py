@@ -417,8 +417,7 @@ def step(
     )
     report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts, thermal)
     report.accepted = all(
-        res <= opts.tol_abs + 100.0 * opts.tol_rel * scale
-        for res, scale in report.residuals.values()
+        _within_tolerance(res, scale, opts) for res, scale in report.residuals.values()
     )
     if not report.accepted:
         report.message = "converged iterate fails residual check: " + ", ".join(
@@ -497,6 +496,21 @@ def _heat_solve(
     return _bicgstab(apply_op, rhs, w_cur)
 
 
+def _potential_residual(
+    u: np.ndarray, m: np.ndarray, grid: Grid, params: con.MaterialParams, opts: StepOptions
+) -> tuple[float, float]:
+    """(residual, scale) of u against the demag potential of m (0 without demag)."""
+    if opts.demag and grid.dim >= 1:
+        u_m = solve_demag(m, grid, params.mu0, opts.demag_boundary).u
+        return float(np.max(np.abs(u - u_m))), max(1.0, float(np.max(np.abs(u_m))))
+    return float(np.max(np.abs(u))), 1.0
+
+
+def _within_tolerance(res: float, scale: float, opts: StepOptions) -> bool:
+    """The residual gate of one block: res <= tol_abs + 100 tol_rel scale."""
+    return res <= opts.tol_abs + 100.0 * opts.tol_rel * scale
+
+
 def residuals(
     state_trial: FieldState,
     state_prev: FieldState,
@@ -551,13 +565,7 @@ def residuals(
     scale_d = max(1.0, float(np.max(H)))
 
     # (e) demag potential
-    if opts.demag and grid.dim >= 1:
-        sol = solve_demag(m, grid, params.mu0, opts.demag_boundary)
-        res_e = float(np.max(np.abs(state_trial.u - sol.u)))
-        scale_e = max(1.0, float(np.max(np.abs(sol.u))))
-    else:
-        res_e = float(np.max(np.abs(state_trial.u)))
-        scale_e = 1.0
+    res_e, scale_e = _potential_residual(state_trial.u, m, grid, params, opts)
 
     # (f) enthalpy
     if loads_k.theta_k is not None:

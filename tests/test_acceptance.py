@@ -331,4 +331,7 @@ class TestCriterion11TrmEndToEnd:
         m_sat_final = report["m_sat_final"]
         assert abs(report["m_acquired_norm"] - m_sat_final) <= 0.02 * m_sat_final
         assert abs(report["rotation_deg"] - 90.0) <= 2.0
+        # the rotation carries the acquired remanence, not a fresh m0
+        m_rot_norm = float(np.linalg.norm(report["m_rotated"]))
+        assert abs(m_rot_norm - report["m_acquired_norm"]) <= 0.02 * report["m_acquired_norm"]
         assert report["m_erased_norm"] < 1e-3 * m_sat_final

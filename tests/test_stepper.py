@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from paleomag import constitutive as con
 from paleomag.cli import ENTROPY_TOL
 from paleomag.demag import solve_demag
-from paleomag.errors import CflViolation, NumericalError
+from paleomag.errors import CflViolation, ConfigError, NumericalError
 from paleomag.grid import FieldState, Loads, make_grid, sample_loads
 from paleomag.scenarios import ScenarioConfig, run_scenario
 from paleomag.stepper import (
@@ -189,6 +189,22 @@ class TestSpatialAudit:
             assert rep.r_mech_rel <= 1e-12
             assert rep.entropy_margin_rel >= ENTROPY_TOL
         assert float(np.min(traj.final_state.w)) >= 0.0
+
+
+class TestInitialPotential:
+    def test_config_built_run_balances_from_step_one(self):
+        # the config's initial state carries u solved for its m0
+        cfg, _ = _spatial_config(m0=(0.5, 0.2))
+        traj = run_scenario(cfg)
+        assert traj.n_steps == 3 and traj.n_rejections == 0
+        for rep in traj.reports:
+            assert rep.r_mech_rel <= 1e-12
+
+    def test_mismatched_u_is_rejected(self):
+        cfg, state = _spatial_config()
+        state.u[...] = 0.0
+        with pytest.raises(ConfigError, match="initial u does not match"):
+            run_scenario(cfg, initial_state=state)
 
 
 class TestKrylovFailure:
