@@ -20,7 +20,7 @@ from .errors import (
     ThermodynamicError,
 )
 from .grid import FieldState, Grid, Loads, LoadsSample, make_grid, sample_loads
-from .constitutive import MaterialParams, ThermalLaw, canonical_thermal_law
+from .constitutive import MaterialParams, ThermalLaw
 from .stepper import StepOptions, StepReport, step
 from .energetics import EnergyLedger, BalanceReport, audit_step, energy_ledger
 from .scenarios import ScenarioConfig, run_scenario
@@ -45,7 +45,6 @@ __all__ = [
     "ThermalLaw",
     "ThermodynamicError",
     "audit_step",
-    "canonical_thermal_law",
     "energy_ledger",
     "make_grid",
     "run_scenario",

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .energetics import audit_step, energy_ledger
 from .errors import PaleomagError
-from .grid import LoadsSample
 from .scenarios import (
     EXPERIMENTS,
     SHIPPED_SCENARIOS,
@@ -28,7 +27,7 @@ from .scenarios import (
     builtin_config,
     run_scenario,
 )
-from .snapshots import read_snapshot
+from .snapshots import pair_loads, read_snapshot
 
 # Audit acceptance bounds (per accepted step, relative to the energy scale).
 ENERGY_TOL = 1e-8
@@ -85,19 +84,21 @@ def _parse_set_args(pairs) -> list:
     return out
 
 
+def _step_bound_failure(rep):
+    """Which per-step bound (ENERGY_TOL, ENTROPY_TOL) an audited step breaks, or None."""
+    if abs(rep.r_tot_rel) > ENERGY_TOL:
+        return f"energy residual |r_tot|/scale = {abs(rep.r_tot_rel):.3e} > {ENERGY_TOL:g}"
+    if rep.entropy_margin_rel < ENTROPY_TOL:
+        return f"entropy margin {rep.entropy_margin_rel:.3e} < {ENTROPY_TOL:g}"
+    return None
+
+
 def check_audit_bounds(traj) -> tuple[bool, str]:
     """Apply the shipped acceptance bounds to every audited step."""
     for i, rep in enumerate(traj.reports):
-        if abs(rep.r_tot_rel) > ENERGY_TOL:
-            return False, (
-                f"energy residual |r_tot|/scale = {abs(rep.r_tot_rel):.3e} > "
-                f"{ENERGY_TOL:g} at step {i + 1} (t={rep.t:.6g})"
-            )
-        if rep.entropy_margin_rel < ENTROPY_TOL:
-            return False, (
-                f"entropy margin {rep.entropy_margin_rel:.3e} < {ENTROPY_TOL:g} "
-                f"at step {i + 1} (t={rep.t:.6g})"
-            )
+        why = _step_bound_failure(rep)
+        if why is not None:
+            return False, f"{why} at step {i + 1} (t={rep.t:.6g})"
     state = traj.final_state
     if state is not None:
         if float(np.min(state.w)) < 0.0:
@@ -185,26 +186,11 @@ def cmd_audit(args) -> int:
         except (OSError, PaleomagError) as exc:
             print(f"error: corrupt snapshot pair {tag}: {exc}", file=sys.stderr)
             return 2
-        loads_s = LoadsSample(
-            g=np.asarray(meta["g"]),
-            h_ext_k=np.asarray(meta["h_ext_k"]),
-            h_ext_prev=np.asarray(meta["h_ext_prev"]),
-            dh_ext_dt_k=(np.asarray(meta["h_ext_k"]) - np.asarray(meta["h_ext_prev"]))
-            / meta["dt"],
-            j_ext_k=meta["j_ext_k"],
-            grad_v_k=None if meta["grad_v_k"] is None else np.asarray(meta["grad_v_k"]),
-            stress_dev_k=None
-            if meta["stress_dev_k"] is None
-            else np.asarray(meta["stress_dev_k"]),
-            theta_k=meta["theta_k"],
-        )
+        loads_s = pair_loads(meta)
         rep = audit_step(prev, new, loads_s, meta["dt"], grid, params, eps=config.eps)
-        if abs(rep.r_tot_rel) > ENERGY_TOL or rep.entropy_margin_rel < ENTROPY_TOL:
-            print(
-                f"audit failure at t={rep.t:.6g}: r_tot_rel={rep.r_tot_rel:.3e}, "
-                f"entropy_margin_rel={rep.entropy_margin_rel:.3e}",
-                file=sys.stderr,
-            )
+        why = _step_bound_failure(rep)
+        if why is not None:
+            print(f"audit failure at t={rep.t:.6g}: {why}", file=sys.stderr)
             return 3
         row = audit_rows.get(_fmt_key(meta["t"]))
         if row is not None:

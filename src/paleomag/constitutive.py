@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -117,7 +116,7 @@ def phi_mech(Ee: np.ndarray, m: np.ndarray, params: MaterialParams) -> np.ndarra
     )
 
 
-def stress_elastic(Ee: np.ndarray, m: np.ndarray, params: MaterialParams) -> np.ndarray:
+def stress_elastic(Ee: np.ndarray, params: MaterialParams) -> np.ndarray:
     """S_E = phi'_Ee = K_E (tr Ee) I + 2 G_E dev Ee (symmetric)."""
     eye = np.eye(Ee.shape[-1])
     return params.K_E * tensor_trace(Ee)[..., None, None] * eye + 2.0 * params.G_E * dev(Ee)
@@ -153,11 +152,11 @@ def omega_eps_hat_prime(m: np.ndarray, params: MaterialParams, eps: float) -> np
     return (2.0 * params.a0 / den)[..., None] * m
 
 
-def h_anisotropy(Ee: np.ndarray, m: np.ndarray, theta, params: MaterialParams, eps: float = 0.0) -> np.ndarray:
+def h_anisotropy(m: np.ndarray, theta, params: MaterialParams, eps: float = 0.0) -> np.ndarray:
     """Anisotropy contribution -(phi'_m + [omega_eps]'_m)/mu0 to h_drv.
 
-    Ee is accepted for interface uniformity; the shipped free energy has no
-    magnetostrictive cross term, so it does not enter.
+    The shipped free energy has no magnetostrictive cross term, so the
+    elastic strain does not enter.
     """
     return -(phi_m_prime(m, params) + omega_eps_m(m, theta, params, eps)) / params.mu0
 
@@ -321,69 +320,48 @@ def zeta_resolvent(theta, h_eff: np.ndarray, params: MaterialParams) -> np.ndarr
 
 @dataclass(frozen=True)
 class ThermalLaw:
-    """Thermal free-energy part phi(theta) and the enthalpy transform.
+    """Canonical thermal law phi(theta) = c_v theta (ln theta - 1).
 
-    gamma(theta) = theta phi'(theta) - phi(theta) is the enthalpy density,
-    capacity c(theta) = theta phi''(theta); gamma is strictly increasing so
-    theta = gamma_inv(w) is well defined.
+    The enthalpy w = theta phi'(theta) - phi(theta) = c_v theta is
+    nonnegative and increasing, so theta = w / c_v; the capacity
+    theta phi''(theta) is the constant c_v (> 0 by MaterialParams.validate),
+    so d eta / d theta = c_v / theta > 0.
     """
 
-    phi: Callable
-    phi_prime: Callable
-    gamma: Callable
-    gamma_inv: Callable
-    capacity: Callable
+    c_v: float
 
-    def theta_of_w(self, w):
-        return self.gamma_inv(w)
-
-    def w_of_theta(self, theta):
-        return self.gamma(theta)
-
-
-def canonical_thermal_law(c_v: float) -> ThermalLaw:
-    """phi(theta) = c_v theta (ln theta - 1), giving gamma(theta) = c_v theta.
-
-    This is the convex orientation of the canonical choice: the enthalpy
-    w = c_v theta is nonnegative and increasing and the capacity is the
-    constant +c_v (so that d eta / d theta = c/theta > 0).
-    """
-    if c_v <= 0.0:
-        raise ConfigError(f"c_v must be positive, got {c_v}")
-
-    def phi(theta):
+    def phi(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
-        return np.where(theta > 0.0, c_v * theta * (np.log(np.maximum(theta, 1e-300)) - 1.0), 0.0)
+        return np.where(
+            theta > 0.0, self.c_v * theta * (np.log(np.maximum(theta, 1e-300)) - 1.0), 0.0
+        )
 
-    def phi_prime(theta):
+    def phi_prime(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         if np.any(theta <= 0.0):
             raise ThermodynamicError("phi'(theta) undefined at theta <= 0")
-        return c_v * np.log(theta)
+        return self.c_v * np.log(theta)
 
-    return ThermalLaw(
-        phi=phi,
-        phi_prime=phi_prime,
-        gamma=lambda theta: c_v * np.asarray(theta, dtype=np.float64),
-        gamma_inv=lambda w: np.asarray(w, dtype=np.float64) / c_v,
-        capacity=lambda theta: np.full_like(np.asarray(theta, dtype=np.float64), c_v),
-    )
+    def w_of_theta(self, theta):
+        return self.c_v * np.asarray(theta, dtype=np.float64)
+
+    def theta_of_w(self, w):
+        return np.asarray(w, dtype=np.float64) / self.c_v
 
 
 def thermal_law_for(params: MaterialParams) -> ThermalLaw:
-    return canonical_thermal_law(params.c_v)
+    return ThermalLaw(params.c_v)
 
 
-def entropy_density(m: np.ndarray, theta, thermal: ThermalLaw, params: MaterialParams, eps: float = 0.0):
+def entropy_density(m: np.ndarray, theta, params: MaterialParams, eps: float = 0.0):
     """eta = phi'(theta) - omega_hat_eps(m); undefined at theta = 0."""
-    return thermal.phi_prime(theta) - omega_eps_hat(m, params, eps)
+    return thermal_law_for(params).phi_prime(theta) - omega_eps_hat(m, params, eps)
 
 
 __all__ = [
     "MaterialParams",
     "ThermalLaw",
     "buoyancy_b",
-    "canonical_thermal_law",
     "entropy_density",
     "equilibrium_m",
     "h_anisotropy",

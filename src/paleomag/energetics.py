@@ -131,16 +131,13 @@ def energy_ledger(
     state: FieldState,
     grid: Grid,
     params: con.MaterialParams,
-    thermal: Optional[con.ThermalLaw] = None,
     h_ext: Optional[np.ndarray] = None,
     eps: float = 0.0,
 ) -> EnergyLedger:
     """Evaluate the energy ledger of a single state."""
-    if thermal is None:
-        thermal = con.thermal_law_for(params)
     if h_ext is None:
         h_ext = np.zeros(NCOMP)
-    theta = thermal.theta_of_w(state.w)
+    theta = con.thermal_law_for(params).theta_of_w(state.w)
     kinetic = 0.5 * params.rho * grid.integrate(np.sum(state.v * state.v, axis=-1))
     stored = grid.integrate(
         con.phi_mech(state.Ee, state.m, params) + con.omega_eps(state.m, 0.0, params, eps)
@@ -148,7 +145,7 @@ def energy_ledger(
     demag = demag_energy_from_u(state.u, grid, params.mu0)
     zeeman = params.mu0 * grid.integrate(np.sum(np.asarray(h_ext) * state.m, axis=-1))
     heat = grid.integrate(state.w)
-    entropy = grid.integrate(con.entropy_density(state.m, theta, thermal, params, eps))
+    entropy = grid.integrate(con.entropy_density(state.m, theta, params, eps))
     return EnergyLedger(
         kinetic=kinetic, stored=stored, demag=demag, zeeman=zeeman, heat=heat, entropy=entropy
     )
@@ -161,19 +158,17 @@ def audit_step(
     dt: float,
     grid: Grid,
     params: con.MaterialParams,
-    thermal: Optional[con.ThermalLaw] = None,
     eps: float = 0.0,
 ) -> BalanceReport:
     """Audit the discrete balances of the step state_prev -> state_new."""
-    if thermal is None:
-        thermal = con.thermal_law_for(params)
+    thermal = con.thermal_law_for(params)
     tau = float(dt)
     theta_prev = thermal.theta_of_w(state_prev.w)
     theta_new = thermal.theta_of_w(state_new.w)
     v = state_new.v
     m_new = state_new.m
 
-    L, driven = _velocity_gradient(v, state_new.Ee, m_new, loads_k, grid, params)
+    L, driven = _velocity_gradient(v, state_new.Ee, loads_k, grid, params)
     Ev = kin.sym(L)
 
     # discrete rates reconstructed exactly as the stepper defines them
@@ -182,9 +177,7 @@ def audit_step(
     # dissipation and adiabatic coupling (same formulas as the heat update)
     xi = dissipation_xi(theta_prev, Ev, R, r, grid, params)
     xi_total = grid.integrate(xi)
-    adiab = _adiabatic_coupling(
-        theta_new, m_new, r_conv, kin.tensor_trace(L), params, thermal, eps
-    )
+    adiab = _adiabatic_coupling(theta_new, m_new, r_conv, kin.tensor_trace(L), params, eps)
     adiab_total = grid.integrate(adiab)
     # thermomagnetic transfer in the mechanical identity
     transfer = np.sum(con.omega_eps_m(m_new, theta_new, params, eps) * r, axis=-1)
@@ -204,9 +197,8 @@ def audit_step(
 
     p_drive = 0.0
     if driven:
-        h_eff = _drive_field(
-            state_new.Ee, m_new, theta_new, loads_k, grid, params, eps
-        ) + h_dem_from_u(state_new.u, grid)
+        h_dem = h_dem_from_u(state_new.u, grid)
+        h_eff = _drive_field(m_new, theta_new, loads_k, grid, params, eps) + h_dem
         S = _stress(state_new.Ee, m_new, Ev, h_eff, grid, params)
         p_drive = grid.integrate(kin.ddot(S, L))
 
@@ -222,8 +214,8 @@ def audit_step(
         ctrl_entropy = grid.integrate(q_ctrl / np.asarray(theta_new))
 
     # ledgers and residuals
-    ledger_prev = energy_ledger(state_prev, grid, params, thermal, loads_k.h_ext_prev, eps)
-    ledger_new = energy_ledger(state_new, grid, params, thermal, loads_k.h_ext_k, eps)
+    ledger_prev = energy_ledger(state_prev, grid, params, loads_k.h_ext_prev, eps)
+    ledger_new = energy_ledger(state_new, grid, params, loads_k.h_ext_k, eps)
 
     supplied = tau * (p_grav + p_drive + p_ext_mag + boundary_heat + q_ctrl_total)
     r_tot = (ledger_new.total_conserving() - ledger_prev.total_conserving()) - supplied

@@ -224,6 +224,14 @@ class LoadsSample:
     stress_dev_k: Optional[np.ndarray] = None
     theta_k: Optional[float] = None
 
+    @staticmethod
+    def over_step(dt: float, h_ext_k, h_ext_prev, **values) -> "LoadsSample":
+        """The sample of a step of length dt; dh/dt is the backward difference."""
+        return LoadsSample(
+            h_ext_k=h_ext_k, h_ext_prev=h_ext_prev, dh_ext_dt_k=(h_ext_k - h_ext_prev) / dt,
+            **values,
+        )
+
 
 def _as_vec(value) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
@@ -264,11 +272,9 @@ def sample_loads(loads: Loads, t: float, dt: float) -> LoadsSample:
         theta_k = float(loads.theta(t))
         if not np.isfinite(theta_k) or theta_k < 0.0:
             raise ScenarioError(f"theta control undefined or negative at t={t}")
-    return LoadsSample(
+    return LoadsSample.over_step(
+        dt, h_k, h_prev,
         g=np.asarray(loads.g, dtype=np.float64),
-        h_ext_k=h_k,
-        h_ext_prev=h_prev,
-        dh_ext_dt_k=(h_k - h_prev) / dt,
         j_ext_k=j_k,
         grad_v_k=grad_v_k,
         stress_dev_k=stress_k,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CflViolation
 from .grid import NCOMP, Grid
 
 # ---------------------------------------------------------------------------
@@ -105,11 +104,11 @@ def _second_diff(f: np.ndarray, grid: Grid, axis: int, mode: str) -> np.ndarray:
 # gradients / divergences / Laplacians
 
 
-def grad_scalar(f: np.ndarray, grid: Grid, bc: str = "even") -> np.ndarray:
+def grad_scalar(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell-centered gradient, shape f.shape + (NCOMP,); absent axes are zero."""
     out = np.zeros(f.shape + (NCOMP,))
     for a in range(grid.dim):
-        out[..., a] = _central_diff(f, grid, a, bc)
+        out[..., a] = _central_diff(f, grid, a, "even")
     return out
 
 
@@ -135,27 +134,27 @@ def div_vector(vf: np.ndarray, grid: Grid, kind: str = "even") -> np.ndarray:
     return out
 
 
-def grad_tensor(A: np.ndarray, grid: Grid, bc: str = "even") -> np.ndarray:
+def grad_tensor(A: np.ndarray, grid: Grid) -> np.ndarray:
     """Gradient G[..., i, j, a] = d_a A_ij of a tensor field."""
     out = np.zeros(A.shape + (NCOMP,))
     for a in range(grid.dim):
-        out[..., a] = _central_diff(A, grid, a, bc)
+        out[..., a] = _central_diff(A, grid, a, "even")
     return out
 
 
-def div_tensor(S: np.ndarray, grid: Grid, bc: str = "even") -> np.ndarray:
+def div_tensor(S: np.ndarray, grid: Grid) -> np.ndarray:
     """Row-wise divergence (div S)_i = d_a S_ia."""
     out = np.zeros(S.shape[:-1])
     for a in range(grid.dim):
-        out += _central_diff(S[..., a], grid, a, bc)
+        out += _central_diff(S[..., a], grid, a, "even")
     return out
 
 
-def laplacian(f: np.ndarray, grid: Grid, bc: str = "even") -> np.ndarray:
-    """Componentwise 5-point Laplacian with Neumann (even) ghosts by default."""
+def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Componentwise 5-point Laplacian with Neumann (even) ghosts."""
     out = np.zeros_like(f)
     for a in range(grid.dim):
-        out += _second_diff(f, grid, a, bc)
+        out += _second_diff(f, grid, a, "even")
     return out
 
 
@@ -163,38 +162,30 @@ def laplacian(f: np.ndarray, grid: Grid, bc: str = "even") -> np.ndarray:
 # transport
 
 
-def upwind_advect(f: np.ndarray, v: np.ndarray, grid: Grid, bc: str = "even") -> np.ndarray:
+def upwind_advect(f: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
     """Non-conservative first-order upwind (v.grad)f for any trailing rank."""
     out = np.zeros_like(f)
     ncomp_axes = f.ndim - grid.dim
     for a in range(grid.dim):
         h = grid.spacing[a]
         va = v[..., a].reshape(v.shape[:-1] + (1,) * ncomp_axes)
-        p = _pad1(f, a, bc)
+        p = _pad1(f, a, "even")
         backward = (f - _take(p, a, slice(None, -2))) / h
         forward = (_take(p, a, slice(2, None)) - f) / h
         out += np.maximum(va, 0.0) * backward + np.minimum(va, 0.0) * forward
     return out
 
 
-def advect_scalar(
-    w: np.ndarray, v: np.ndarray, grid: Grid, dt: float, cfl_max: float = 1.0
-) -> np.ndarray:
+def advect_scalar(w: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
     """Conservative upwind flux divergence div(v w) with v.n = 0 walls.
 
     Returns the divergence-form transport term (per unit time); its integral
     over Omega vanishes identically, so total w changes only by sources.
-    Raises CflViolation when |v| dt / h exceeds cfl_max on any axis.
     """
     out = np.zeros_like(w)
     for a in range(grid.dim):
         h = grid.spacing[a]
         va = v[..., a]
-        vmax = float(np.max(np.abs(va))) if va.size else 0.0
-        if vmax * dt / h > cfl_max:
-            raise CflViolation(
-                f"axis {a}: |v| dt / h = {vmax * dt / h:.3f} exceeds cfl_max={cfl_max}"
-            )
         wa = np.moveaxis(w, a, 0)
         ua = np.moveaxis(va, a, 0)
         vface = 0.5 * (ua[1:] + ua[:-1])

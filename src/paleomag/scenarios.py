@@ -35,11 +35,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import constitutive as con
+from . import kinematics as kin
 from .demag import solve_demag
 from .energetics import BalanceReport, audit_step
 from .errors import CflViolation, ConfigError, ScenarioError
 from .grid import NCOMP, FieldState, Grid, Loads, make_grid, sample_loads
-from .snapshots import write_snapshot
+from .snapshots import pair_record, write_snapshot
 from .stepper import StepOptions, _potential_residual, _within_tolerance, step
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,7 @@ class ScenarioConfig:
             raise ConfigError(f"theta0 must be >= 0, got {self.theta0}")
         if self.grad_v_schedule is not None and self.stress_dev_schedule is not None:
             raise ConfigError("grad_v and stress_dev drives are mutually exclusive")
+        self.step_options(self.dt).validate()
         make_grid(self.dim, self.extents, self.cells, self.pad_factor)
         # build every schedule once so bad specs fail at config time
         theta_s = make_scalar_schedule(self.theta_schedule)
@@ -300,23 +302,21 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _series_row(state, report, loads_s, grid, params, thermal, dt):
+def _series_row(state, report, loads_s, grid, params, dt):
     vol = grid.total_volume
 
     def mean(f):
         return grid.integrate(f) / vol
 
-    Sdev = con.stress_elastic(state.Ee, state.m, params)
-    from .kinematics import dev as _dev
-
-    Sdev = _dev(Sdev)
+    Sdev = kin.dev(con.stress_elastic(state.Ee, params))
+    theta = np.asarray(con.thermal_law_for(params).theta_of_w(state.w))
     return {
         "t": state.t,
         "dt": dt,
         "m_x": mean(state.m[..., 0]),
         "m_y": mean(state.m[..., 1]),
         "m_norm": mean(np.sqrt(np.sum(state.m * state.m, axis=-1))),
-        "theta": mean(np.asarray(thermal.theta_of_w(state.w))),
+        "theta": mean(theta),
         "h_ext_x": float(loads_s.h_ext_k[0]),
         "h_ext_y": float(loads_s.h_ext_k[1]),
         "Ee_xx": mean(state.Ee[..., 0, 0]),
@@ -329,13 +329,14 @@ def _series_row(state, report, loads_s, grid, params, thermal, dt):
         "v_x": mean(state.v[..., 0]),
         "v_y": mean(state.v[..., 1]),
         "w_total": grid.integrate(state.w),
-        "theta_min": float(np.min(np.asarray(thermal.theta_of_w(state.w)))),
+        "theta_min": float(np.min(theta)),
         "trace_ep_max": float(np.max(np.abs(np.trace(state.Ep, axis1=-2, axis2=-1)))),
         "iterations": report.iterations,
     }
 
 
-def _audit_row(rep: BalanceReport, theta_min: float, trace_ep_max: float) -> dict:
+def _audit_row(rep: BalanceReport, row: dict) -> dict:
+    """The audit.csv row of a step; theta_min and trace_ep_max from its series row."""
     return {
         "t": rep.t,
         "dt": rep.dt,
@@ -358,8 +359,8 @@ def _audit_row(rep: BalanceReport, theta_min: float, trace_ep_max: float) -> dic
         "p_ext_mag": rep.p_ext_mag,
         "boundary_heat": rep.boundary_heat,
         "q_ctrl": rep.q_ctrl_total,
-        "theta_min": theta_min,
-        "trace_ep_max": trace_ep_max,
+        "theta_min": row["theta_min"],
+        "trace_ep_max": row["trace_ep_max"],
     }
 
 
@@ -367,7 +368,6 @@ def run_scenario(
     config: ScenarioConfig,
     out_dir=None,
     initial_state: Optional[FieldState] = None,
-    audit: bool = True,
 ) -> Trajectory:
     """Integrate a scenario over [0, duration]; audit every accepted step.
 
@@ -379,10 +379,9 @@ def run_scenario(
     config.validate()
     grid = config.build_grid()
     params = config.material
-    thermal = con.thermal_law_for(params)
     loads = config.build_loads()
     if initial_state is None:
-        state = config.initial_state(grid, thermal)
+        state = config.initial_state(grid, con.thermal_law_for(params))
     else:
         state = initial_state.copy()
         opts = config.step_options(config.dt)
@@ -414,7 +413,7 @@ def run_scenario(
         loads_s = sample_loads(loads, state.t + dt, dt)
         opts = config.step_options(dt)
         try:
-            new_state, report = step(state, loads_s, grid, params, opts, thermal)
+            new_state, report = step(state, loads_s, grid, params, opts)
         except CflViolation:
             report = None
             new_state = state
@@ -430,15 +429,10 @@ def run_scenario(
             continue
 
         step_index += 1
-        theta_min = float(np.min(np.asarray(thermal.theta_of_w(new_state.w))))
-        trace_ep = float(np.max(np.abs(np.trace(new_state.Ep, axis1=-2, axis2=-1))))
-        if audit:
-            rep = audit_step(
-                state, new_state, loads_s, dt, grid, params, thermal, config.eps
-            )
-            traj.reports.append(rep)
-            audit_rows.append(_audit_row(rep, theta_min, trace_ep))
-        row = _series_row(new_state, report, loads_s, grid, params, thermal, dt)
+        rep = audit_step(state, new_state, loads_s, dt, grid, params, config.eps)
+        traj.reports.append(rep)
+        row = _series_row(new_state, report, loads_s, grid, params, dt)
+        audit_rows.append(_audit_row(rep, row))
         for key in SERIES_COLUMNS:
             traj.series[key].append(row[key])
         traj.times.append(new_state.t)
@@ -447,22 +441,7 @@ def run_scenario(
             tag = f"{step_index:08d}"
             write_snapshot(out / "snapshots" / f"pair_{tag}_a.bin", state, grid)
             write_snapshot(out / "snapshots" / f"pair_{tag}_b.bin", new_state, grid)
-            pair_meta.append(
-                {
-                    "index": step_index,
-                    "t": new_state.t,
-                    "dt": dt,
-                    "g": list(map(float, loads_s.g)),
-                    "h_ext_k": list(map(float, loads_s.h_ext_k)),
-                    "h_ext_prev": list(map(float, loads_s.h_ext_prev)),
-                    "j_ext_k": loads_s.j_ext_k,
-                    "grad_v_k": None if loads_s.grad_v_k is None else loads_s.grad_v_k.tolist(),
-                    "stress_dev_k": None
-                    if loads_s.stress_dev_k is None
-                    else loads_s.stress_dev_k.tolist(),
-                    "theta_k": loads_s.theta_k,
-                }
-            )
+            pair_meta.append(pair_record(step_index, new_state.t, dt, loads_s))
 
         state = new_state
         dt = min(dt * config.dt_growth, config.dt)
@@ -473,9 +452,8 @@ def run_scenario(
         write_snapshot(out / "snapshots" / "final.bin", state, grid)
         (out / "pairs.json").write_text(json.dumps(pair_meta, indent=1) + "\n")
         _write_csv(out / "series.csv", SERIES_COLUMNS, traj.series, step_index)
-        if audit:
-            audit_series = {k: [row[k] for row in audit_rows] for k in AUDIT_COLUMNS}
-            _write_csv(out / "audit.csv", AUDIT_COLUMNS, audit_series, step_index)
+        audit_series = {k: [row[k] for row in audit_rows] for k in AUDIT_COLUMNS}
+        _write_csv(out / "audit.csv", AUDIT_COLUMNS, audit_series, step_index)
     return traj
 
 
@@ -603,13 +581,32 @@ def extract_loop(
     )
 
 
+def _trajectory_loop(traj: Trajectory, out=None, since: float = -math.inf) -> HysteresisLoop:
+    """The (h_ext_x, m_x) loop of the steps ending after ``since``.
+
+    The loop's dissipation sums the audited dt * xi_total of those steps;
+    with ``out`` set, the loop points are written to ``out/loop.csv``.
+    """
+    keep = np.asarray(traj.times) > since
+    diss = np.array([rep.dt * rep.xi_total for rep in traj.reports])[keep]
+    loop = extract_loop(
+        traj.column("h_ext_x")[keep], traj.column("m_x")[keep], traj.config.material.mu0, diss
+    )
+    if out is not None:
+        with open(out / "loop.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("h_applied", "m_parallel"))
+            for hh, mm in loop.points:
+                writer.writerow((_fmt(hh), _fmt(mm)))
+    return loop
+
+
 def irm_loop(
     theta_fixed: float,
     h_amplitude: float,
     cycles: int,
     config: Optional[ScenarioConfig] = None,
     period: float = 20.0,
-    out_dir=None,
 ) -> HysteresisLoop:
     """Run an isothermal field cycle and extract the final-cycle loop."""
     cfg = copy.deepcopy(config) if config is not None else builtin_config("irm")
@@ -621,23 +618,7 @@ def irm_loop(
         "period": float(period),
     }
     cfg.duration = float(cycles) * float(period)
-    traj = run_scenario(cfg, out_dir=out_dir)
-    t = np.asarray(traj.times)
-    in_last = t > (cycles - 1) * period + 1e-12
-    h = traj.column("h_ext_x")[in_last]
-    m = traj.column("m_x")[in_last]
-    diss = np.array(
-        [rep.dt * rep.xi_total for rep, keep in zip(traj.reports, in_last) if keep]
-    )
-    loop = extract_loop(h, m, cfg.material.mu0, diss)
-    if out_dir is not None:
-        out = Path(out_dir)
-        with open(out / "loop.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("h_applied", "m_parallel"))
-            for hh, mm in loop.points:
-                writer.writerow((_fmt(hh), _fmt(mm)))
-    return loop
+    return _trajectory_loop(run_scenario(cfg), since=(cycles - 1) * period + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +652,7 @@ def _restart(state: FieldState) -> FieldState:
     return dataclasses.replace(state, t=0.0)
 
 
-def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
+def trm_experiment(traj1: Trajectory, out_dir=None) -> dict:
     """Thermoremanence end-to-end: cool under bias, rotate rigidly, reheat.
 
     Phases: (1) controlled cooling 1.3 -> 0.3 under a small bias field
@@ -699,7 +680,7 @@ def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
         h_ext_schedule=None,
     )
     traj2 = run_scenario(
-        cfg2, initial_state=_restart(traj1.final_state), out_dir=sub("phase2_hold"), audit=audit
+        cfg2, initial_state=_restart(traj1.final_state), out_dir=sub("phase2_hold")
     )
 
     rate = 0.1
@@ -709,7 +690,7 @@ def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
         grad_v_schedule={"kind": "rotation", "rate": rate},
     )
     traj3 = run_scenario(
-        cfg3, initial_state=_restart(traj2.final_state), out_dir=sub("phase3_rotate"), audit=audit
+        cfg3, initial_state=_restart(traj2.final_state), out_dir=sub("phase3_rotate")
     )
     m_rot = traj3.final_state.m.reshape(-1, NCOMP)[0].copy()
     ang = math.degrees(
@@ -724,7 +705,7 @@ def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
         theta_schedule={"kind": "linear", "start": theta_final, "end": 1.3, "t0": 0.0, "t1": 50.0},
     )
     traj4 = run_scenario(
-        cfg4, initial_state=_restart(traj3.final_state), out_dir=sub("phase4_reheat"), audit=audit
+        cfg4, initial_state=_restart(traj3.final_state), out_dir=sub("phase4_reheat")
     )
     m_erased = float(np.linalg.norm(traj4.final_state.m.reshape(-1, NCOMP)[0]))
 
@@ -746,10 +727,8 @@ def trm_experiment(traj1: Trajectory, out_dir=None, audit: bool = True) -> dict:
 
 def irm_experiment(traj: Trajectory, out_dir=None) -> dict:
     """Extract the loop of a finished IRM cycling run."""
-    loop = extract_loop(
-        traj.column("h_ext_x"), traj.column("m_x"), traj.config.material.mu0,
-        np.array([rep.dt * rep.xi_total for rep in traj.reports]),
-    )
+    out = _report_dir(out_dir)
+    loop = _trajectory_loop(traj, out)
     report = {
         "coercivity": loop.coercivity,
         "remanence": loop.remanence,
@@ -757,13 +736,7 @@ def irm_experiment(traj: Trajectory, out_dir=None) -> dict:
         "cycle_dissipation": loop.dissipation,
         "closed": loop.closed,
     }
-    out = _report_dir(out_dir)
     if out is not None:
-        with open(out / "loop.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("h_applied", "m_parallel"))
-            for hh, mm in loop.points:
-                writer.writerow((_fmt(hh), _fmt(mm)))
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     report["trajectory"] = traj
     report["loop"] = loop
@@ -781,7 +754,7 @@ def vrm_experiment(traj: Trajectory, out_dir=None) -> dict:
     theta0 = float(make_scalar_schedule(cfg.theta_schedule)(0.0))
     h0 = make_vector_schedule(cfg.h_ext_schedule)(0.0)
     m0 = np.asarray(cfg.m0, dtype=np.float64)
-    h_eff0 = con.h_anisotropy(None, m0, theta0, cfg.material, cfg.eps) + h0
+    h_eff0 = con.h_anisotropy(m0, theta0, cfg.material, cfg.eps) + h0
     r0 = con.zeta_resolvent(theta0, h_eff0, cfg.material)
     report = {
         "drift_rate_measured": drift_rate,

@@ -1,4 +1,5 @@
-"""Self-describing binary snapshot format for field states.
+"""Self-describing binary snapshot format for field states, and the
+``pairs.json`` record of the loads of each snapshot pair.
 
 Layout: 8-byte magic, 8-byte little-endian header length, UTF-8 JSON
 header (grid metadata, time, field names/shapes), then the raw field
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grid import FieldState, Grid, make_grid
+from .grid import FieldState, Grid, LoadsSample, make_grid
 
 MAGIC = b"PMAGSNP1"
 _FIELDS = ("v", "Ee", "Ep", "m", "u", "w")
@@ -71,4 +72,42 @@ def read_snapshot(path) -> tuple[FieldState, Grid]:
     return state, grid
 
 
-__all__ = ["write_snapshot", "read_snapshot", "MAGIC"]
+def pair_record(index: int, t: float, dt: float, loads: LoadsSample) -> dict:
+    """The pairs.json entry of snapshot pair ``index``: its step and loads."""
+
+    def tensor(T):
+        return None if T is None else T.tolist()
+
+    return {
+        "index": index,
+        "t": t,
+        "dt": dt,
+        "g": list(map(float, loads.g)),
+        "h_ext_k": list(map(float, loads.h_ext_k)),
+        "h_ext_prev": list(map(float, loads.h_ext_prev)),
+        "j_ext_k": loads.j_ext_k,
+        "grad_v_k": tensor(loads.grad_v_k),
+        "stress_dev_k": tensor(loads.stress_dev_k),
+        "theta_k": loads.theta_k,
+    }
+
+
+def pair_loads(record: dict) -> LoadsSample:
+    """The LoadsSample of a pairs.json entry (inverse of pair_record)."""
+
+    def tensor(T):
+        return None if T is None else np.asarray(T)
+
+    return LoadsSample.over_step(
+        record["dt"],
+        np.asarray(record["h_ext_k"]),
+        np.asarray(record["h_ext_prev"]),
+        g=np.asarray(record["g"]),
+        j_ext_k=record["j_ext_k"],
+        grad_v_k=tensor(record["grad_v_k"]),
+        stress_dev_k=tensor(record["stress_dev_k"]),
+        theta_k=record["theta_k"],
+    )
+
+
+__all__ = ["write_snapshot", "read_snapshot", "pair_record", "pair_loads", "MAGIC"]

@@ -17,7 +17,6 @@ equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -49,6 +48,14 @@ class StepOptions:
             raise NumericalError(f"eps must be in [0, 1), got {self.eps}")
         if not 0.0 < self.relaxation <= 1.0:
             raise NumericalError(f"relaxation must be in (0, 1], got {self.relaxation}")
+        if not self.max_iters >= 1:
+            raise NumericalError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.cfl_max > 0.0:
+            raise NumericalError(f"cfl_max must be > 0, got {self.cfl_max}")
+        if self.demag_boundary not in ("farfield", "zero"):
+            raise NumericalError(
+                f"demag_boundary must be 'farfield' or 'zero', got {self.demag_boundary!r}"
+            )
 
 
 @dataclass
@@ -173,7 +180,7 @@ def stress_structural(
 # discrete operators shared by the sweep, the residual check and the audit
 
 
-def _velocity_gradient(v, Ee, m, loads_k: LoadsSample, grid: Grid, params) -> tuple:
+def _velocity_gradient(v, Ee, loads_k: LoadsSample, grid: Grid, params) -> tuple:
     """Velocity gradient L of the step and whether the kinematics are driven.
 
     Prescribed grad_v, or quasi-static deviatoric stress control (Jeffreys
@@ -183,16 +190,16 @@ def _velocity_gradient(v, Ee, m, loads_k: LoadsSample, grid: Grid, params) -> tu
     if loads_k.grad_v_k is not None:
         return np.broadcast_to(loads_k.grad_v_k, grid.spatial_shape + (NCOMP, NCOMP)), True
     if loads_k.stress_dev_k is not None:
-        S_dev = kin.dev(con.stress_elastic(Ee, m, params))
+        S_dev = kin.dev(con.stress_elastic(Ee, params))
         return (loads_k.stress_dev_k - S_dev) / params.nu1, True
     if grid.dim == 0:
         return np.zeros((NCOMP, NCOMP)), False
     return kin.grad_vector(v, grid, kind="velocity"), False
 
 
-def _drive_field(Ee, m, theta, loads_k: LoadsSample, grid: Grid, params, eps) -> np.ndarray:
+def _drive_field(m, theta, loads_k: LoadsSample, grid: Grid, params, eps) -> np.ndarray:
     """h_drv = h_anisotropy + h_ext + kappa Delta m (demag added by the caller)."""
-    h_drv = con.h_anisotropy(Ee, m, theta, params, eps) + loads_k.h_ext_k
+    h_drv = con.h_anisotropy(m, theta, params, eps) + loads_k.h_ext_k
     if params.kappa != 0.0 and grid.dim >= 1:
         h_drv = h_drv + params.kappa * kin.laplacian(m, grid)
     return h_drv
@@ -207,11 +214,12 @@ def _objective_rates(state_new: FieldState, state_prev: FieldState, L, grid: Gri
     return R, r, r_conv
 
 
-def _adiabatic_coupling(theta, m, r_conv, divv, params, thermal: con.ThermalLaw, eps):
+def _adiabatic_coupling(theta, m, r_conv, divv, params, eps):
     """theta [omega_eps_hat]'(m) . r_conv + (theta omega_eps_hat(m) + phi(theta)) div v."""
+    phi = con.thermal_law_for(params).phi(theta)
     return (
         theta * np.sum(con.omega_eps_hat_prime(m, params, eps) * r_conv, axis=-1)
-        + (theta * con.omega_eps_hat(m, params, eps) + thermal.phi(theta)) * divv
+        + (theta * con.omega_eps_hat(m, params, eps) + phi) * divv
     )
 
 
@@ -219,7 +227,7 @@ def _heat_residual_field(
     w_new, w_prev, v, theta_new, xi, adiab, j_src, grid: Grid, params, tau, eps
 ):
     """Residual of the enthalpy equation; under theta control, the control flux."""
-    adv_w = kin.advect_scalar(w_new, v, grid, tau, np.inf) if grid.dim >= 1 else 0.0
+    adv_w = kin.advect_scalar(w_new, v, grid) if grid.dim >= 1 else 0.0
     cond = params.K_cond * kin.laplacian(np.asarray(theta_new), grid) if grid.dim >= 1 else 0.0
     return (w_new - w_prev) / tau + adv_w - cond - (1.0 - eps) * xi - adiab - j_src
 
@@ -227,7 +235,7 @@ def _heat_residual_field(
 def _stress(Ee, m, Ev, h_eff, grid: Grid, params) -> np.ndarray:
     """Stress S_E + nu1 E(v) + S_str (the hyperstress enters separately)."""
     S_str = stress_structural(m, kin.grad_vector(m, grid), h_eff, params)
-    return con.stress_elastic(Ee, m, params) + params.nu1 * Ev + S_str
+    return con.stress_elastic(Ee, params) + params.nu1 * Ev + S_str
 
 
 def _momentum_residual_field(
@@ -252,7 +260,6 @@ def step(
     grid: Grid,
     params: con.MaterialParams,
     opts: StepOptions,
-    thermal: Optional[con.ThermalLaw] = None,
 ) -> tuple[FieldState, StepReport]:
     """Advance one fully implicit step; returns (new state, report).
 
@@ -261,8 +268,7 @@ def step(
     CFL violations raise CflViolation; w < -tol_abs raises ThermodynamicError.
     """
     opts.validate()
-    if thermal is None:
-        thermal = con.thermal_law_for(params)
+    thermal = con.thermal_law_for(params)
     tau = opts.dt
     eps = opts.eps
     relax = opts.relaxation
@@ -302,8 +308,9 @@ def step(
             if info != 0:
                 report.message = f"momentum solve failed (bicgstab info={info})"
                 return state_prev, report
+        if grid.dim >= 1:
             _check_cfl(v_new, grid, tau, opts.cfl_max)
-        L, _ = _velocity_gradient(v_new, Ee, m, loads_k, grid, params)
+        L, _ = _velocity_gradient(v_new, Ee, loads_k, grid, params)
         Ev = kin.sym(L)
         Wsp = kin.skw(L)
         wspin = np.asarray(Wsp[..., 1, 0])
@@ -334,7 +341,7 @@ def step(
         # --- magnetization block --------------------------------------------
         m_it = m
         for _ in range(60):
-            h_eff = _drive_field(Ee_new, m_it, theta_k, loads_k, grid, params, eps) + h_dem
+            h_eff = _drive_field(m_it, theta_k, loads_k, grid, params, eps) + h_dem
             r = con.zeta_resolvent(theta_prev, h_eff, params)
             adv_m = kin.upwind_advect(m_it, v_new, grid) if grid.dim >= 1 else 0.0
             m_cand = _solve_m(tau, wspin, state_prev.m / tau - adv_m + r)
@@ -362,9 +369,7 @@ def step(
         r_conv = (m_new - state_prev.m) / tau + (
             kin.upwind_advect(m_new, v_new, grid) if grid.dim >= 1 else 0.0
         )
-        adiab = _adiabatic_coupling(
-            theta_k, m_new, r_conv, kin.tensor_trace(L), params, thermal, eps
-        )
+        adiab = _adiabatic_coupling(theta_k, m_new, r_conv, kin.tensor_trace(L), params, eps)
         if loads_k.theta_k is not None:
             w_new = np.broadcast_to(
                 thermal.w_of_theta(loads_k.theta_k), grid.spatial_shape
@@ -373,7 +378,7 @@ def step(
             w_new = state_prev.w + tau * ((1.0 - eps) * xi + adiab + j_src)
         else:
             w_new, info = _heat_solve(
-                state_prev.w, w, v_new, xi, adiab, j_src, grid, params, tau, eps, opts.cfl_max
+                state_prev.w, w, v_new, xi, adiab, j_src, grid, params, tau, eps
             )
             if info != 0:
                 report.message = f"heat solve failed (bicgstab info={info})"
@@ -415,7 +420,7 @@ def step(
         w=w,
         t=state_prev.t + tau,
     )
-    report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts, thermal)
+    report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts)
     report.accepted = all(
         _within_tolerance(res, scale, opts) for res, scale in report.residuals.values()
     )
@@ -461,7 +466,7 @@ def _momentum_solve(
     the balance enters through the right-hand side A v_cur - res(v_cur).
     """
     tau = opts.dt
-    h_eff = _drive_field(Ee, m, theta_k, loads_k, grid, params, opts.eps) + h_dem
+    h_eff = _drive_field(m, theta_k, loads_k, grid, params, opts.eps) + h_dem
     res = _momentum_residual_field(
         v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
     )
@@ -476,21 +481,20 @@ def _momentum_solve(
 
 def _heat_solve(
     w_prev, w_cur, v_new, xi, adiab, j_src, grid: Grid,
-    params: con.MaterialParams, tau, eps, cfl_max,
+    params: con.MaterialParams, tau, eps,
 ):
     """Implicit conduction solve; advection and sources at the current sweep.
 
-    Uses the canonical linear enthalpy relation theta = w / c_v for the
-    implicit Fourier term (the shipped thermal law); a nonlinear law would
-    lag theta in conduction.
+    The thermal law is linear (theta = w / c_v), so the Fourier term is
+    implicit in w.
     """
-    adv = kin.advect_scalar(w_cur, v_new, grid, tau, cfl_max)
+    adv = kin.advect_scalar(w_cur, v_new, grid)
     rhs = w_prev / tau - adv + (1.0 - eps) * xi + adiab + j_src
-    c_v = params.c_v
+    thermal = con.thermal_law_for(params)
 
     def apply_op(x):
         ww = np.asarray(x, dtype=np.float64).reshape(w_prev.shape)
-        cond = params.K_cond * kin.laplacian(ww / c_v, grid)
+        cond = params.K_cond * kin.laplacian(thermal.theta_of_w(ww), grid)
         return (ww / tau - cond).ravel()
 
     return _bicgstab(apply_op, rhs, w_cur)
@@ -518,15 +522,13 @@ def residuals(
     grid: Grid,
     params: con.MaterialParams,
     opts: StepOptions,
-    thermal: Optional[con.ThermalLaw] = None,
 ) -> dict:
     """Max-norm residuals of the six discrete equations, with scales.
 
     Returns {name: (residual, scale)}; each residual vanishes iff the
     corresponding discrete equation holds exactly on the grid.
     """
-    if thermal is None:
-        thermal = con.thermal_law_for(params)
+    thermal = con.thermal_law_for(params)
     tau = opts.dt
     eps = opts.eps
     theta_prev = thermal.theta_of_w(state_prev.w)
@@ -534,7 +536,7 @@ def residuals(
     M_lag = np.asarray(con.maxwell_viscosity(theta_prev, params))
     v, Ee, m = state_trial.v, state_trial.Ee, state_trial.m
 
-    L, driven = _velocity_gradient(v, Ee, m, loads_k, grid, params)
+    L, driven = _velocity_gradient(v, Ee, loads_k, grid, params)
     Ev = kin.sym(L)
     R, r, r_conv = _objective_rates(state_trial, state_prev, L, grid, tau)
 
@@ -544,13 +546,13 @@ def residuals(
 
     # (c) inelastic flow rule M(theta^{k-1}) R = dev S_E + varkappa lap R
     lapR = kin.laplacian(R, grid) if (params.varkappa != 0.0 and grid.dim >= 1) else 0.0
-    devS = kin.dev(con.stress_elastic(Ee, m, params))
+    devS = kin.dev(con.stress_elastic(Ee, params))
     res_c = M_lag[..., None, None] * R - devS - params.varkappa * np.asarray(lapR)
     scale_c = max(float(np.max(np.abs(devS))), float(np.max(M_lag * np.max(np.abs(R)))), 1e-30)
 
     # (d) magnetization inclusion
     h_dem = h_dem_from_u(state_trial.u, grid)
-    h_eff = _drive_field(Ee, m, theta_new, loads_k, grid, params, eps) + h_dem
+    h_eff = _drive_field(m, theta_new, loads_k, grid, params, eps) + h_dem
     rmag = np.sqrt(np.sum(r * r, axis=-1))
     H = np.sqrt(np.sum(h_eff * h_eff, axis=-1))
     hc_val = np.broadcast_to(np.asarray(con.h_c(theta_prev, params)), H.shape)
@@ -573,7 +575,7 @@ def residuals(
         scale_f = max(1.0, float(np.max(np.abs(state_trial.w))))
     else:
         xi = _xi_field(Ev, R, r, theta_prev, grid, params)
-        adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params, thermal, eps)
+        adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params, eps)
         res_f_field = _heat_residual_field(
             state_trial.w, state_prev.w, v, theta_new, xi, adiab,
             boundary_source(loads_k.j_ext_k, grid), grid, params, tau, eps,

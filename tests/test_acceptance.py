@@ -75,7 +75,7 @@ def _rotation_error(cells, dt):
         grad_v_schedule={"kind": "rotation", "rate": rate},
         m0=tuple(m0), Ee0=tuple(map(tuple, Ee0)),
     )
-    traj = run_scenario(cfg, audit=False)
+    traj = run_scenario(cfg)
     phi = rate * T
     R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
     m_num = traj.final_state.m[0, 0]
@@ -108,7 +108,7 @@ class TestCriterion3Jeffreys:
             grad_v_schedule={"kind": "zero"},
             Ee0=((1e-3, 0.0), (0.0, -1e-3)),
         )
-        traj = run_scenario(cfg, audit=False)
+        traj = run_scenario(cfg)
         t = np.asarray(traj.times)
         s = traj.column("Sdev_xx")
         lam = 2.0 * cfg.material.G_E / 1.0
@@ -128,7 +128,7 @@ class TestCriterion3Jeffreys:
             stress_dev_schedule={"kind": "const",
                                  "value": [[sig, 0.0], [0.0, -sig]]},
         )
-        traj = run_scenario(cfg, audit=False)
+        traj = run_scenario(cfg)
         t = np.asarray(traj.times)
         e = traj.column("Ee_xx")
         G, nu1 = cfg.material.G_E, cfg.material.nu1
@@ -150,7 +150,7 @@ def _saturation_run(theta, h_bias, m0):
         h_ext_schedule={"kind": "const", "value": [h_bias, 0.0]},
         m0=(m0, 0.0),
     )
-    traj = run_scenario(cfg, audit=False)
+    traj = run_scenario(cfg)
     return float(np.linalg.norm(traj.final_state.m))
 
 
@@ -327,7 +327,7 @@ class TestCriterion10Positivity:
 class TestCriterion11TrmEndToEnd:
     def test_full_experiment(self, shipped_runs):
         # phase 1 is the shipped trm run; output_every does not affect integration
-        report = trm_experiment(shipped_runs["trm"][1], audit=False)
+        report = trm_experiment(shipped_runs["trm"][1])
         m_sat_final = report["m_sat_final"]
         assert abs(report["m_acquired_norm"] - m_sat_final) <= 0.02 * m_sat_final
         assert abs(report["rotation_deg"] - 90.0) <= 2.0

@@ -43,3 +43,28 @@ def test_every_public_name_has_a_caller(path):
     used = _used_names()
     unused = [name for name in _public_names(path) if name not in used]
     assert not unused, f"{path.stem}: public names without a caller: {unused}"
+
+
+def _unread_parameters(path: Path) -> list:
+    """Parameters of every def in path that its body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{node.name}.{p.arg}" for p in params
+            if p.arg != "self" and not p.arg.startswith("_") and p.arg not in read
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    unread = _unread_parameters(path)
+    assert not unread, f"{path.stem}: parameters never read: {unread}"

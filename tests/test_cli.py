@@ -78,6 +78,19 @@ class TestRun:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert "nonnegative" in manifest["failure"]
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["relaxation=0", "eps=1.0", "tol_rel=-1", "max_iters=0",
+         "demag_boundary=bogus", "cfl_max=-1"],
+    )
+    def test_invalid_solver_setting(self, tmp_path, setting):
+        out = tmp_path / "o"
+        code = run_cli("run", "--config", "vrm", "--out", str(out),
+                       "--set", "duration=0.01", "--set", setting)
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure"]
+
     def test_bad_set_syntax(self, tmp_path):
         assert run_cli("run", "--config", "trm", "--out", str(tmp_path / "o"),
                        "--set", "duration") == 2

@@ -44,7 +44,7 @@ class TestFreeEnergy:
         p = material(K_E=1.7, G_E=0.8)
         Ee = np.array([[0.05, 0.01], [0.01, -0.02]])
         m = np.zeros(2)
-        S = con.stress_elastic(Ee, m, p)
+        S = con.stress_elastic(Ee, p)
         h = 1e-6
         for i in range(2):
             for j in range(2):
@@ -111,7 +111,7 @@ class TestFreeEnergy:
     def test_h_anisotropy_sign(self):
         p = material()
         m = np.array([0.2, 0.0])
-        h = con.h_anisotropy(None, m, 0.5, p)
+        h = con.h_anisotropy(m, 0.5, p)
         # below theta_c the omega term is restoring-outward: h parallel to m
         expect = -(2.0 * 0.04 * 0.2 + 2.0 * (0.5 - 1.0) * 0.2)
         assert h[0] == pytest.approx(expect, rel=1e-14)
@@ -213,37 +213,35 @@ class TestZeta:
 
 class TestThermalLaw:
     def test_enthalpy_roundtrip(self):
-        law = con.canonical_thermal_law(100.0)
+        law = con.thermal_law_for(material(c_v=100.0))
         theta = np.array([0.3, 1.0, 2.5])
         np.testing.assert_allclose(law.theta_of_w(law.w_of_theta(theta)), theta)
         np.testing.assert_allclose(law.w_of_theta(theta), 100.0 * theta)
 
-    def test_capacity_and_gamma_identity(self):
-        law = con.canonical_thermal_law(7.0)
+    def test_enthalpy_identity(self):
+        law = con.thermal_law_for(material(c_v=7.0))
         theta = 1.3
-        # gamma = theta phi' - phi and c = theta phi''
-        assert law.gamma(theta) == pytest.approx(
+        # w = theta phi' - phi
+        assert law.w_of_theta(theta) == pytest.approx(
             theta * law.phi_prime(theta) - float(law.phi(theta))
         )
-        assert float(law.capacity(theta)) == pytest.approx(7.0)
 
     def test_phi_prime_rejects_nonpositive(self):
-        law = con.canonical_thermal_law(1.0)
+        law = con.thermal_law_for(material(c_v=1.0))
         with pytest.raises(ThermodynamicError):
             law.phi_prime(np.array([0.0]))
 
     def test_invalid_cv(self):
         with pytest.raises(ConfigError):
-            con.canonical_thermal_law(0.0)
+            con.MaterialParams(c_v=0.0).validate()
 
     def test_entropy_density(self):
         p = material(c_v=10.0, a0=2.0)
-        law = con.thermal_law_for(p)
         m = np.array([0.5, 0.0])
-        eta = con.entropy_density(m, 1.5, law, p)
+        eta = con.entropy_density(m, 1.5, p)
         assert eta == pytest.approx(10.0 * np.log(1.5) - 2.0 * 0.25, rel=1e-12)
         # d eta / d theta = c / theta > 0
         h = 1e-6
-        fd = (con.entropy_density(m, 1.5 + h, law, p)
-              - con.entropy_density(m, 1.5 - h, law, p)) / (2 * h)
+        fd = (con.entropy_density(m, 1.5 + h, p)
+              - con.entropy_density(m, 1.5 - h, p)) / (2 * h)
         assert fd == pytest.approx(10.0 / 1.5, rel=1e-6)

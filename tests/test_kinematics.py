@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from paleomag import kinematics as kin
-from paleomag.errors import CflViolation
 from paleomag.grid import make_grid
 
 
@@ -85,15 +84,8 @@ class TestAdvectScalar:
         g = make_grid(2, (1.0, 1.0), (12, 12))
         w = rng.uniform(1.0, 2.0, size=(12, 12))
         v = 0.1 * rng.normal(size=(12, 12, 2))
-        div = kin.advect_scalar(w, v, g, dt=0.01)
+        div = kin.advect_scalar(w, v, g)
         assert abs(g.integrate(div)) < 1e-13
-
-    def test_cfl_violation(self):
-        g = make_grid(1, (1.0,), (16,))
-        v = np.zeros((16, 2))
-        v[..., 0] = 10.0
-        with pytest.raises(CflViolation):
-            kin.advect_scalar(np.ones(16), v, g, dt=0.1, cfl_max=0.9)
 
 
 class TestZjRates:

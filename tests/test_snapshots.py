@@ -1,12 +1,20 @@
 """Binary snapshot format: bit-exact round trips and corruption handling."""
 
+import json
+
 import numpy as np
 import pytest
 
 from paleomag.errors import ConfigError
-from paleomag.grid import FieldState, make_grid
+from paleomag.grid import FieldState, Loads, make_grid, sample_loads
 from paleomag.kinematics import dev, sym
-from paleomag.snapshots import MAGIC, read_snapshot, write_snapshot
+from paleomag.snapshots import (
+    MAGIC,
+    pair_loads,
+    pair_record,
+    read_snapshot,
+    write_snapshot,
+)
 
 
 def random_state(grid, seed=11):
@@ -67,3 +75,20 @@ def test_corrupt_header(tmp_path, grid0):
 
 def test_magic_constant():
     assert MAGIC == b"PMAGSNP1"
+
+
+def test_pair_record_roundtrip_bit_exact():
+    # every load a pairs.json entry carries, the driven ones included
+    loads = Loads(
+        g=np.array([0.0, -0.1]),
+        h_ext=lambda t: np.array([np.sin(t), 0.3 * t]),
+        j_ext=lambda t: 0.25,
+        stress_dev=lambda t: np.array([[0.1, 0.2], [0.2, -0.1]]) * t,
+        theta=lambda t: 0.7 + t,
+    )
+    sample = sample_loads(loads, 0.3, 0.01)
+    back = pair_loads(json.loads(json.dumps(pair_record(7, 0.3, 0.01, sample))))
+    for name in ("g", "h_ext_k", "h_ext_prev", "dh_ext_dt_k", "j_ext_k", "stress_dev_k",
+                 "theta_k"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(sample, name))
+    assert back.grad_v_k is None

@@ -37,7 +37,8 @@ class TestStepOptions:
     @pytest.mark.parametrize(
         "bad",
         [dict(dt=0.0), dict(dt=0.1, eps=1.0), dict(dt=0.1, relaxation=0.0),
-         dict(dt=0.1, tol_rel=-1.0)],
+         dict(dt=0.1, tol_rel=-1.0), dict(dt=0.1, max_iters=0),
+         dict(dt=0.1, cfl_max=-1.0), dict(dt=0.1, demag_boundary="bogus")],
     )
     def test_invalid(self, bad):
         with pytest.raises(NumericalError):
@@ -144,6 +145,18 @@ class TestSpatial:
         with pytest.raises(CflViolation):
             step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
 
+    def test_cfl_violation_with_prescribed_grad_v(self):
+        # the velocity is not solved and no heat solve runs, yet the CFL
+        # bound still holds: |v| dt / h = 5 * 0.1 / 0.125 = 4 > cfl_max
+        grid = make_grid(2, (1.0, 1.0), (8, 8))
+        p = material()
+        prev = FieldState.zeros(grid)
+        prev.w[...] = con.thermal_law_for(p).w_of_theta(0.5)
+        prev.v[..., 0] = 5.0
+        loads = sample(dt=0.1, theta=lambda t: 0.5, grad_v=lambda t: np.zeros((2, 2)))
+        with pytest.raises(CflViolation):
+            step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
+
     def test_2d_free_step_accepted(self):
         grid = make_grid(2, (1.0, 1.0), (8, 8))
         p = material()
@@ -221,7 +234,7 @@ class TestKrylovFailure:
 
         monkeypatch.setattr(spla, "bicgstab", fail_once)
         cfg, state = _spatial_config(duration=0.005)
-        traj = run_scenario(cfg, initial_state=state, audit=False)
+        traj = run_scenario(cfg, initial_state=state)
         assert traj.n_rejections >= 1
         assert traj.final_state.t == pytest.approx(0.005)
 
@@ -232,6 +245,6 @@ class TestKrylovFailure:
         state.m[...] = (0.5, 0.2)
         state.u[...] = solve_demag(state.m, cfg.build_grid(), cfg.material.mu0).u
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = run_scenario(cfg, initial_state=state, audit=False)
+            traj = run_scenario(cfg, initial_state=state)
         assert traj.n_rejections >= 1
         assert traj.final_state.t == pytest.approx(cfg.duration)
