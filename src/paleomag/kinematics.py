@@ -67,17 +67,11 @@ def _pad1(f: np.ndarray, axis: int, mode: str) -> np.ndarray:
     mode 'even': ghost = edge value (zero normal derivative at the wall);
     mode 'odd' : ghost = -edge value (zero value at the wall face).
     """
-    width = [(0, 0)] * f.ndim
-    width[axis] = (1, 1)
-    p = np.pad(f, width, mode="edge")
+    lo = _take(f, axis, slice(0, 1))
+    hi = _take(f, axis, slice(-1, None))
     if mode == "odd":
-        lo = [slice(None)] * f.ndim
-        hi = [slice(None)] * f.ndim
-        lo[axis] = slice(0, 1)
-        hi[axis] = slice(-1, None)
-        p[tuple(lo)] *= -1.0
-        p[tuple(hi)] *= -1.0
-    return p
+        lo, hi = -lo, -hi
+    return np.concatenate((lo, f, hi), axis=axis)
 
 
 def _take(f: np.ndarray, axis: int, sl: slice) -> np.ndarray:

@@ -16,6 +16,7 @@ equations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,9 +285,11 @@ def step(
     u = state_prev.u.copy()
     w = state_prev.w.copy()
     R = np.zeros_like(Ee)
+    # the lagged field: u of a step's input state is the demag potential
+    # of its m (run_scenario gates a supplied state on it)
     h_dem = np.zeros_like(m)
     if opts.demag and grid.dim >= 1:
-        h_dem = solve_demag(m, grid, params.mu0, opts.demag_boundary).h_dem
+        h_dem = h_dem_from_u(state_prev.u, grid)
     theta_k = np.asarray(theta_prev).copy()
     j_src = boundary_source(loads_k.j_ext_k, grid)
 
@@ -302,11 +305,11 @@ def step(
         elif grid.dim == 0:
             v_new = state_prev.v + tau * loads_k.g * (1.0 - b_lag)
         else:
-            v_new, info = _momentum_solve(
+            v_new, failure = _momentum_solve(
                 state_prev.v, v, Ee, m, h_dem, b_lag, theta_k, loads_k, grid, params, opts
             )
-            if info != 0:
-                report.message = f"momentum solve failed (bicgstab info={info})"
+            if failure:
+                report.message = f"momentum solve failed ({failure})"
                 return state_prev, report
         if grid.dim >= 1:
             _check_cfl(v_new, grid, tau, opts.cfl_max)
@@ -377,11 +380,11 @@ def step(
         elif grid.dim == 0:
             w_new = state_prev.w + tau * ((1.0 - eps) * xi + adiab + j_src)
         else:
-            w_new, info = _heat_solve(
+            w_new, failure = _heat_solve(
                 state_prev.w, w, v_new, xi, adiab, j_src, grid, params, tau, eps
             )
-            if info != 0:
-                report.message = f"heat solve failed (bicgstab info={info})"
+            if failure:
+                report.message = f"heat solve failed ({failure})"
                 return state_prev, report
         theta_new = thermal.theta_of_w(np.maximum(w_new, 0.0))
 
@@ -446,14 +449,110 @@ def _xi_field(Ev, R, r, theta_prev, grid: Grid, params: con.MaterialParams):
     return xi
 
 
-def _bicgstab(apply_op, rhs: np.ndarray, x0: np.ndarray) -> tuple:
-    """Matrix-free bicgstab solve of apply_op(x) = rhs from x0; (x, info)."""
+def _bicgstab(apply_op, rhs: np.ndarray, x0: np.ndarray, lu) -> tuple:
+    """Matrix-free bicgstab solve of apply_op(x) = rhs from x0; (x, failure).
+
+    ``lu`` (a SuperLU factorization of the operator) is the right
+    preconditioner: bicgstab still stops on the residual of apply_op, so an
+    inexact ``lu`` costs iterations, never accuracy.  ``failure`` is "" on
+    success, else why the solve failed.  An rhs or x0 whose 2-norm is not
+    finite (NaN, inf, or so large that the norm overflows) fails at once:
+    bicgstab's stopping test reads that norm, so it would only iterate to
+    its limit.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rhs), np.linalg.norm(x0)
+    if not np.all(np.isfinite(norms)):
+        return x0, "non-finite norm of the right-hand side or initial guess"
     import scipy.sparse.linalg as spla
 
     n = rhs.size
     op = spla.LinearOperator((n, n), matvec=apply_op, dtype=np.float64)
-    sol, info = spla.bicgstab(op, rhs.ravel(), x0=x0.ravel(), rtol=1e-12, atol=1e-14)
-    return sol.reshape(x0.shape), info
+    M = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    sol, info = spla.bicgstab(op, rhs.ravel(), x0=x0.ravel(), rtol=1e-12, atol=1e-14, M=M)
+    return sol.reshape(x0.shape), (f"bicgstab info={info}" if info != 0 else "")
+
+
+# Composed central differences couple cells at most _REACH apart on each
+# axis; ghost reflection only brings a source closer to its target.
+_REACH = 2
+_COLOURS = 2 * _REACH + 1
+
+
+def _probe_matrix(apply_op, spatial_shape: tuple, comps: tuple):
+    """CSC matrix of the linear stencil operator apply_op on fields of this shape.
+
+    The matrix is probed from apply_op itself: cells are coloured by index
+    mod _COLOURS on each axis, and one application per colour and input
+    component recovers every column exactly, since a row meets at most one
+    cell of each colour within reach.
+    """
+    import scipy.sparse as sp
+
+    shape = spatial_shape + comps
+    n = int(np.prod(shape))
+    ncomp = int(np.prod(comps))
+    cell = np.indices(spatial_shape)
+    rows = np.arange(n).reshape(shape)
+    entries = []
+    for colour in np.ndindex((_COLOURS,) * len(spatial_shape)):
+        painted = np.all([i % _COLOURS == c for c, i in zip(colour, cell)], axis=0)
+        if not np.any(painted):
+            continue
+        # the one painted cell within reach of each cell; where it falls
+        # outside the grid, no painted cell is in reach and the row reads 0
+        src = [i - _REACH + (c - i + _REACH) % _COLOURS for c, i in zip(colour, cell)]
+        src_cell = np.ravel_multi_index(src, spatial_shape, mode="clip")
+        first_col = (src_cell * ncomp).reshape(spatial_shape + (1,) * len(comps))
+        for k in range(ncomp):
+            e = np.zeros((painted.size, ncomp))
+            e[painted.ravel(), k] = 1.0
+            out = apply_op(e.ravel()).reshape(shape)
+            keep = out != 0.0
+            entries.append((rows[keep], np.broadcast_to(first_col + k, shape)[keep], out[keep]))
+    r, c, v = (np.concatenate(parts) for parts in zip(*entries))
+    return sp.csc_matrix((v, (r, c)), shape=(n, n))
+
+
+def _probe_lu(apply_op, spatial_shape: tuple, comps: tuple):
+    """Sparse LU of the probed operator, in the lowest-fill column ordering."""
+    import scipy.sparse.linalg as spla
+
+    return spla.splu(_probe_matrix(apply_op, spatial_shape, comps), permc_spec="MMD_AT_PLUS_A")
+
+
+def _momentum_operator(grid: Grid, rho_tau: float, nu1: float):
+    """x -> rho v / tau - div(nu1 E(v)), the implicit part of the momentum balance."""
+
+    def apply_op(x):
+        vv = np.asarray(x, dtype=np.float64).reshape(grid.spatial_shape + (NCOMP,))
+        Ev = kin.sym(kin.grad_vector(vv, grid, kind="velocity"))
+        return (rho_tau * vv - kin.div_tensor(nu1 * Ev, grid)).ravel()
+
+    return apply_op
+
+
+def _heat_operator(grid: Grid, tau: float, K_cond: float, c_v: float):
+    """x -> w / tau - K Delta theta(w), the implicit part of the enthalpy balance."""
+    thermal = con.ThermalLaw(c_v)
+
+    def apply_op(x):
+        ww = np.asarray(x, dtype=np.float64).reshape(grid.spatial_shape)
+        cond = K_cond * kin.laplacian(thermal.theta_of_w(ww), grid)
+        return (ww / tau - cond).ravel()
+
+    return apply_op
+
+
+# Keyed by everything the operator reads; a halved dt refactors once.
+@functools.lru_cache(maxsize=4)
+def _momentum_lu(grid: Grid, rho_tau: float, nu1: float):
+    return _probe_lu(_momentum_operator(grid, rho_tau, nu1), grid.spatial_shape, (NCOMP,))
+
+
+@functools.lru_cache(maxsize=4)
+def _heat_lu(grid: Grid, tau: float, K_cond: float, c_v: float):
+    return _probe_lu(_heat_operator(grid, tau, K_cond, c_v), grid.spatial_shape, ())
 
 
 def _momentum_solve(
@@ -470,13 +569,10 @@ def _momentum_solve(
     res = _momentum_residual_field(
         v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
     )
-
-    def apply_op(x):
-        vv = np.asarray(x, dtype=np.float64).reshape(v_cur.shape)
-        Ev = kin.sym(kin.grad_vector(vv, grid, kind="velocity"))
-        return (params.rho / tau * vv - kin.div_tensor(params.nu1 * Ev, grid)).ravel()
-
-    return _bicgstab(apply_op, apply_op(v_cur) - res.ravel(), v_cur)
+    rho_tau = params.rho / tau
+    apply_op = _momentum_operator(grid, rho_tau, params.nu1)
+    lu = _momentum_lu(grid, rho_tau, params.nu1)
+    return _bicgstab(apply_op, apply_op(v_cur) - res.ravel(), v_cur, lu)
 
 
 def _heat_solve(
@@ -490,14 +586,9 @@ def _heat_solve(
     """
     adv = kin.advect_scalar(w_cur, v_new, grid)
     rhs = w_prev / tau - adv + (1.0 - eps) * xi + adiab + j_src
-    thermal = con.thermal_law_for(params)
-
-    def apply_op(x):
-        ww = np.asarray(x, dtype=np.float64).reshape(w_prev.shape)
-        cond = params.K_cond * kin.laplacian(thermal.theta_of_w(ww), grid)
-        return (ww / tau - cond).ravel()
-
-    return _bicgstab(apply_op, rhs, w_cur)
+    apply_op = _heat_operator(grid, tau, params.K_cond, params.c_v)
+    lu = _heat_lu(grid, tau, params.K_cond, params.c_v)
+    return _bicgstab(apply_op, rhs, w_cur, lu)
 
 
 def _potential_residual(
