@@ -161,6 +161,23 @@ def h_anisotropy(m: np.ndarray, theta, params: MaterialParams, eps: float = 0.0)
     return -(phi_m_prime(m, params) + omega_eps_m(m, theta, params, eps)) / params.mu0
 
 
+def h_anisotropy_jacobian(m: np.ndarray, theta, params: MaterialParams, eps: float = 0.0):
+    """Dh = -(phi''_mm + [omega_eps]''_mm)/mu0, the m-Jacobian of h_anisotropy.
+
+    With q = |m|^2 and c = 2 a0 (theta - theta_c):
+    phi''_mm = 2 b0 (q I + 2 m m^T) and
+    [omega_eps]''_mm = c/(1 + eps q)^2 I - 4 eps c/(1 + eps q)^3 m m^T.
+    """
+    q = _m2(m)
+    c = 2.0 * params.a0 * (np.asarray(theta) - params.theta_c)
+    den = 1.0 + eps * q
+    iso = 2.0 * params.b0 * q + c / den**2
+    rank1 = 4.0 * params.b0 - 4.0 * eps * c / den**3
+    outer = m[..., :, None] * m[..., None, :]
+    hess = iso[..., None, None] * np.eye(m.shape[-1]) + rank1[..., None, None] * outer
+    return -hess / params.mu0
+
+
 def equilibrium_m(theta: float, h_mag: float, params: MaterialParams) -> float:
     """Magnitude of the stationary magnetization aligned with a field h.
 
@@ -314,6 +331,28 @@ def zeta_resolvent(theta, h_eff: np.ndarray, params: MaterialParams) -> np.ndarr
     return s[..., None] * unit
 
 
+def zeta_resolvent_jacobian(h_eff: np.ndarray, r: np.ndarray, params: MaterialParams):
+    """Generalized Jacobian Dr of the resolvent at h_eff, given r = zeta_resolvent(h_eff).
+
+    The resolvent is radial, r = s(H) h/H with H = |h_eff|, so
+    Dr = s'(H) hh^T + (s/H)(I - hh^T) with hh^T the projector on h_eff and
+    s' = 1/zeta''(s) on the branch s lies on.  s' = 0 where s sits at the
+    cap m_r (a clamped branch), and Dr = 0 at sticking (r = 0).
+    """
+    H = np.sqrt(_m2(h_eff))
+    s = np.sqrt(_m2(r))
+    moving = s > 0.0
+    s_on = np.where(moving, s, 1.0)
+    eps, tc, re = params.eps_reg, params.tau_c, params.r_exp
+    zpp = re * (re - 1.0) * eps * s_on ** (re - 2.0) + np.where(s_on < params.m_r, 2.0 * tc, 0.0)
+    ds = np.where(moving & (s != params.m_r), 1.0 / np.maximum(zpp, 1e-300), 0.0)
+    H_on = np.maximum(H, 1e-300)
+    ratio = np.where(moving, s / H_on, 0.0)
+    unit = h_eff / H_on[..., None]
+    proj = unit[..., :, None] * unit[..., None, :]
+    return (ds - ratio)[..., None, None] * proj + ratio[..., None, None] * np.eye(r.shape[-1])
+
+
 # ---------------------------------------------------------------------------
 # thermal law and entropy
 
@@ -365,6 +404,7 @@ __all__ = [
     "entropy_density",
     "equilibrium_m",
     "h_anisotropy",
+    "h_anisotropy_jacobian",
     "h_c",
     "m_sat",
     "maxwell_viscosity",
@@ -381,4 +421,5 @@ __all__ = [
     "zeta_diss",
     "zeta_prime",
     "zeta_resolvent",
+    "zeta_resolvent_jacobian",
 ]

@@ -7,16 +7,22 @@ viscosity M, the conductivity K, and the dissipation potential zeta are
 evaluated at theta^{k-1}; every other temperature occurrence is implicit.
 
 Within each sweep the corotational couplings are solved exactly per cell
-(batched 3x3 solves for the symmetric strain pair, a closed-form 2x2
-solve for m); advection and the gradient regularizations (varkappa
-Laplacian of the inelastic rate, the hyperstress) are taken at the
-current iterate, so the converged sweep satisfies the fully implicit
-equations.
+(batched 3x3 solves for the symmetric strain pair).  The magnetization
+inclusion (I/tau - W) m - m_prev/tau + (v.grad) m = r(h_eff(m)), with r
+the zeta-resolvent, is solved by semismooth Newton passes: the resolvent
+is radial, so its generalized Jacobian Dr is a closed-form 2x2 matrix per
+cell, and each pass solves (I/tau - W - Dr Dh) per cell in closed form,
+Dh being the Jacobian of the anisotropy field.  Advection, exchange and
+the gradient regularizations (varkappa Laplacian of the inelastic rate,
+the hyperstress) are taken at the current iterate, so the converged sweep
+satisfies the fully implicit equations.  Under temperature control the
+sweep starts at the prescribed temperature.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +43,7 @@ class StepOptions:
     max_iters: int = 200
     tol_rel: float = 1e-11
     tol_abs: float = 1e-13
-    relaxation: float = 1.0       # under-relaxation of the block sweep, in (0, 1]
+    relaxation: float = 1.0       # under-relaxation of v, Ee, Ep, w between sweeps, in (0, 1]
     cfl_max: float = 0.9
     demag: bool = True
     demag_boundary: str = "farfield"
@@ -63,7 +69,9 @@ class StepOptions:
 class StepReport:
     """Solver diagnostics for one attempted step."""
 
-    iterations: int = 0
+    iterations: int = 0           # outer block sweeps
+    m_passes: int = 0             # Newton passes of the m block, over all sweeps
+    krylov_applications: int = 0  # operator applications of the Krylov solves
     residuals: dict = field(default_factory=dict)
     accepted: bool = False
     dt: float = 0.0
@@ -105,13 +113,16 @@ def _solve_sym(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, rhs[..., None])[..., 0]
 
 
-def _solve_m(tau: float, wspin: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Closed-form solve of (I/tau - W) m = rhs with W = [[0,-w],[w,0]]."""
-    a = 1.0 / tau
-    det = a * a + wspin * wspin
-    mx = (a * rhs[..., 0] - wspin * rhs[..., 1]) / det
-    my = (wspin * rhs[..., 0] + a * rhs[..., 1]) / det
-    return np.stack([mx, my], axis=-1)
+def _solve_2x2(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Closed-form per-cell solve of J x = rhs for 2x2 matrices J."""
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    x = (J[..., 1, 1] * rhs[..., 0] - J[..., 0, 1] * rhs[..., 1]) / det
+    y = (J[..., 0, 0] * rhs[..., 1] - J[..., 1, 0] * rhs[..., 0]) / det
+    return np.stack([x, y], axis=-1)
+
+
+# Newton passes of the m block per sweep before the step is rejected
+_M_PASSES = 60
 
 
 def boundary_source(j_ext: float, grid: Grid) -> np.ndarray:
@@ -284,13 +295,20 @@ def step(
     m = state_prev.m.copy()
     u = state_prev.u.copy()
     w = state_prev.w.copy()
+    theta_k = np.asarray(theta_prev).copy()
+    w_ctrl = None
+    if loads_k.theta_k is not None:
+        # every sweep assigns the prescribed enthalpy, so the first one
+        # already solves m at the step's temperature
+        w_ctrl = np.broadcast_to(thermal.w_of_theta(loads_k.theta_k), grid.spatial_shape)
+        w = w_ctrl.copy()
+        theta_k = thermal.theta_of_w(np.maximum(w, 0.0))
     R = np.zeros_like(Ee)
     # the lagged field: u of a step's input state is the demag potential
     # of its m (run_scenario gates a supplied state on it)
     h_dem = np.zeros_like(m)
     if opts.demag and grid.dim >= 1:
         h_dem = h_dem_from_u(state_prev.u, grid)
-    theta_k = np.asarray(theta_prev).copy()
     j_src = boundary_source(loads_k.j_ext_k, grid)
 
     driven = loads_k.grad_v_k is not None or loads_k.stress_dev_k is not None
@@ -306,7 +324,8 @@ def step(
             v_new = state_prev.v + tau * loads_k.g * (1.0 - b_lag)
         else:
             v_new, failure = _momentum_solve(
-                state_prev.v, v, Ee, m, h_dem, b_lag, theta_k, loads_k, grid, params, opts
+                state_prev.v, v, Ee, m, h_dem, b_lag, theta_k, loads_k, grid, params, opts,
+                report,
             )
             if failure:
                 report.message = f"momentum solve failed ({failure})"
@@ -341,22 +360,41 @@ def step(
         rhs_p = _pack(R_new + state_prev.Ep / tau - adv_Ep)
         Ep_new = _unpack(_solve_sym(A_p, rhs_p))
 
-        # --- magnetization block --------------------------------------------
+        # --- magnetization block: one semismooth Newton step per pass -------
+        # F(m) = (I/tau - W) m - m_prev/tau + adv_m - r(h_eff(m)) with adv_m
+        # and kappa Delta m held at the iterate; J = (I/tau - W) - Dr Dh, and
+        # J m_new = J m - F(m) is solved in closed form per cell
+        A_m = np.eye(NCOMP) / tau - Wsp
         m_it = m
-        for _ in range(60):
+        for _ in range(_M_PASSES):
+            report.m_passes += 1
             h_eff = _drive_field(m_it, theta_k, loads_k, grid, params, eps) + h_dem
             r = con.zeta_resolvent(theta_prev, h_eff, params)
             adv_m = kin.upwind_advect(m_it, v_new, grid) if grid.dim >= 1 else 0.0
-            m_cand = _solve_m(tau, wspin, state_prev.m / tau - adv_m + r)
+            DrDh = con.zeta_resolvent_jacobian(h_eff, r, params) @ con.h_anisotropy_jacobian(
+                m_it, theta_k, params, eps
+            )
+            m_cand = _solve_2x2(
+                A_m - DrDh, state_prev.m / tau - adv_m + r - kin.matvec(DrDh, m_it)
+            )
             # snap exact sticking: cells with zero rate, spin, and advection
             # keep m bit-identical, so the audited rate is exactly zero
             advmag = np.sqrt(np.sum(adv_m * adv_m, axis=-1)) if np.ndim(adv_m) else 0.0
             stuck = (np.sum(r * r, axis=-1) == 0.0) & (wspin == 0.0) & (np.asarray(advmag) == 0.0)
             m_cand = np.where(stuck[..., None], state_prev.m, m_cand)
             dm = float(np.max(np.abs(m_cand - m_it)))
-            m_it = m_it + relax * (m_cand - m_it)
+            m_it = m_cand
+            if not math.isfinite(dm):
+                report.message = f"magnetization block failed (non-finite iterate, change {dm})"
+                return state_prev, report
             if dm < opts.tol_abs + opts.tol_rel * max(1.0, float(np.max(np.abs(m_it)))):
                 break
+        else:
+            report.message = (
+                f"magnetization block did not converge in {_M_PASSES} passes "
+                f"(last change {dm:.3e})"
+            )
+            return state_prev, report
         m_new = m_it
 
         # --- demag block -----------------------------------------------------
@@ -373,15 +411,13 @@ def step(
             kin.upwind_advect(m_new, v_new, grid) if grid.dim >= 1 else 0.0
         )
         adiab = _adiabatic_coupling(theta_k, m_new, r_conv, kin.tensor_trace(L), params, eps)
-        if loads_k.theta_k is not None:
-            w_new = np.broadcast_to(
-                thermal.w_of_theta(loads_k.theta_k), grid.spatial_shape
-            ).copy()
+        if w_ctrl is not None:
+            w_new = w_ctrl.copy()
         elif grid.dim == 0:
             w_new = state_prev.w + tau * ((1.0 - eps) * xi + adiab + j_src)
         else:
             w_new, failure = _heat_solve(
-                state_prev.w, w, v_new, xi, adiab, j_src, grid, params, tau, eps
+                state_prev.w, w, v_new, xi, adiab, j_src, grid, params, tau, eps, report
             )
             if failure:
                 report.message = f"heat solve failed ({failure})"
@@ -449,7 +485,7 @@ def _xi_field(Ev, R, r, theta_prev, grid: Grid, params: con.MaterialParams):
     return xi
 
 
-def _bicgstab(apply_op, rhs: np.ndarray, x0: np.ndarray, lu) -> tuple:
+def _bicgstab(apply_op, rhs: np.ndarray, x0: np.ndarray, lu, report=None) -> tuple:
     """Matrix-free bicgstab solve of apply_op(x) = rhs from x0; (x, failure).
 
     ``lu`` (a SuperLU factorization of the operator) is the right
@@ -458,7 +494,8 @@ def _bicgstab(apply_op, rhs: np.ndarray, x0: np.ndarray, lu) -> tuple:
     success, else why the solve failed.  An rhs or x0 whose 2-norm is not
     finite (NaN, inf, or so large that the norm overflows) fails at once:
     bicgstab's stopping test reads that norm, so it would only iterate to
-    its limit.
+    its limit.  Each application of apply_op is counted in
+    ``report.krylov_applications`` when a StepReport is given.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(rhs), np.linalg.norm(x0)
@@ -466,8 +503,13 @@ def _bicgstab(apply_op, rhs: np.ndarray, x0: np.ndarray, lu) -> tuple:
         return x0, "non-finite norm of the right-hand side or initial guess"
     import scipy.sparse.linalg as spla
 
+    def counted(x):
+        if report is not None:
+            report.krylov_applications += 1
+        return apply_op(x)
+
     n = rhs.size
-    op = spla.LinearOperator((n, n), matvec=apply_op, dtype=np.float64)
+    op = spla.LinearOperator((n, n), matvec=counted, dtype=np.float64)
     M = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     sol, info = spla.bicgstab(op, rhs.ravel(), x0=x0.ravel(), rtol=1e-12, atol=1e-14, M=M)
     return sol.reshape(x0.shape), (f"bicgstab info={info}" if info != 0 else "")
@@ -557,7 +599,7 @@ def _heat_lu(grid: Grid, tau: float, K_cond: float, c_v: float):
 
 def _momentum_solve(
     v_prev, v_cur, Ee, m, h_dem, b_lag, theta_k, loads_k: LoadsSample,
-    grid: Grid, params: con.MaterialParams, opts: StepOptions,
+    grid: Grid, params: con.MaterialParams, opts: StepOptions, report: StepReport,
 ):
     """Implicit Stokes-like solve with the remaining momentum terms lagged.
 
@@ -572,12 +614,12 @@ def _momentum_solve(
     rho_tau = params.rho / tau
     apply_op = _momentum_operator(grid, rho_tau, params.nu1)
     lu = _momentum_lu(grid, rho_tau, params.nu1)
-    return _bicgstab(apply_op, apply_op(v_cur) - res.ravel(), v_cur, lu)
+    return _bicgstab(apply_op, apply_op(v_cur) - res.ravel(), v_cur, lu, report)
 
 
 def _heat_solve(
     w_prev, w_cur, v_new, xi, adiab, j_src, grid: Grid,
-    params: con.MaterialParams, tau, eps,
+    params: con.MaterialParams, tau, eps, report: StepReport,
 ):
     """Implicit conduction solve; advection and sources at the current sweep.
 
@@ -588,7 +630,7 @@ def _heat_solve(
     rhs = w_prev / tau - adv + (1.0 - eps) * xi + adiab + j_src
     apply_op = _heat_operator(grid, tau, params.K_cond, params.c_v)
     lu = _heat_lu(grid, tau, params.K_cond, params.c_v)
-    return _bicgstab(apply_op, rhs, w_cur, lu)
+    return _bicgstab(apply_op, rhs, w_cur, lu, report)
 
 
 def _potential_residual(

@@ -211,6 +211,74 @@ class TestZeta:
         )
 
 
+
+def _central_jacobian(f, x, h=1e-6):
+    """Columns (f(x + h e_j) - f(x - h e_j)) / 2h of the Jacobian of f at x."""
+    cols = []
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h
+        cols.append((f(x + e) - f(x - e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+class TestJacobians:
+    @pytest.mark.parametrize("over, H", [
+        (dict(tau_c=0.05, eps_reg=1e-3, r_exp=3.0), 0.7),                 # quadratic, r_exp = 3
+        (dict(tau_c=0.05, eps_reg=1e-3, r_exp=3.5), 0.7),                 # bisection branch
+        (dict(tau_c=0.5, eps_reg=1e-2, r_exp=3.0, m_r=0.5), 0.25),        # below the cap
+        (dict(tau_c=0.5, eps_reg=1e-2, r_exp=3.0, m_r=0.5), 2.0),         # capped branch
+    ])
+    def test_resolvent_jacobian_matches_central_differences(self, over, H):
+        p = material(h_c_high=0.2, theta_b=2.0, **over)
+        h_eff = np.array([0.6 * H, -0.8 * H])
+        r = con.zeta_resolvent(0.5, h_eff, p)
+        s = float(np.linalg.norm(r))
+        assert s > 0.0
+        if np.isfinite(p.m_r):
+            # the case sits on the branch it names, away from the switch
+            assert (s > p.m_r) == (H > 1.0)
+        Dr = con.zeta_resolvent_jacobian(h_eff, r, p)
+        fd = _central_jacobian(lambda h: con.zeta_resolvent(0.5, h, p), h_eff)
+        np.testing.assert_allclose(Dr, fd, rtol=1e-6, atol=1e-9 * np.max(np.abs(fd)))
+        # radial: symmetric, with the tangential eigenvalue s/H
+        np.testing.assert_allclose(Dr, Dr.T, atol=1e-15)
+        tangent = np.array([0.8, 0.6])
+        assert tangent @ Dr @ tangent == pytest.approx(s / H, rel=1e-12)
+
+    def test_resolvent_jacobian_vanishes_at_sticking(self):
+        p = material(h_c_high=0.3, theta_b=2.0)
+        h_eff = np.array([[0.2, 0.1], [0.0, 0.0]])
+        r = con.zeta_resolvent(0.5, h_eff, p)
+        assert np.all(r == 0.0)
+        assert np.all(con.zeta_resolvent_jacobian(h_eff, r, p) == 0.0)
+
+    @pytest.mark.parametrize("theta", [0.4, 1.3])
+    def test_h_anisotropy_jacobian_matches_central_differences(self, theta):
+        p = material(a0=0.8, b0=1.3, mu0=1.7)
+        eps = 0.3
+        m = np.array([0.3, -0.5])
+        Dh = con.h_anisotropy_jacobian(m, theta, p, eps)
+        fd = _central_jacobian(lambda x: con.h_anisotropy(x, theta, p, eps), m)
+        np.testing.assert_allclose(Dh, fd, rtol=1e-8, atol=1e-10)
+        # a Hessian of the free energy: symmetric
+        np.testing.assert_allclose(Dh, Dh.T, atol=1e-15)
+
+    def test_jacobians_broadcast_over_cells(self, rng):
+        p = material(h_c_high=0.2, theta_b=2.0)
+        m = rng.standard_normal((3, 4, 2))
+        theta = rng.uniform(0.3, 1.5, (3, 4))
+        Dh = con.h_anisotropy_jacobian(m, theta, p, 0.1)
+        h_eff = rng.standard_normal((3, 4, 2))
+        r = con.zeta_resolvent(0.5, h_eff, p)
+        Dr = con.zeta_resolvent_jacobian(h_eff, r, p)
+        for i, j in np.ndindex(3, 4):
+            np.testing.assert_array_equal(
+                Dh[i, j], con.h_anisotropy_jacobian(m[i, j], theta[i, j], p, 0.1))
+            np.testing.assert_array_equal(
+                Dr[i, j], con.zeta_resolvent_jacobian(h_eff[i, j], r[i, j], p))
+
+
 class TestThermalLaw:
     def test_enthalpy_roundtrip(self):
         law = con.thermal_law_for(material(c_v=100.0))

@@ -1,15 +1,17 @@
 """Implicit stepper: per-block behavior, residual gate, rejection paths."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from paleomag import constitutive as con
-from paleomag.cli import ENTROPY_TOL
+from paleomag.cli import ENTROPY_TOL, main
 from paleomag.demag import solve_demag
-from paleomag.errors import CflViolation, ConfigError, NumericalError
+from paleomag.errors import CflViolation, ConfigError, NumericalError, ThermodynamicError
 from paleomag.grid import FieldState, Loads, make_grid, sample_loads
-from paleomag.scenarios import ScenarioConfig, run_scenario
+from paleomag.scenarios import ScenarioConfig, builtin_config, run_scenario
 from paleomag.stepper import (
     StepOptions,
     boundary_source,
@@ -114,6 +116,16 @@ class TestZeroDimensional:
         assert new is prev
         assert "convergence" in rep.message or "residual" in rep.message
 
+    def test_non_finite_m_iterate_rejects_at_once(self, grid0):
+        p = material()
+        prev = state_0d(grid0, p, theta=0.5, m=(np.nan, 0.1))
+        with np.errstate(invalid="ignore"):
+            new, rep = step(prev, sample(theta=lambda t: 0.5), grid0, p, StepOptions(dt=0.1))
+        assert not rep.accepted
+        assert new is prev
+        assert rep.iterations == rep.m_passes == 1
+        assert rep.message == "magnetization block failed (non-finite iterate, change nan)"
+
     def test_residual_names(self, grid0):
         p = material()
         prev = state_0d(grid0, p, theta=0.5)
@@ -123,6 +135,22 @@ class TestZeroDimensional:
         }
         for res, scale in rep.residuals.values():
             assert res >= 0.0 and scale > 0.0
+
+    def test_controlled_step_starts_at_the_prescribed_temperature(self, grid0):
+        # trm cooling above the blocking temperature: m moves, and the first
+        # sweep already solves it at theta_k, so the second only confirms
+        p = builtin_config("trm").material
+        dt = 0.01
+        prev = state_0d(grid0, p, theta=0.4, m=(con.equilibrium_m(0.4, 0.01, p), 0.0))
+        loads = sample(t=dt, dt=dt, theta=lambda t: 0.4 - 0.01 * t,
+                       h_ext=lambda t: np.array([0.01, 0.0]))
+        new, rep = step(prev, loads, grid0, p, StepOptions(dt=dt))
+        assert rep.accepted
+        assert not np.array_equal(new.m, prev.m)
+        assert float(new.w) == float(con.thermal_law_for(p).w_of_theta(0.4 - 0.01 * dt))
+        assert rep.iterations <= 2
+        assert rep.iterations <= rep.m_passes <= 4
+        assert rep.krylov_applications == 0
 
     def test_adiabatic_heating_without_control(self, grid0):
         # free enthalpy: dissipation from stress relaxation heats the cell
@@ -204,6 +232,17 @@ class TestSpatialAudit:
         assert float(np.min(traj.final_state.w)) >= 0.0
 
 
+    def test_step_counts_krylov_applications(self):
+        cfg, state = _spatial_config()
+        grid = cfg.build_grid()
+        new, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), grid,
+                        cfg.material, cfg.step_options(cfg.dt))
+        assert rep.accepted
+        # momentum and heat are solved in every sweep
+        assert rep.krylov_applications >= 2 * rep.iterations > 0
+        assert rep.m_passes >= rep.iterations
+
+
 class TestInitialPotential:
     def test_config_built_run_balances_from_step_one(self):
         # the config's initial state carries u solved for its m0
@@ -238,6 +277,22 @@ class TestKrylovFailure:
         assert traj.n_rejections >= 1
         assert traj.final_state.t == pytest.approx(0.005)
 
+    def test_overflowing_sweep_first_rejection_names_the_m_block(self):
+        # the exchange term, held at the iterate, makes the m passes diverge
+        # at this dt: the step ends in the m block, before the heat solve
+        cfg, state = _spatial_config(material=material(kappa=0.05), theta0=1.0)
+        state.m[...] = (0.5, 0.2)
+        grid = cfg.build_grid()
+        state.u[...] = solve_demag(state.m, grid, cfg.material.mu0).u
+        loads = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new, rep = step(state, loads, grid, cfg.material, cfg.step_options(cfg.dt))
+        assert not rep.accepted
+        assert new is state
+        assert rep.iterations == 1
+        assert rep.message.startswith("magnetization block")
+        assert "change" in rep.message
+
     def test_overflowing_sweep_is_rejected(self):
         # strong exchange at this dt overflows the m inner loop; the heat
         # bicgstab then fails, and the step is retried at half dt
@@ -248,3 +303,37 @@ class TestKrylovFailure:
             traj = run_scenario(cfg, initial_state=state)
         assert traj.n_rejections >= 1
         assert traj.final_state.t == pytest.approx(cfg.duration)
+
+
+def _cold_config():
+    """0D, free enthalpy, c_v = 1e-12, above the Curie temperature.
+
+    m collapses slowly (large tau_c, no coercivity), and its magnetocaloric
+    cooling outweighs its dissipation.  w and every change of the first
+    sweep are below the sweep tolerance, so that sweep converges, with a
+    negative w.
+    """
+    return ScenarioConfig(
+        name="cold", dim=0, duration=0.1, dt=0.1, output_every=0,
+        material=material(c_v=1e-12, tau_c=1e10, eps_reg=0.0, h_c_high=0.0),
+        theta0=2.0, m0=(0.5, 0.0),
+    )
+
+
+class TestNegativeEnthalpy:
+    def test_step_raises(self):
+        cfg = _cold_config()
+        grid = cfg.build_grid()
+        prev = cfg.initial_state(grid, con.thermal_law_for(cfg.material))
+        loads = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
+        with pytest.raises(ThermodynamicError, match="enthalpy became negative"):
+            step(prev, loads, grid, cfg.material, cfg.step_options(cfg.dt))
+
+    def test_run_exits_3(self, tmp_path):
+        path = tmp_path / "cold.json"
+        path.write_text(json.dumps(_cold_config().to_dict()))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["accepted"] is False
+        assert "enthalpy became negative" in manifest["failure"]
