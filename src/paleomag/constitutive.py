@@ -27,8 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigError, ConstitutiveError, ThermodynamicError
+from .grid import EYE
 from .kinematics import dev, tensor_trace
 
 
@@ -102,7 +104,7 @@ class MaterialParams:
 
 
 def _m2(m: np.ndarray) -> np.ndarray:
-    return np.sum(m * m, axis=-1)
+    return m[..., 0] * m[..., 0] + m[..., 1] * m[..., 1]
 
 
 def phi_mech(Ee: np.ndarray, m: np.ndarray, params: MaterialParams) -> np.ndarray:
@@ -118,8 +120,7 @@ def phi_mech(Ee: np.ndarray, m: np.ndarray, params: MaterialParams) -> np.ndarra
 
 def stress_elastic(Ee: np.ndarray, params: MaterialParams) -> np.ndarray:
     """S_E = phi'_Ee = K_E (tr Ee) I + 2 G_E dev Ee (symmetric)."""
-    eye = np.eye(Ee.shape[-1])
-    return params.K_E * tensor_trace(Ee)[..., None, None] * eye + 2.0 * params.G_E * dev(Ee)
+    return params.K_E * tensor_trace(Ee)[..., None, None] * EYE + 2.0 * params.G_E * dev(Ee)
 
 
 def phi_m_prime(m: np.ndarray, params: MaterialParams) -> np.ndarray:
@@ -174,7 +175,7 @@ def h_anisotropy_jacobian(m: np.ndarray, theta, params: MaterialParams, eps: flo
     iso = 2.0 * params.b0 * q + c / den**2
     rank1 = 4.0 * params.b0 - 4.0 * eps * c / den**3
     outer = m[..., :, None] * m[..., None, :]
-    hess = iso[..., None, None] * np.eye(m.shape[-1]) + rank1[..., None, None] * outer
+    hess = iso[..., None, None] * EYE + rank1[..., None, None] * outer
     return -hess / params.mu0
 
 
@@ -210,8 +211,6 @@ def m_sat(theta, params: MaterialParams):
 
 def _logistic(x):
     # overflow-safe 1/(1+exp(x))
-    from scipy.special import expit
-
     return expit(-np.asarray(x, dtype=np.float64))
 
 
@@ -287,12 +286,10 @@ def zeta_resolvent(theta, h_eff: np.ndarray, params: MaterialParams) -> np.ndarr
     are compared through the objective zeta(s) - |h_eff| s.
     """
     H = np.sqrt(_m2(h_eff))
-    hc_val = np.asarray(h_c(theta, params), dtype=np.float64)
-    hc_val = np.broadcast_to(hc_val, H.shape)
-    excess = H - hc_val
+    excess = H - h_c(theta, params)
     active = excess > 0.0
-    s = np.zeros_like(H)
-    if np.any(active):
+    s = np.zeros(np.shape(excess))
+    if active.any():
         ex = np.where(active, excess, 0.0)
         eps, tc, re = params.eps_reg, params.tau_c, params.r_exp
         if eps == 0.0 and tc == 0.0:
@@ -306,7 +303,9 @@ def zeta_resolvent(theta, h_eff: np.ndarray, params: MaterialParams) -> np.ndarr
         elif tc == 0.0:
             sA = (ex / (re * eps)) ** (1.0 / (re - 1.0))
         elif re == 3.0:
-            sA = (-tc + np.sqrt(tc * tc + 3.0 * eps * ex)) / (3.0 * eps)
+            # the root of 3 eps s^2 + 2 tc s = ex, rationalized: no
+            # cancellation when 3 eps ex << tc^2
+            sA = ex / (tc + np.sqrt(tc * tc + 3.0 * eps * ex))
         else:
             hi = np.maximum(ex / (2.0 * tc), (ex / (re * eps)) ** (1.0 / (re - 1.0))) + 1.0
             sA = _branch_root_bisect(
@@ -327,7 +326,7 @@ def zeta_resolvent(theta, h_eff: np.ndarray, params: MaterialParams) -> np.ndarr
             objA = zeta(theta, sA_cl, params) - H * sA_cl
             objB = zeta(theta, sB, params) - H * sB
             s = np.where(active, np.where(objB < objA, sB, sA_cl), 0.0)
-    unit = np.where(H[..., None] > 0.0, h_eff / np.maximum(H, 1e-300)[..., None], 0.0)
+    unit = h_eff / np.maximum(H, 1e-300)[..., None]
     return s[..., None] * unit
 
 
@@ -350,7 +349,7 @@ def zeta_resolvent_jacobian(h_eff: np.ndarray, r: np.ndarray, params: MaterialPa
     ratio = np.where(moving, s / H_on, 0.0)
     unit = h_eff / H_on[..., None]
     proj = unit[..., :, None] * unit[..., None, :]
-    return (ds - ratio)[..., None, None] * proj + ratio[..., None, None] * np.eye(r.shape[-1])
+    return (ds - ratio)[..., None, None] * proj + ratio[..., None, None] * EYE
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ Conventions used across the whole package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -22,6 +23,8 @@ import numpy as np
 from .errors import ConfigError, ScenarioError
 
 NCOMP = 2  # in-plane vector/tensor components, independent of grid.dim
+EYE = np.eye(NCOMP)  # the component identity, shared read-only
+EYE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,7 @@ class Grid:
     cells: tuple[int, ...]
     pad_factor: int = 4
 
-    @property
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.extents, self.cells))
 
@@ -45,7 +48,7 @@ class Grid:
     def spatial_shape(self) -> tuple[int, ...]:
         return tuple(self.cells)
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         """Cell measure; the material point carries unit volume."""
         vol = 1.0
@@ -94,7 +97,7 @@ class Grid:
 
     def integrate(self, density: np.ndarray) -> float:
         """Midpoint quadrature of a density field over Omega."""
-        return float(np.sum(density)) * self.cell_volume
+        return float(np.add.reduce(density, axis=None)) * self.cell_volume
 
 
 def make_grid(
@@ -284,6 +287,7 @@ def sample_loads(loads: Loads, t: float, dt: float) -> LoadsSample:
 
 __all__ = [
     "NCOMP",
+    "EYE",
     "Grid",
     "make_grid",
     "FieldState",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import NCOMP, Grid
+from .grid import EYE, NCOMP, Grid
 
 # ---------------------------------------------------------------------------
 # pointwise tensor algebra
@@ -31,13 +31,12 @@ def skw(T: np.ndarray) -> np.ndarray:
 
 
 def tensor_trace(T: np.ndarray) -> np.ndarray:
-    return np.trace(T, axis1=-2, axis2=-1)
+    return T[..., 0, 0] + T[..., 1, 1]
 
 
 def sph(T: np.ndarray) -> np.ndarray:
     """Spherical part (tr T / d) I with d = NCOMP in-plane components."""
-    eye = np.eye(NCOMP)
-    return (tensor_trace(T) / NCOMP)[..., None, None] * eye
+    return (tensor_trace(T) / NCOMP)[..., None, None] * EYE
 
 
 def dev(T: np.ndarray) -> np.ndarray:

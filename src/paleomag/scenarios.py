@@ -315,7 +315,7 @@ def _series_row(state, report, loads_s, grid, params, dt):
         "dt": dt,
         "m_x": mean(state.m[..., 0]),
         "m_y": mean(state.m[..., 1]),
-        "m_norm": mean(np.sqrt(np.sum(state.m * state.m, axis=-1))),
+        "m_norm": mean(np.hypot(state.m[..., 0], state.m[..., 1])),
         "theta": mean(theta),
         "h_ext_x": float(loads_s.h_ext_k[0]),
         "h_ext_y": float(loads_s.h_ext_k[1]),
@@ -329,8 +329,8 @@ def _series_row(state, report, loads_s, grid, params, dt):
         "v_x": mean(state.v[..., 0]),
         "v_y": mean(state.v[..., 1]),
         "w_total": grid.integrate(state.w),
-        "theta_min": float(np.min(theta)),
-        "trace_ep_max": float(np.max(np.abs(np.trace(state.Ep, axis1=-2, axis2=-1)))),
+        "theta_min": float(theta.min()),
+        "trace_ep_max": float(abs(kin.tensor_trace(state.Ep)).max()),
         "iterations": report.iterations,
     }
 

@@ -7,16 +7,16 @@ viscosity M, the conductivity K, and the dissipation potential zeta are
 evaluated at theta^{k-1}; every other temperature occurrence is implicit.
 
 Within each sweep the corotational couplings are solved exactly per cell
-(batched 3x3 solves for the symmetric strain pair).  The magnetization
-inclusion (I/tau - W) m - m_prev/tau + (v.grad) m = r(h_eff(m)), with r
-the zeta-resolvent, is solved by semismooth Newton passes: the resolvent
-is radial, so its generalized Jacobian Dr is a closed-form 2x2 matrix per
-cell, and each pass solves (I/tau - W - Dr Dh) per cell in closed form,
-Dh being the Jacobian of the anisotropy field.  Advection, exchange and
-the gradient regularizations (varkappa Laplacian of the inelastic rate,
-the hyperstress) are taken at the current iterate, so the converged sweep
-satisfies the fully implicit equations.  Under temperature control the
-sweep starts at the prescribed temperature.
+(the symmetric strain pair in closed form, in its trace/deviator basis).
+The magnetization inclusion (I/tau - W) m - m_prev/tau + (v.grad) m =
+r(h_eff(m)), with r the zeta-resolvent, is solved by semismooth Newton
+passes: the resolvent is radial, so its generalized Jacobian Dr is a
+closed-form 2x2 matrix per cell, and each pass solves (I/tau - W - Dr Dh)
+per cell in closed form, Dh being the Jacobian of the anisotropy field.
+Advection, exchange and the gradient regularizations (varkappa Laplacian
+of the inelastic rate, the hyperstress) are taken at the current iterate,
+so the converged sweep satisfies the fully implicit equations.  Under
+temperature control the sweep starts at the prescribed temperature.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import constitutive as con
 from . import kinematics as kin
 from .demag import h_dem_from_u, solve_demag
 from .errors import CflViolation, NumericalError, ThermodynamicError
-from .grid import NCOMP, FieldState, Grid, LoadsSample
+from .grid import EYE, NCOMP, FieldState, Grid, LoadsSample
 
 
 @dataclass
@@ -79,46 +79,40 @@ class StepReport:
 
 
 # ---------------------------------------------------------------------------
-# symmetric 2x2 <-> 3-vector packing for the per-cell strain solves
+# closed-form per-cell solves
 
 
-def _pack(T: np.ndarray) -> np.ndarray:
-    return np.stack([T[..., 0, 0], T[..., 1, 1], T[..., 0, 1]], axis=-1)
+def _corot_solve(B: np.ndarray, wspin, a, lam=0.0) -> np.ndarray:
+    """Symmetric E with a E - W E + E W + lam dev E = B per cell, W = [[0,-w],[w,0]].
 
-
-def _unpack(e: np.ndarray) -> np.ndarray:
-    out = np.empty(e.shape[:-1] + (2, 2))
-    out[..., 0, 0] = e[..., 0]
-    out[..., 1, 1] = e[..., 1]
-    out[..., 0, 1] = e[..., 2]
-    out[..., 1, 0] = e[..., 2]
-    return out
-
-
-def _corot_matrix(wspin: np.ndarray) -> np.ndarray:
-    """Matrix of e -> pack(-W T + T W) on (T11, T22, T12) for W = [[0,-w],[w,0]]."""
-    C = np.zeros(wspin.shape + (3, 3))
-    C[..., 0, 2] = 2.0 * wspin
-    C[..., 1, 2] = -2.0 * wspin
-    C[..., 2, 0] = -wspin
-    C[..., 2, 1] = wspin
-    return C
-
-
-_DEV3 = np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _solve_sym(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched solve of the packed 3x3 per-cell systems."""
-    return np.linalg.solve(A, rhs[..., None])[..., 0]
+    B is symmetric (its off-diagonal is read from B_01).  The corotational
+    term is trace-free and maps the deviator (d, e) = ((E11 - E22)/2, E12)
+    to 2w (e, -d), so tr E = tr B / a, and (d, e) solves
+    [[c, 2w], [-2w, c]] (d, e) = ((B11 - B22)/2, B12) with c = a + lam and
+    det = c^2 + 4 w^2 > 0.
+    """
+    c = a + lam
+    bd = 0.5 * (B[..., 0, 0] - B[..., 1, 1])
+    be = B[..., 0, 1]
+    det = c * c + 4.0 * wspin * wspin
+    d = (c * bd - 2.0 * wspin * be) / det
+    e = (c * be + 2.0 * wspin * bd) / det
+    half_tr = 0.5 * (B[..., 0, 0] + B[..., 1, 1]) / a
+    E = np.empty(np.shape(d) + (NCOMP, NCOMP))
+    E[..., 0, 0] = half_tr + d
+    E[..., 1, 1] = half_tr - d
+    E[..., 0, 1] = e
+    E[..., 1, 0] = e
+    return E
 
 
 def _solve_2x2(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Closed-form per-cell solve of J x = rhs for 2x2 matrices J."""
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    x = (J[..., 1, 1] * rhs[..., 0] - J[..., 0, 1] * rhs[..., 1]) / det
-    y = (J[..., 0, 0] * rhs[..., 1] - J[..., 1, 0] * rhs[..., 0]) / det
-    return np.stack([x, y], axis=-1)
+    x = np.empty(np.shape(det) + (NCOMP,))
+    x[..., 0] = (J[..., 1, 1] * rhs[..., 0] - J[..., 0, 1] * rhs[..., 1]) / det
+    x[..., 1] = (J[..., 0, 0] * rhs[..., 1] - J[..., 1, 0] * rhs[..., 0]) / det
+    return x
 
 
 # Newton passes of the m block per sweep before the step is rejected
@@ -142,10 +136,14 @@ def boundary_source(j_ext: float, grid: Grid) -> np.ndarray:
     return src
 
 
+def _max_abs(x) -> float:
+    return float(abs(x).max())
+
+
 def _check_cfl(v: np.ndarray, grid: Grid, dt: float, cfl_max: float) -> None:
     for a in range(grid.dim):
         h = grid.spacing[a]
-        vmax = float(np.max(np.abs(v[..., a])))
+        vmax = _max_abs(v[..., a])
         if vmax * dt / h > cfl_max:
             raise CflViolation(
                 f"axis {a}: |v| dt/h = {vmax * dt / h:.3f} exceeds cfl_max={cfl_max}"
@@ -184,7 +182,7 @@ def stress_structural(
     if params.kappa != 0.0:
         gm = np.einsum("...ki,...kj->...ij", grad_m, grad_m)
         trg = np.einsum("...kk->...", gm)
-        S = S + params.kappa * params.mu0 * (gm - 0.5 * trg[..., None, None] * np.eye(NCOMP))
+        S = S + params.kappa * params.mu0 * (gm - 0.5 * trg[..., None, None] * EYE)
     return S
 
 
@@ -338,33 +336,28 @@ def step(
         wspin = np.asarray(Wsp[..., 1, 0])
 
         # --- strain block (Ee, R, Ep) ---------------------------------------
-        corot = _corot_matrix(wspin)
-        eye3 = np.eye(3)
-        ratio = (2.0 * params.G_E / M_lag)[..., None, None]
-        A_e = eye3 / tau + corot + ratio * _DEV3
+        # (1/tau) Ee + corot + (2 G_E / M) dev Ee = rhs, then R, then Ep
         lapR = (
             kin.laplacian(R, grid) if (params.varkappa != 0.0 and grid.dim >= 1) else 0.0
         )
         adv_Ee = kin.upwind_advect(Ee, v_new, grid) if grid.dim >= 1 else 0.0
-        rhs_e = _pack(
+        rhs_e = (
             Ev + state_prev.Ee / tau - adv_Ee
             - params.varkappa * np.asarray(lapR) / M_lag[..., None, None]
         )
-        Ee_new = _unpack(_solve_sym(A_e, rhs_e))
+        Ee_new = _corot_solve(rhs_e, wspin, 1.0 / tau, 2.0 * params.G_E / M_lag)
         R_new = (
             2.0 * params.G_E * kin.dev(Ee_new) + params.varkappa * np.asarray(lapR)
         ) / M_lag[..., None, None]
 
-        A_p = eye3 / tau + corot
         adv_Ep = kin.upwind_advect(Ep, v_new, grid) if grid.dim >= 1 else 0.0
-        rhs_p = _pack(R_new + state_prev.Ep / tau - adv_Ep)
-        Ep_new = _unpack(_solve_sym(A_p, rhs_p))
+        Ep_new = _corot_solve(R_new + state_prev.Ep / tau - adv_Ep, wspin, 1.0 / tau)
 
         # --- magnetization block: one semismooth Newton step per pass -------
         # F(m) = (I/tau - W) m - m_prev/tau + adv_m - r(h_eff(m)) with adv_m
         # and kappa Delta m held at the iterate; J = (I/tau - W) - Dr Dh, and
         # J m_new = J m - F(m) is solved in closed form per cell
-        A_m = np.eye(NCOMP) / tau - Wsp
+        A_m = EYE / tau - Wsp
         m_it = m
         for _ in range(_M_PASSES):
             report.m_passes += 1
@@ -379,15 +372,16 @@ def step(
             )
             # snap exact sticking: cells with zero rate, spin, and advection
             # keep m bit-identical, so the audited rate is exactly zero
-            advmag = np.sqrt(np.sum(adv_m * adv_m, axis=-1)) if np.ndim(adv_m) else 0.0
-            stuck = (np.sum(r * r, axis=-1) == 0.0) & (wspin == 0.0) & (np.asarray(advmag) == 0.0)
+            stuck = (r[..., 0] == 0.0) & (r[..., 1] == 0.0) & (wspin == 0.0)
+            if grid.dim >= 1:
+                stuck &= (adv_m[..., 0] == 0.0) & (adv_m[..., 1] == 0.0)
             m_cand = np.where(stuck[..., None], state_prev.m, m_cand)
-            dm = float(np.max(np.abs(m_cand - m_it)))
+            dm = _max_abs(m_cand - m_it)
             m_it = m_cand
             if not math.isfinite(dm):
                 report.message = f"magnetization block failed (non-finite iterate, change {dm})"
                 return state_prev, report
-            if dm < opts.tol_abs + opts.tol_rel * max(1.0, float(np.max(np.abs(m_it)))):
+            if dm < opts.tol_abs + opts.tol_rel * max(1.0, _max_abs(m_it)):
                 break
         else:
             report.message = (
@@ -427,8 +421,7 @@ def step(
         # --- convergence ------------------------------------------------------
         change = 0.0
         for old, new in ((v, v_new), (Ee, Ee_new), (Ep, Ep_new), (m, m_new), (w, w_new)):
-            scale = max(1.0, float(np.max(np.abs(new))))
-            change = max(change, float(np.max(np.abs(new - old))) / scale)
+            change = max(change, _max_abs(new - old) / max(1.0, _max_abs(new)))
         v = v if driven else (v + relax * (np.asarray(v_new) - v))
         Ee = Ee + relax * (Ee_new - Ee)
         Ep = Ep + relax * (Ep_new - Ep)
@@ -639,8 +632,8 @@ def _potential_residual(
     """(residual, scale) of u against the demag potential of m (0 without demag)."""
     if opts.demag and grid.dim >= 1:
         u_m = solve_demag(m, grid, params.mu0, opts.demag_boundary).u
-        return float(np.max(np.abs(u - u_m))), max(1.0, float(np.max(np.abs(u_m))))
-    return float(np.max(np.abs(u))), 1.0
+        return _max_abs(u - u_m), max(1.0, _max_abs(u_m))
+    return _max_abs(u), 1.0
 
 
 def _within_tolerance(res: float, scale: float, opts: StepOptions) -> bool:
@@ -675,37 +668,36 @@ def residuals(
 
     # (b) strain split
     res_b = (Ee - state_prev.Ee) / tau + kin.bzj_tensor(v, L, Ee, grid) + R - Ev
-    scale_b = max(1.0, float(np.max(np.abs(Ee)))) / tau
+    scale_b = max(1.0, _max_abs(Ee)) / tau
 
     # (c) inelastic flow rule M(theta^{k-1}) R = dev S_E + varkappa lap R
     lapR = kin.laplacian(R, grid) if (params.varkappa != 0.0 and grid.dim >= 1) else 0.0
     devS = kin.dev(con.stress_elastic(Ee, params))
     res_c = M_lag[..., None, None] * R - devS - params.varkappa * np.asarray(lapR)
-    scale_c = max(float(np.max(np.abs(devS))), float(np.max(M_lag * np.max(np.abs(R)))), 1e-30)
+    scale_c = max(_max_abs(devS), float(M_lag.max()) * _max_abs(R), 1e-30)
 
     # (d) magnetization inclusion
     h_dem = h_dem_from_u(state_trial.u, grid)
     h_eff = _drive_field(m, theta_new, loads_k, grid, params, eps) + h_dem
-    rmag = np.sqrt(np.sum(r * r, axis=-1))
-    H = np.sqrt(np.sum(h_eff * h_eff, axis=-1))
-    hc_val = np.broadcast_to(np.asarray(con.h_c(theta_prev, params)), H.shape)
+    rmag = np.hypot(r[..., 0], r[..., 1])
+    H = np.hypot(h_eff[..., 0], h_eff[..., 1])
     # rates at the roundoff floor of the m update count as sticking
-    rate_floor = 64.0 * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(m)))) / tau
+    rate_floor = 64.0 * np.finfo(np.float64).eps * max(1.0, _max_abs(m)) / tau
     moving = rmag > rate_floor
     zp = con.zeta_prime(theta_prev, np.maximum(rmag, 1e-300), params)
-    unit_r = r / np.maximum(rmag, 1e-300)[..., None]
-    viol_moving = np.sqrt(np.sum((h_eff - zp[..., None] * unit_r) ** 2, axis=-1))
-    viol_stuck = np.maximum(H - hc_val, 0.0)
+    viol = h_eff - (zp / np.maximum(rmag, 1e-300))[..., None] * r
+    viol_moving = np.hypot(viol[..., 0], viol[..., 1])
+    viol_stuck = np.maximum(H - con.h_c(theta_prev, params), 0.0)
     res_d_field = np.where(moving, viol_moving, viol_stuck)
-    scale_d = max(1.0, float(np.max(H)))
+    scale_d = max(1.0, float(H.max()))
 
     # (e) demag potential
     res_e, scale_e = _potential_residual(state_trial.u, m, grid, params, opts)
 
     # (f) enthalpy
     if loads_k.theta_k is not None:
-        res_f = float(np.max(np.abs(state_trial.w - thermal.w_of_theta(loads_k.theta_k))))
-        scale_f = max(1.0, float(np.max(np.abs(state_trial.w))))
+        res_f = _max_abs(state_trial.w - thermal.w_of_theta(loads_k.theta_k))
+        scale_f = max(1.0, _max_abs(state_trial.w))
     else:
         xi = _xi_field(Ev, R, r, theta_prev, grid, params)
         adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params, eps)
@@ -713,8 +705,8 @@ def residuals(
             state_trial.w, state_prev.w, v, theta_new, xi, adiab,
             boundary_source(loads_k.j_ext_k, grid), grid, params, tau, eps,
         )
-        res_f = float(np.max(np.abs(res_f_field)))
-        scale_f = max(1.0, float(np.max(np.abs(state_trial.w)))) / tau
+        res_f = _max_abs(res_f_field)
+        scale_f = max(1.0, _max_abs(state_trial.w)) / tau
 
     # (a) momentum
     res_a, scale_a = 0.0, 1.0  # kinematics prescribed; momentum not solved
@@ -723,14 +715,14 @@ def residuals(
             v, state_prev.v, Ee, m, h_eff, h_dem, con.buoyancy_b(theta_prev, params),
             loads_k, grid, params, tau,
         )
-        res_a = float(np.max(np.abs(res_a_field)))
-        scale_a = params.rho * max(1.0, float(np.max(np.abs(v)))) / tau
+        res_a = _max_abs(res_a_field)
+        scale_a = params.rho * max(1.0, _max_abs(v)) / tau
 
     return {
         "momentum": (res_a, scale_a),
-        "strain": (float(np.max(np.abs(res_b))), scale_b),
-        "ep_flow": (float(np.max(np.abs(res_c))), scale_c),
-        "m_inclusion": (float(np.max(res_d_field)), scale_d),
+        "strain": (_max_abs(res_b), scale_b),
+        "ep_flow": (_max_abs(res_c), scale_c),
+        "m_inclusion": (float(res_d_field.max()), scale_d),
         "potential": (res_e, scale_e),
         "enthalpy": (res_f, scale_f),
     }

@@ -202,6 +202,21 @@ class TestZeta:
         with pytest.raises(ConstitutiveError):
             con.zeta_resolvent(0.5, np.array([5.0, 0.0]), p)
 
+    def test_resolvent_slow_rate_does_not_cancel(self):
+        # 3 eps ex << tau_c^2: the rate is ex / (2 tau_c), not 0
+        p = material(tau_c=1e10, eps_reg=1e-6, h_c_high=0.0)
+        r = con.zeta_resolvent(0.5, np.array([0.75, 1.0]), p)
+        assert float(np.linalg.norm(r)) == pytest.approx(6.25e-11, rel=1e-12)
+
+    @pytest.mark.parametrize("ex", [1e-6, 1e-8])
+    def test_resolvent_small_excess_solves_branch(self, ex):
+        # above theta_b h_c underflows to 0, so the excess field is |h| = ex
+        p = material()
+        assert float(con.h_c(2.0, p)) < 1e-100
+        s = float(np.linalg.norm(con.zeta_resolvent(2.0, np.array([ex, 0.0]), p)))
+        lhs = 3.0 * p.eps_reg * s * s + 2.0 * p.tau_c * s
+        assert abs(lhs - ex) <= 1e-14 * ex
+
     def test_diss_consistent_with_prime(self):
         p = material()
         r = np.array([0.3, -0.4])

@@ -56,6 +56,18 @@ class TestMakeGrid:
             make_grid(**args)
 
 
+class TestGridCachedProperties:
+    def test_hash_and_equality_survive_cached_reads(self):
+        g1 = make_grid(2, (1.0, 0.5), (8, 4))
+        g2 = make_grid(2, (1.0, 0.5), (8, 4))
+        before = hash(g1)
+        assert g1.spacing == (0.125, 0.125)
+        assert g1.cell_volume == 0.125 * 0.125
+        assert hash(g1) == before == hash(g2)
+        assert g1 == g2 and g2 == g1
+        assert g1 != make_grid(2, (1.0, 0.5), (8, 8))
+
+
 class TestFieldState:
     def test_zeros_shapes(self, grid2):
         s = FieldState.zeros(grid2)

@@ -109,6 +109,18 @@ class TestPreconditioner:
         assert "non-finite" in failure
         assert counting.calls < 5
 
+    def test_equal_grid_built_separately_hits_the_cache(self):
+        built = make_grid(2, (1.0, 0.5), (5, 7))
+        assert built.spacing == (0.2, 0.5 / 7) and built.cell_volume > 0.0
+        again = make_grid(2, (1.0, 0.5), (5, 7))
+        for lu_of, args in ((stepper._momentum_lu, (260.0, 0.7)),
+                            (stepper._heat_lu, (0.005, 1.1, 100.0))):
+            lu = lu_of(built, *args)
+            before = lu_of.cache_info()
+            assert lu_of(again, *args) is lu
+            after = lu_of.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     def test_cache_stays_bounded_when_dt_is_halved(self, monkeypatch):
         # five failed solves: the step is tried at six dt, then dt grows back
         real = spla.bicgstab

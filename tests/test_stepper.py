@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from paleomag import constitutive as con
+from paleomag import kinematics as kin
 from paleomag.cli import ENTROPY_TOL, main
 from paleomag.demag import solve_demag
 from paleomag.errors import CflViolation, ConfigError, NumericalError, ThermodynamicError
@@ -14,6 +15,7 @@ from paleomag.grid import FieldState, Loads, make_grid, sample_loads
 from paleomag.scenarios import ScenarioConfig, builtin_config, run_scenario
 from paleomag.stepper import (
     StepOptions,
+    _corot_solve,
     boundary_source,
     step,
 )
@@ -160,6 +162,50 @@ class TestZeroDimensional:
         new, rep = step(prev, loads, grid0, p, StepOptions(dt=0.01))
         assert rep.accepted
         assert float(new.w) > float(prev.w)
+
+
+def _packed_corot_reference(B, w, a, lam):
+    """E solving a E - W E + E W + lam dev E = B by LAPACK on the packed 3x3 system.
+
+    Column j of the system is the operator applied to the j-th basis
+    tensor of (E11, E22, E12), packed the same way.
+    """
+    W = np.zeros(np.shape(w) + (2, 2))
+    W[..., 0, 1] = -w
+    W[..., 1, 0] = w
+    lam = np.asarray(lam)[..., None, None]
+
+    def pack(T):
+        return np.stack([T[..., 0, 0], T[..., 1, 1], T[..., 0, 1]], axis=-1)
+
+    cols = []
+    for basis in ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        T = np.broadcast_to(np.array(basis), W.shape)
+        cols.append(pack(a * T - W @ T + T @ W + lam * kin.dev(T)))
+    e = np.linalg.solve(np.stack(cols, axis=-1), pack(B)[..., None])[..., 0]
+    return np.stack([np.stack([e[..., 0], e[..., 2]], -1), np.stack([e[..., 2], e[..., 1]], -1)], -2)
+
+
+class TestCorotSolve:
+    @pytest.mark.parametrize("shape", [(), (5, 7)])
+    @pytest.mark.parametrize("a", [1.0, 200.0])
+    def test_matches_packed_solve(self, rng, shape, a):
+        for _ in range(20):
+            B = kin.sym(rng.standard_normal(shape + (2, 2)))
+            w = rng.standard_normal(shape) * rng.choice([0.0, 1.0, 50.0])
+            # lam up to 2a keeps the packed reference well conditioned
+            lam = rng.uniform(0.0, 2.0 * a, shape) * rng.choice([0.0, 1.0])
+            want = _packed_corot_reference(B, w, a, lam)
+            got = _corot_solve(B, w, a, lam)
+            assert got.shape == shape + (2, 2)
+            assert np.all(got == np.swapaxes(got, -1, -2))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_without_relaxation_term(self, rng):
+        B = kin.sym(rng.standard_normal((5, 7, 2, 2)))
+        w = rng.standard_normal((5, 7))
+        want = _packed_corot_reference(B, w, 3.0, 0.0)
+        assert np.max(np.abs(_corot_solve(B, w, 3.0) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestSpatial:
