@@ -144,11 +144,9 @@ def cmd_run(args) -> int:
         manifest["audit_pass"] = ok
         manifest["audit_detail"] = why
         if ok and config.experiment in EXPERIMENTS:
-            report = EXPERIMENTS[config.experiment](traj, out_dir=out_dir / "experiment")
-            report.pop("trajectory", None)
-            report.pop("trajectories", None)
-            report.pop("loop", None)
-            manifest["experiment_report"] = report
+            manifest["experiment_report"] = EXPERIMENTS[config.experiment](
+                traj, out_dir=out_dir / "experiment"
+            )
         manifest["end_time"] = _utcnow()
         _write_manifest(out_dir, manifest)
         if not ok:

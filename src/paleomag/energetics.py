@@ -121,7 +121,8 @@ def exchange_energy(m: np.ndarray, grid: Grid, params: con.MaterialParams) -> fl
 
 def dissipation_xi(theta_lag, Ev, R, r, grid: Grid, params: con.MaterialParams) -> np.ndarray:
     """Nonnegative dissipation density xi; raises AuditError if negative."""
-    xi = _xi_field(Ev, R, r, theta_lag, grid, params)
+    M_lag = np.asarray(con.maxwell_viscosity(theta_lag, params))
+    xi = _xi_field(Ev, R, r, theta_lag, M_lag, grid, params)
     if float(np.min(xi)) < -1e-12:
         raise AuditError(f"dissipation density negative: min xi = {float(np.min(xi)):.3e}")
     return xi

@@ -119,14 +119,6 @@ def grad_vector(vf: np.ndarray, grid: Grid, kind: str = "even") -> np.ndarray:
     return out
 
 
-def div_vector(vf: np.ndarray, grid: Grid, kind: str = "even") -> np.ndarray:
-    out = np.zeros(vf.shape[:-1])
-    for a in range(grid.dim):
-        mode = "odd" if kind == "velocity" else "even"
-        out += _central_diff(vf[..., a], grid, a, mode)
-    return out
-
-
 def grad_tensor(A: np.ndarray, grid: Grid) -> np.ndarray:
     """Gradient G[..., i, j, a] = d_a A_ij of a tensor field."""
     out = np.zeros(A.shape + (NCOMP,))
@@ -216,7 +208,6 @@ __all__ = [
     "ddot",
     "grad_scalar",
     "grad_vector",
-    "div_vector",
     "grad_tensor",
     "div_tensor",
     "laplacian",

@@ -41,7 +41,10 @@ from .energetics import BalanceReport, audit_step
 from .errors import CflViolation, ConfigError, ScenarioError
 from .grid import NCOMP, FieldState, Grid, Loads, make_grid, sample_loads
 from .snapshots import pair_record, write_snapshot
-from .stepper import StepOptions, _potential_residual, _within_tolerance, step
+from .stepper import (
+    _CFL_MAX, _MAX_SWEEPS, _TOL_ABS, _TOL_REL, StepOptions, _potential_residual,
+    _within_tolerance, step,
+)
 
 # ---------------------------------------------------------------------------
 # schedules
@@ -130,6 +133,15 @@ def make_tensor_schedule(spec: Optional[dict]) -> Optional[Callable[[float], np.
 # configuration
 
 
+# Solver settings that are now constants of the stepper (relaxation: the
+# sweep takes each new iterate as it stands).  Archived config.json files
+# name them, so each still loads at its fixed value.
+_RETIRED_KEYS = {
+    "max_iters": _MAX_SWEEPS, "tol_rel": _TOL_REL, "tol_abs": _TOL_ABS,
+    "relaxation": 1.0, "cfl_max": _CFL_MAX,
+}
+
+
 @dataclass
 class ScenarioConfig:
     """Complete, JSON-able description of one run."""
@@ -160,11 +172,6 @@ class ScenarioConfig:
     v0: tuple = (0.0, 0.0)
     Ee0: tuple = ((0.0, 0.0), (0.0, 0.0))
     Ep0: tuple = ((0.0, 0.0), (0.0, 0.0))
-    max_iters: int = 200
-    tol_rel: float = 1e-11
-    tol_abs: float = 1e-13
-    relaxation: float = 1.0
-    cfl_max: float = 0.9
 
     def validate(self) -> None:
         self.material.validate()
@@ -205,6 +212,11 @@ class ScenarioConfig:
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
         data = dict(data)
+        for key, fixed in _RETIRED_KEYS.items():
+            if key in data and data.pop(key) != fixed:
+                raise ConfigError(
+                    f"{key} is fixed at {fixed!r}; a config may name it at no other value"
+                )
         known = {f.name for f in dataclasses.fields(ScenarioConfig)}
         unknown = set(data) - known
         if unknown:
@@ -238,11 +250,6 @@ class ScenarioConfig:
         return StepOptions(
             dt=dt,
             eps=self.eps,
-            max_iters=self.max_iters,
-            tol_rel=self.tol_rel,
-            tol_abs=self.tol_abs,
-            relaxation=self.relaxation,
-            cfl_max=self.cfl_max,
             demag=self.demag,
             demag_boundary=self.demag_boundary,
         )
@@ -386,7 +393,7 @@ def run_scenario(
         state = initial_state.copy()
         opts = config.step_options(config.dt)
         res, scale = _potential_residual(state.u, state.m, grid, params, opts)
-        if not _within_tolerance(res, scale, opts):
+        if not _within_tolerance(res, scale):
             raise ConfigError(
                 f"{config.name}: initial u does not match its m "
                 f"(potential residual {res:.3e}, scale {scale:.3e})"
@@ -721,7 +728,6 @@ def trm_experiment(traj1: Trajectory, out_dir=None) -> dict:
     }
     if out is not None:
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    report["trajectories"] = (traj1, traj2, traj3, traj4)
     return report
 
 
@@ -738,8 +744,6 @@ def irm_experiment(traj: Trajectory, out_dir=None) -> dict:
     }
     if out is not None:
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    report["trajectory"] = traj
-    report["loop"] = loop
     return report
 
 
@@ -766,7 +770,6 @@ def vrm_experiment(traj: Trajectory, out_dir=None) -> dict:
     out = _report_dir(out_dir)
     if out is not None:
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    report["trajectory"] = traj
     return report
 
 
@@ -826,7 +829,6 @@ def melt_experiment(traj: Trajectory, out_dir=None) -> dict:
     out = _report_dir(out_dir)
     if out is not None:
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    report["trajectory"] = traj
     return report
 
 

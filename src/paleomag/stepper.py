@@ -1,10 +1,11 @@
 """One fully implicit time step of the coupled discrete system.
 
-The nonlinear step is solved by a damped fixed-point sweep over the
-blocks (v -> Ee/Ep -> m -> u -> w), iterated to a monolithic tolerance,
-with the paper-prescribed lagged-temperature placement: the Maxwell
-viscosity M, the conductivity K, and the dissipation potential zeta are
-evaluated at theta^{k-1}; every other temperature occurrence is implicit.
+The nonlinear step is solved by a plain fixed-point sweep over the blocks
+(v -> Ee/Ep -> m -> u -> w): each sweep takes every block's new iterate as
+it stands, and the sweeps repeat to a monolithic tolerance.  Temperature
+follows the paper-prescribed lagged placement: the Maxwell viscosity M,
+the conductivity K, and the dissipation potential zeta are evaluated at
+theta^{k-1}; every other temperature occurrence is implicit.
 
 Within each sweep the corotational couplings are solved exactly per cell
 (the symmetric strain pair in closed form, in its trace/deviator basis).
@@ -36,29 +37,22 @@ from .grid import EYE, NCOMP, FieldState, Grid, LoadsSample
 
 @dataclass
 class StepOptions:
-    """Solver knobs for one implicit step."""
+    """The settings of one implicit step.
+
+    The sweep's limits and tolerances are the module constants
+    _MAX_SWEEPS, _TOL_REL, _TOL_ABS and _CFL_MAX, the same for every step.
+    """
 
     dt: float
     eps: float = 0.0              # regularization: omega_eps and the (1-eps) heat factor
-    max_iters: int = 200
-    tol_rel: float = 1e-11
-    tol_abs: float = 1e-13
-    relaxation: float = 1.0       # under-relaxation of v, Ee, Ep, w between sweeps, in (0, 1]
-    cfl_max: float = 0.9
     demag: bool = True
     demag_boundary: str = "farfield"
 
     def validate(self) -> None:
-        if not (self.dt > 0.0 and self.tol_rel > 0.0 and self.tol_abs > 0.0):
-            raise NumericalError("dt and tolerances must be positive")
+        if not self.dt > 0.0:
+            raise NumericalError(f"dt must be positive, got {self.dt}")
         if not 0.0 <= self.eps < 1.0:
             raise NumericalError(f"eps must be in [0, 1), got {self.eps}")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise NumericalError(f"relaxation must be in (0, 1], got {self.relaxation}")
-        if not self.max_iters >= 1:
-            raise NumericalError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.cfl_max > 0.0:
-            raise NumericalError(f"cfl_max must be > 0, got {self.cfl_max}")
         if self.demag_boundary not in ("farfield", "zero"):
             raise NumericalError(
                 f"demag_boundary must be 'farfield' or 'zero', got {self.demag_boundary!r}"
@@ -117,6 +111,14 @@ def _solve_2x2(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # Newton passes of the m block per sweep before the step is rejected
 _M_PASSES = 60
+# block sweeps per step before the step is rejected
+_MAX_SWEEPS = 200
+# the sweep stops once no block changes by more than _TOL_REL relative;
+# the m block and the residual gate add the absolute floor _TOL_ABS
+_TOL_REL = 1e-11
+_TOL_ABS = 1e-13
+# largest |v| dt / h on any axis
+_CFL_MAX = 0.9
 
 
 def boundary_source(j_ext: float, grid: Grid) -> np.ndarray:
@@ -140,13 +142,13 @@ def _max_abs(x) -> float:
     return float(abs(x).max())
 
 
-def _check_cfl(v: np.ndarray, grid: Grid, dt: float, cfl_max: float) -> None:
+def _check_cfl(v: np.ndarray, grid: Grid, dt: float) -> None:
     for a in range(grid.dim):
         h = grid.spacing[a]
         vmax = _max_abs(v[..., a])
-        if vmax * dt / h > cfl_max:
+        if vmax * dt / h > _CFL_MAX:
             raise CflViolation(
-                f"axis {a}: |v| dt/h = {vmax * dt / h:.3f} exceeds cfl_max={cfl_max}"
+                f"axis {a}: |v| dt/h = {vmax * dt / h:.3f} exceeds {_CFL_MAX}"
             )
 
 
@@ -252,11 +254,12 @@ def _momentum_residual_field(
     v, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k: LoadsSample, grid: Grid, params, tau
 ):
     """Residual of the discrete momentum balance at velocity v."""
-    Ev = kin.sym(kin.grad_vector(v, grid, kind="velocity"))
+    G = kin.grad_vector(v, grid, kind="velocity")
+    Ev = kin.sym(G)
     f_mag = params.mu0 * kin.matvec(np.swapaxes(kin.grad_vector(h_dem, grid), -1, -2), m)
     return (
         params.rho * ((v - v_prev) / tau + kin.upwind_advect(v, v, grid))
-        + 0.5 * params.rho * kin.div_vector(v, grid, kind="velocity")[..., None] * v
+        + 0.5 * params.rho * kin.tensor_trace(G)[..., None] * v
         - kin.div_tensor(_stress(Ee, m, Ev, h_eff, grid, params), grid)
         + _hyperstress_force(Ev, grid, params)
         - f_mag
@@ -275,13 +278,12 @@ def step(
 
     On solver non-convergence, including a failed Krylov solve, the previous
     state is returned with report.accepted = False (the caller halves dt).
-    CFL violations raise CflViolation; w < -tol_abs raises ThermodynamicError.
+    CFL violations raise CflViolation; w < -_TOL_ABS raises ThermodynamicError.
     """
     opts.validate()
     thermal = con.thermal_law_for(params)
     tau = opts.dt
     eps = opts.eps
-    relax = opts.relaxation
 
     theta_prev = thermal.theta_of_w(state_prev.w)
     M_lag = np.asarray(con.maxwell_viscosity(theta_prev, params))
@@ -313,7 +315,7 @@ def step(
     converged = False
     report = StepReport(dt=tau)
 
-    for it in range(opts.max_iters):
+    for it in range(_MAX_SWEEPS):
         report.iterations = it + 1
         # --- kinematic block -------------------------------------------------
         if driven:
@@ -329,7 +331,7 @@ def step(
                 report.message = f"momentum solve failed ({failure})"
                 return state_prev, report
         if grid.dim >= 1:
-            _check_cfl(v_new, grid, tau, opts.cfl_max)
+            _check_cfl(v_new, grid, tau)
         L, _ = _velocity_gradient(v_new, Ee, loads_k, grid, params)
         Ev = kin.sym(L)
         Wsp = kin.skw(L)
@@ -381,7 +383,7 @@ def step(
             if not math.isfinite(dm):
                 report.message = f"magnetization block failed (non-finite iterate, change {dm})"
                 return state_prev, report
-            if dm < opts.tol_abs + opts.tol_rel * max(1.0, _max_abs(m_it)):
+            if dm < _TOL_ABS + _TOL_REL * max(1.0, _max_abs(m_it)):
                 break
         else:
             report.message = (
@@ -400,7 +402,7 @@ def step(
             h_dem = np.zeros_like(m_new)
 
         # --- enthalpy block ---------------------------------------------------
-        xi = _xi_field(Ev, R_new, r, theta_prev, grid, params)
+        xi = _xi_field(Ev, R_new, r, theta_prev, M_lag, grid, params)
         r_conv = (m_new - state_prev.m) / tau + (
             kin.upwind_advect(m_new, v_new, grid) if grid.dim >= 1 else 0.0
         )
@@ -422,16 +424,9 @@ def step(
         change = 0.0
         for old, new in ((v, v_new), (Ee, Ee_new), (Ep, Ep_new), (m, m_new), (w, w_new)):
             change = max(change, _max_abs(new - old) / max(1.0, _max_abs(new)))
-        v = v if driven else (v + relax * (np.asarray(v_new) - v))
-        Ee = Ee + relax * (Ee_new - Ee)
-        Ep = Ep + relax * (Ep_new - Ep)
-        m = m_new
-        u = u_new
-        w = w + relax * (np.asarray(w_new) - w)
-        theta_k = thermal.theta_of_w(np.maximum(w, 0.0))
-        if change < opts.tol_rel:
-            v, Ee, Ep, m, w = np.asarray(v_new).copy(), Ee_new, Ep_new, m_new, np.asarray(w_new).copy()
-            theta_k = theta_new
+        v, Ee, Ep, m, u, w = v_new, Ee_new, Ep_new, m_new, u_new, w_new
+        theta_k = theta_new
+        if change < _TOL_REL:
             converged = True
             break
 
@@ -439,7 +434,7 @@ def step(
         report.message = f"no convergence after {report.iterations} sweeps (change {change:.3e})"
         return state_prev, report
 
-    if float(np.min(w)) < -opts.tol_abs:
+    if float(np.min(w)) < -_TOL_ABS:
         raise ThermodynamicError(f"enthalpy became negative: min w = {float(np.min(w)):.3e}")
     w = np.maximum(w, 0.0)
 
@@ -454,7 +449,7 @@ def step(
     )
     report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts)
     report.accepted = all(
-        _within_tolerance(res, scale, opts) for res, scale in report.residuals.values()
+        _within_tolerance(res, scale) for res, scale in report.residuals.values()
     )
     if not report.accepted:
         report.message = "converged iterate fails residual check: " + ", ".join(
@@ -464,10 +459,10 @@ def step(
     return state_new, report
 
 
-def _xi_field(Ev, R, r, theta_prev, grid: Grid, params: con.MaterialParams):
-    """Dissipation heat source xi(theta^{k-1}; E(v), R, mdot) >= 0."""
+def _xi_field(Ev, R, r, theta_prev, M_lag, grid: Grid, params: con.MaterialParams):
+    """Dissipation heat source xi(theta^{k-1}; E(v), R, mdot) >= 0; M_lag = M(theta^{k-1})."""
     xi = params.nu1 * np.sum(Ev * Ev, axis=(-2, -1))
-    xi = xi + np.asarray(con.maxwell_viscosity(theta_prev, params)) * np.sum(R * R, axis=(-2, -1))
+    xi = xi + M_lag * np.sum(R * R, axis=(-2, -1))
     xi = xi + params.mu0 * con.zeta_diss(theta_prev, r, params)
     if params.nu2 != 0.0 and grid.dim >= 1:
         GE = kin.grad_tensor(Ev, grid)
@@ -636,9 +631,9 @@ def _potential_residual(
     return _max_abs(u), 1.0
 
 
-def _within_tolerance(res: float, scale: float, opts: StepOptions) -> bool:
-    """The residual gate of one block: res <= tol_abs + 100 tol_rel scale."""
-    return res <= opts.tol_abs + 100.0 * opts.tol_rel * scale
+def _within_tolerance(res: float, scale: float) -> bool:
+    """The residual gate of one block: res <= _TOL_ABS + 100 _TOL_REL scale."""
+    return res <= _TOL_ABS + 100.0 * _TOL_REL * scale
 
 
 def residuals(
@@ -699,7 +694,7 @@ def residuals(
         res_f = _max_abs(state_trial.w - thermal.w_of_theta(loads_k.theta_k))
         scale_f = max(1.0, _max_abs(state_trial.w))
     else:
-        xi = _xi_field(Ev, R, r, theta_prev, grid, params)
+        xi = _xi_field(Ev, R, r, theta_prev, M_lag, grid, params)
         adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params, eps)
         res_f_field = _heat_residual_field(
             state_trial.w, state_prev.w, v, theta_new, xi, adiab,

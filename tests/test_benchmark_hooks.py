@@ -5,9 +5,14 @@ and ``perfbench/worker.py`` makes them pause points (``hook(module, "name")``).
 Both replace a module attribute, so a refactor that renames or removes one
 breaks ``--trace 1`` or the pacer.  This test reads both files with ``ast``
 and checks each such name on the paleomag module it names.
+
+``perfbench/workloads.py`` builds its configs with ``ScenarioConfig(...)``
+and from ``overrides`` lists of ``(key, value)`` pairs; every keyword and
+every key must still be a ``ScenarioConfig`` field.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -51,3 +56,33 @@ def test_every_hooked_name_exists(filename):
         if not callable(getattr(importlib.import_module(f"paleomag.{mod}"), attr, None))
     ]
     assert not missing, f"perfbench/{filename} hooks names paleomag lacks: {missing}"
+
+
+def _config_keys(path: Path) -> list:
+    """Keywords of every ScenarioConfig(...) call and keys of every overrides list."""
+    keys = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "ScenarioConfig":
+                keys += [kw.arg for kw in node.keywords]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.List):
+            target = node.targets[0]
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name == "overrides":
+                keys += [
+                    pair.elts[0].value for pair in node.value.elts
+                    if isinstance(pair, ast.Tuple) and isinstance(pair.elts[0], ast.Constant)
+                ]
+    return keys
+
+
+def test_every_config_key_is_a_field():
+    from paleomag.scenarios import ScenarioConfig
+
+    keys = _config_keys(PERFBENCH / "workloads.py")
+    assert keys, "no ScenarioConfig keywords or overrides found in perfbench/workloads.py"
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    missing = sorted(set(keys) - fields)
+    assert not missing, f"perfbench/workloads.py sets config keys ScenarioConfig lacks: {missing}"

@@ -81,7 +81,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "setting",
         ["relaxation=0", "eps=1.0", "tol_rel=-1", "max_iters=0",
-         "demag_boundary=bogus", "cfl_max=-1"],
+         "demag_boundary=bogus", "cfl_max=-1", "tol_rel=1e-10"],
     )
     def test_invalid_solver_setting(self, tmp_path, setting):
         out = tmp_path / "o"
@@ -101,6 +101,21 @@ class TestAudit:
         out = tmp_path / "run"
         assert run_short_trm(out) == 0
         assert run_cli("audit", str(out)) == 0
+
+    def test_archived_config_with_retired_settings(self, tmp_path, capsys):
+        # config.json files written before the five solver settings became
+        # constants name them; at their fixed values they still load
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        path = out / "config.json"
+        config = json.loads(path.read_text())
+        config.update(max_iters=200, tol_rel=1e-11, tol_abs=1e-13, relaxation=1.0, cfl_max=0.9)
+        path.write_text(json.dumps(config))
+        assert run_cli("audit", str(out)) == 0
+        config["relaxation"] = 0.5
+        path.write_text(json.dumps(config))
+        assert run_cli("audit", str(out)) == 2
+        assert "relaxation" in capsys.readouterr().err
 
     def test_empty_dir(self, tmp_path):
         empty = tmp_path / "empty"
