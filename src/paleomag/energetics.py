@@ -160,8 +160,16 @@ def audit_step(
     grid: Grid,
     params: con.MaterialParams,
     eps: float = 0.0,
+    ledger_prev: Optional[EnergyLedger] = None,
 ) -> BalanceReport:
-    """Audit the discrete balances of the step state_prev -> state_new."""
+    """Audit the discrete balances of the step state_prev -> state_new.
+
+    ``ledger_prev``, when given, must be the ledger of state_prev under
+    loads_k.h_ext_prev -- ``energy_ledger(state_prev, grid, params,
+    loads_k.h_ext_prev, eps)``, bit for bit, such as the previous step's
+    ``ledger_new`` when its h_ext_k equals this step's h_ext_prev.  It is
+    computed here when None.
+    """
     thermal = con.thermal_law_for(params)
     tau = float(dt)
     theta_prev = thermal.theta_of_w(state_prev.w)
@@ -215,7 +223,8 @@ def audit_step(
         ctrl_entropy = grid.integrate(q_ctrl / np.asarray(theta_new))
 
     # ledgers and residuals
-    ledger_prev = energy_ledger(state_prev, grid, params, loads_k.h_ext_prev, eps)
+    if ledger_prev is None:
+        ledger_prev = energy_ledger(state_prev, grid, params, loads_k.h_ext_prev, eps)
     ledger_new = energy_ledger(state_new, grid, params, loads_k.h_ext_k, eps)
 
     supplied = tau * (p_grav + p_drive + p_ext_mag + boundary_heat + q_ctrl_total)

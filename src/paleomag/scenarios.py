@@ -412,6 +412,8 @@ def run_scenario(
         write_snapshot(out / "snapshots" / "initial.bin", state, grid)
 
     audit_rows = []
+    # (h_ext_k, ledger_new) of the last accepted step: the ledger of `state`
+    carried = None
     dt = min(config.dt, config.duration) if config.duration > 0.0 else config.dt
     step_index = 0
     t_end = t0 + config.duration
@@ -436,7 +438,11 @@ def run_scenario(
             continue
 
         step_index += 1
-        rep = audit_step(state, new_state, loads_s, dt, grid, params, config.eps)
+        ledger_prev = None
+        if carried is not None and np.array_equal(carried[0], loads_s.h_ext_prev):
+            ledger_prev = carried[1]
+        rep = audit_step(state, new_state, loads_s, dt, grid, params, config.eps, ledger_prev)
+        carried = (loads_s.h_ext_k, rep.ledger_new)
         traj.reports.append(rep)
         row = _series_row(new_state, report, loads_s, grid, params, dt)
         audit_rows.append(_audit_row(rep, row))

@@ -18,6 +18,16 @@ Advection, exchange and the gradient regularizations (varkappa Laplacian
 of the inelastic rate, the hyperstress) are taken at the current iterate,
 so the converged sweep satisfies the fully implicit equations.  Under
 temperature control the sweep starts at the prescribed temperature.
+
+One sweep suffices, and the step takes exactly one, where no block is
+lagged: a 0D step under temperature control with no stress drive.  There
+v, L, Ee, R and Ep follow from the previous state and the loads alone, the
+m block reads the prescribed temperature, and w is prescribed, so no block
+reads a field that a later block of the same sweep writes, and the first
+sweep is already the fixed point.  A stress drive makes L read the Ee
+iterate, free enthalpy makes the m block read the previous sweep's w, and
+a spatial step couples every block through v and h_dem; those steps sweep
+until nothing changes.  The residual gate decides acceptance either way.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ class StepOptions:
 class StepReport:
     """Solver diagnostics for one attempted step."""
 
-    iterations: int = 0           # outer block sweeps
+    iterations: int = 0           # outer block sweeps; 1 where no block is lagged
     m_passes: int = 0             # Newton passes of the m block, over all sweeps
     krylov_applications: int = 0  # operator applications of the Krylov solves
     residuals: dict = field(default_factory=dict)
@@ -312,6 +322,9 @@ def step(
     j_src = boundary_source(loads_k.j_ext_k, grid)
 
     driven = loads_k.grad_v_k is not None or loads_k.stress_dev_k is not None
+    # no block reads a field that a later block of the same sweep writes,
+    # so the first sweep is the fixed point (see the module docstring)
+    one_pass = grid.dim == 0 and loads_k.stress_dev_k is None and w_ctrl is not None
     converged = False
     report = StepReport(dt=tau)
 
@@ -422,8 +435,9 @@ def step(
 
         # --- convergence ------------------------------------------------------
         change = 0.0
-        for old, new in ((v, v_new), (Ee, Ee_new), (Ep, Ep_new), (m, m_new), (w, w_new)):
-            change = max(change, _max_abs(new - old) / max(1.0, _max_abs(new)))
+        if not one_pass:
+            for old, new in ((v, v_new), (Ee, Ee_new), (Ep, Ep_new), (m, m_new), (w, w_new)):
+                change = max(change, _max_abs(new - old) / max(1.0, _max_abs(new)))
         v, Ee, Ep, m, u, w = v_new, Ee_new, Ep_new, m_new, u_new, w_new
         theta_k = theta_new
         if change < _TOL_REL:

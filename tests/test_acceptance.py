@@ -275,6 +275,17 @@ def shipped_runs():
     return runs
 
 
+class TestShippedSweeps:
+    def test_one_sweep_per_step(self, shipped_runs):
+        # every shipped step is 0D and theta-controlled with no stress drive,
+        # so no block is lagged and each accepted step takes a single sweep
+        for name in SHIPPED_SCENARIOS:
+            for mult in DT_LEVELS:
+                traj = shipped_runs[name][mult]
+                sweeps = sum(traj.column("iterations"))
+                assert sweeps == traj.n_steps, f"{name} x{mult}: {sweeps} sweeps"
+
+
 class TestCriterion7EnergyConservation:
     def test_per_step_residual_bound(self, shipped_runs):
         for name in SHIPPED_SCENARIOS:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paleomag import constitutive as con
+from paleomag.energetics import energy_ledger
 from paleomag.errors import ConfigError, ConstitutiveError
 from paleomag.scenarios import (
     SHIPPED_SCENARIOS,
@@ -20,6 +21,7 @@ from paleomag.scenarios import (
     run_scenario,
     vrm_experiment,
 )
+from paleomag.snapshots import pair_loads, read_snapshot
 
 
 class TestSchedules:
@@ -130,6 +132,26 @@ class TestRunScenario:
         run_scenario(copy.deepcopy(cfg), out_dir=b)
         assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
         assert (a / "audit.csv").read_bytes() == (b / "audit.csv").read_bytes()
+
+    def test_carried_ledger_is_the_recomputed_one(self, tmp_path):
+        # the audit of a step reuses the previous step's ledger_new as its
+        # ledger_prev; under a sine field it must still be the ledger of the
+        # step's input state under that step's h_ext_prev, bit for bit
+        cfg = builtin_config("irm")
+        cfg.experiment = None
+        cfg.duration = 50 * cfg.dt
+        cfg.output_every = 1
+        out = tmp_path / "run"
+        traj = run_scenario(cfg, out_dir=out)
+        pairs = json.loads((out / "pairs.json").read_text())
+        assert len(pairs) == traj.n_steps == 50
+        grid = cfg.build_grid()
+        for meta, rep in zip(pairs, traj.reports):
+            prev, _ = read_snapshot(out / "snapshots" / f"pair_{meta['index']:08d}_a.bin")
+            h_prev = pair_loads(meta).h_ext_prev
+            assert rep.ledger_prev == energy_ledger(prev, grid, cfg.material, h_prev, cfg.eps)
+        carried = sum(b.ledger_prev is a.ledger_new for a, b in zip(traj.reports, traj.reports[1:]))
+        assert carried > 0
 
     def test_audit_bounds_on_short_run(self):
         cfg = builtin_config("melt")

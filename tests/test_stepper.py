@@ -113,7 +113,7 @@ class TestZeroDimensional:
     def test_nonconvergence_returns_prev(self, grid0, monkeypatch):
         p = material(M_solid=1.0, M_magma=1.0)
         prev = state_0d(grid0, p, theta=0.5, Ee=np.diag([1e-3, -1e-3]))
-        loads = sample(dt=50.0, theta=lambda t: 0.5, grad_v=lambda t: np.zeros((2, 2)))
+        loads = sample(dt=50.0, grad_v=lambda t: np.zeros((2, 2)))
         monkeypatch.setattr("paleomag.stepper._MAX_SWEEPS", 1)
         new, rep = step(prev, loads, grid0, p, StepOptions(dt=50.0))
         assert not rep.accepted
@@ -155,6 +155,36 @@ class TestZeroDimensional:
         assert rep.iterations <= 2
         assert rep.iterations <= rep.m_passes <= 4
         assert rep.krylov_applications == 0
+
+    @staticmethod
+    def _trm_cooling_step(grid0, **loads_kwargs):
+        # a strained trm cell above the blocking temperature, under a weak field
+        p = builtin_config("trm").material
+        dt = 0.01
+        prev = state_0d(grid0, p, theta=0.4, m=(con.equilibrium_m(0.4, 0.01, p), 0.0),
+                        Ee=np.diag([1e-3, -1e-3]))
+        loads = sample(t=dt, dt=dt, h_ext=lambda t: np.array([0.01, 0.0]), **loads_kwargs)
+        return step(prev, loads, grid0, p, StepOptions(dt=dt))
+
+    @pytest.mark.parametrize("grad_v", [None, np.array([[0.0, 0.3], [0.1, 0.0]])],
+                             ids=["undriven", "grad_v"])
+    def test_step_without_lagged_block_takes_one_sweep(self, grid0, grad_v):
+        # 0D under theta control, no stress drive: the first sweep is the fixed point
+        drive = {} if grad_v is None else {"grad_v": lambda t: grad_v}
+        _, rep = self._trm_cooling_step(grid0, theta=lambda t: 0.4 - 0.01 * t, **drive)
+        assert rep.accepted
+        assert rep.iterations == 1
+
+    @pytest.mark.parametrize("loads_kwargs", [
+        {"theta": lambda t: 0.4 - 0.01 * t,
+         "stress_dev": lambda t: np.array([[0.05, 0.02], [0.02, -0.05]])},
+        {},
+    ], ids=["stress_driven", "free_enthalpy"])
+    def test_step_with_lagged_block_sweeps_again(self, grid0, loads_kwargs):
+        # L reads the Ee iterate, or the m block reads the previous sweep's w
+        _, rep = self._trm_cooling_step(grid0, **loads_kwargs)
+        assert rep.accepted
+        assert rep.iterations >= 2
 
     def test_adiabatic_heating_without_control(self, grid0):
         # free enthalpy: dissipation from stress relaxation heats the cell
