@@ -8,16 +8,20 @@ dipole far field of the magnetization (default), which sharply reduces
 the domain-truncation error of the pad.  h_dem = -grad u on Omega.
 
 The far-field ghosts and the cells of Omega lie on one lattice, so the
-dipole sum over the cells is a discrete convolution with the kernel
-1 / (dx + i dy) of the lattice offsets; it is evaluated exactly, to
-roundoff, by one zero-padded complex FFT (lattice Green's function
-convolution, Hockney & Eastwood 1988).  Kernel offsets that no ghost
-can see, the near field around dz = 0, are zeroed, which changes no
-ghost value and keeps the FFT roundoff at the scale of the ghost values.
+values on each of the four ghost lines are a sum, over the source rows
+(or columns) of Omega, of 1D Toeplitz convolutions along the line with
+the kernel 1 / (dx + i dy) of the lattice offsets (lattice Green's
+function convolution, Hockney & Eastwood 1988).  They are evaluated
+exactly, to roundoff, by FFTs along each line with kernel spectra that
+are computed once per grid (``_farfield_ring``).
+
+div(chi m) vanishes outside Omega and its one-cell halo, and h_dem is
+needed on Omega only, so neither is formed on the rest of the padded grid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +29,8 @@ import scipy.fft
 
 from .errors import ConfigError
 from .grid import NCOMP, Grid
+
+_BOUNDARIES = ("farfield", "zero")
 
 
 @dataclass
@@ -44,14 +50,49 @@ def _omega_slices(grid: Grid) -> tuple[slice, ...]:
     )
 
 
-def _embed(m: np.ndarray, grid: Grid) -> np.ndarray:
-    full = np.zeros(grid.padded_cells + (NCOMP,))
-    full[_omega_slices(grid)] = m
-    return full
+def _line_spectra(n: int, P: int, o: int, step: complex, across: np.ndarray) -> np.ndarray:
+    """Spectra of the kernels 1 / (d step + across) of one pair of ghost lines.
+
+    ``n`` source cells start at padded index ``o`` of an axis of ``P``
+    padded cells, ``step`` is one cell along that axis as a complex
+    number, and ``across`` (side, source row) is the offset of each
+    side's ghost line from each source row.  Kernel entry e is the offset
+    d = e - o - n + 1 along the line, so entry t + n - 1 of the linear
+    convolution is target index t.  The transform is at least as long as
+    the kernel, so the circular wrap-around reaches no target.
+    """
+    along = (np.arange(P + n - 1) - o - n + 1) * step
+    kern = 1.0 / (along + across[..., None])
+    spec = scipy.fft.fft(kern, scipy.fft.next_fast_len(P + n - 1), axis=-1)
+    spec.flags.writeable = False
+    return spec
+
+
+# Keyed by the whole geometry: cells, extents and pad_factor all enter.
+@functools.lru_cache(maxsize=4)
+def _ring_spectra(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel spectra of the (left, right) and the (bottom, top) ghost lines.
+
+    Shapes (2, nx, Ly) and (2, ny, Lx): the left and right lines run
+    along y and see source row i of Omega at x offset (-1 - i) hx and
+    (Px - i) hx; the bottom and top lines likewise run along x.
+    """
+    hx, hy = grid.spacing
+    nx, ny = grid.cells
+    Px, Py = grid.padded_cells
+    sx, sy = _omega_slices(grid)
+    ix = np.arange(sx.start, sx.stop)
+    iy = np.arange(sy.start, sy.stop)
+    across_x = np.stack([-1 - ix, Px - ix]) * hx
+    across_y = np.stack([-1 - iy, Py - iy]) * (1j * hy)
+    return (
+        _line_spectra(ny, Py, sy.start, 1j * hy, across_x),
+        _line_spectra(nx, Px, sx.start, hx, across_y),
+    )
 
 
 def _farfield_ring(m: np.ndarray, grid: Grid):
-    """Continuum dipole-potential values at the four ghost-cell rings (2D).
+    """Continuum dipole-potential values at the four ghost-cell lines (2D).
 
     u(x) = sum_j m_j . (x - x_j) / (2 pi |x - x_j|^2) * cell_volume,
     the far field of Delta u = div(chi m) in the plane.  With z = x + i y
@@ -60,32 +101,43 @@ def _farfield_ring(m: np.ndarray, grid: Grid):
         u(z) = cell_volume / (2 pi) * Re sum_j mu_j / (z - z_j).
 
     Ghosts (lattice index -1 and P per axis) and sources (the cells of
-    Omega) sit on one lattice, so the sum is a discrete convolution of mu
-    with the kernel 1 / dz over lattice offsets, evaluated exactly (to
-    roundoff) by one zero-padded FFT (Hockney & Eastwood 1988).  Offsets
-    with |di| <= sx.start and |dj| <= sy.start (dz = 0 among them) are
-    zeroed: every ghost lies beyond that box, so the ring values do not
-    change, and the FFT roundoff stays at the scale of the ring values.
+    Omega) sit on one lattice.  Along the left ghost line (x index -1),
+    source row a of Omega (x index i_a) is at the fixed x offset
+    -1 - i_a, so the line values are sum_a (mu[a, :] conv k_a)(j), a sum
+    of 1D convolutions along y with the kernels
+    k_a(d) = 1 / ((-1 - i_a) hx + i d hy); likewise for the other three
+    lines.  mu is transformed once along y and once
+    along x, multiplied by the cached kernel spectra of the grid
+    (``_ring_spectra``), summed over the source rows and transformed back
+    once per side (Hockney & Eastwood 1988).  The result is the direct
+    sum to roundoff; no ghost is within a cell of a source.
     """
-    hx, hy = grid.spacing
     nx, ny = grid.cells
     Px, Py = grid.padded_cells
-    sx, sy = _omega_slices(grid)
-    # offsets (target index -1..P) - (source index in Omega), ascending
-    di = np.arange(-sx.start - nx, Px - sx.start + 1)
-    dj = np.arange(-sy.start - ny, Py - sy.start + 1)
-    near = (np.abs(di)[:, None] <= sx.start) & (np.abs(dj)[None, :] <= sy.start)
-    dz = np.where(near, 1.0, di[:, None] * hx + 1j * (dj[None, :] * hy))
-    kern = np.where(near, 0.0, 1.0 / dz)
+    spec_lr, spec_bt = _ring_spectra(grid)
     mu = m[..., 0] + 1j * m[..., 1]
-    # at least the kernel's size: the circular wrap-around lands only on
-    # targets below index -1, never on the ring
-    shape = [scipy.fft.next_fast_len(s) for s in kern.shape]
-    conv = scipy.fft.ifft2(scipy.fft.fft2(kern, shape) * scipy.fft.fft2(mu, shape))
-    # conv[a, b] holds target index (a - nx, b - ny)
-    u = conv.real[nx - 1 : nx + Px + 1, ny - 1 : ny + Py + 1]
-    u *= grid.cell_volume / (2.0 * np.pi)
-    return u[0, 1:-1], u[-1, 1:-1], u[1:-1, 0], u[1:-1, -1]
+    mu_y = scipy.fft.fft(mu, spec_lr.shape[-1], axis=1)
+    mu_x = scipy.fft.fft(mu.T, spec_bt.shape[-1], axis=1)
+    lr = scipy.fft.ifft((spec_lr * mu_y).sum(axis=1), axis=-1)
+    bt = scipy.fft.ifft((spec_bt * mu_x).sum(axis=1), axis=-1)
+    c = grid.cell_volume / (2.0 * np.pi)
+    left, right = lr.real[:, ny - 1 : ny - 1 + Py] * c
+    bottom, top = bt.real[:, nx - 1 : nx - 1 + Px] * c
+    return left, right, bottom, top
+
+
+@functools.lru_cache(maxsize=4)
+def _dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
+    """lambda_x + lambda_y of the 5-point Laplacian on the padded grid."""
+    hx, hy = grid.spacing
+    Px, Py = grid.padded_cells
+    kx = np.arange(1, Px + 1)
+    ky = np.arange(1, Py + 1)
+    lam_x = (2.0 * np.cos(np.pi * kx / (Px + 1)) - 2.0) / (hx * hx)
+    lam_y = (2.0 * np.cos(np.pi * ky / (Py + 1)) - 2.0) / (hy * hy)
+    lam = lam_x[:, None] + lam_y[None, :]
+    lam.flags.writeable = False
+    return lam
 
 
 def _solve_dirichlet_2d(rhs: np.ndarray, ghosts, grid: Grid) -> np.ndarray:
@@ -97,27 +149,31 @@ def _solve_dirichlet_2d(rhs: np.ndarray, ghosts, grid: Grid) -> np.ndarray:
     b[-1, :] -= right / (hx * hx)
     b[:, 0] -= bottom / (hy * hy)
     b[:, -1] -= top / (hy * hy)
-    Px, Py = rhs.shape
-    kx = np.arange(1, Px + 1)
-    ky = np.arange(1, Py + 1)
-    lam_x = (2.0 * np.cos(np.pi * kx / (Px + 1)) - 2.0) / (hx * hx)
-    lam_y = (2.0 * np.cos(np.pi * ky / (Py + 1)) - 2.0) / (hy * hy)
-    bhat = scipy.fft.dstn(b, type=1)
-    uhat = bhat / (lam_x[:, None] + lam_y[None, :])
-    return scipy.fft.idstn(uhat, type=1)
+    bhat = scipy.fft.dstn(b, type=1, overwrite_x=True)
+    bhat /= _dirichlet_eigenvalues(grid)
+    return scipy.fft.idstn(bhat, type=1, overwrite_x=True)
 
 
-def _div_central(mfull: np.ndarray, grid: Grid) -> np.ndarray:
-    """Central divergence on the padded grid; m is compactly supported."""
-    out = np.zeros(mfull.shape[:-1])
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        comp = np.moveaxis(mfull[..., a], a, 0)
-        d = np.zeros_like(comp)
-        d[1:-1] = (comp[2:] - comp[:-2]) / (2.0 * h)
-        d[0] = comp[1] / (2.0 * h)
-        d[-1] = -comp[-2] / (2.0 * h)
-        out += np.moveaxis(d, 0, a)
+def _div_central(m: np.ndarray, grid: Grid) -> np.ndarray:
+    """Central divergence of chi_Omega m on the padded grid (2D).
+
+    It vanishes outside Omega and its one-cell halo, so only that block
+    is computed, from m framed by two zero cells: the padded grid holds
+    zeros there, and at its edge the difference reads a zero beyond it.
+    """
+    hx, hy = grid.spacing
+    mp = np.pad(m, ((2, 2), (2, 2), (0, 0)))
+    div = (mp[2:, 1:-1, 0] - mp[:-2, 1:-1, 0]) / (2.0 * hx) + (
+        mp[1:-1, 2:, 1] - mp[1:-1, :-2, 1]
+    ) / (2.0 * hy)
+    out = np.zeros(grid.padded_cells)
+    # the halo block, clipped where Omega touches the edge of the padded grid
+    dst, src = [], []
+    for s, P in zip(_omega_slices(grid), grid.padded_cells):
+        lo, hi = max(s.start - 1, 0), min(s.stop + 1, P)
+        dst.append(slice(lo, hi))
+        src.append(slice(lo - s.start + 1, hi - s.start + 1))
+    out[tuple(dst)] = div[tuple(src)]
     return out
 
 
@@ -132,6 +188,8 @@ def solve_demag(
         return DemagSolution(
             u=np.zeros(()), h_dem=np.zeros((NCOMP,)), energy=0.0, residual=0.0
         )
+    if boundary not in _BOUNDARIES:
+        raise ConfigError(f"unknown demag boundary mode {boundary!r}")
     if grid.dim == 1:
         return _solve_1d(m, grid, mu0)
     return _solve_2d(m, grid, mu0, boundary)
@@ -155,56 +213,45 @@ def _solve_1d(m: np.ndarray, grid: Grid, mu0: float) -> DemagSolution:
 
 
 def h_dem_from_u(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """-grad u restricted to Omega (central differences on the padded grid)."""
+    """-grad u restricted to Omega (central differences on the padded grid).
+
+    Cells on the edge of the padded grid have one neighbour only and get
+    a zero gradient along that axis.
+    """
     h_dem = np.zeros(grid.spatial_shape + (NCOMP,))
     if grid.dim == 0 or not np.any(u):
         return h_dem
     slices = _omega_slices(grid)
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        ua = np.moveaxis(u, a, 0)
-        g = np.zeros_like(ua)
-        g[1:-1] = (ua[2:] - ua[:-2]) / (2.0 * h)
-        h_dem[..., a] = -np.moveaxis(g, 0, a)[slices]
+    for a, (s, P, h) in enumerate(zip(slices, grid.padded_cells, grid.spacing)):
+        lo, hi = max(s.start, 1), min(s.stop, P - 1)
+        plus, minus, out = list(slices), list(slices), [slice(None)] * grid.dim
+        plus[a], minus[a] = slice(lo + 1, hi + 1), slice(lo - 1, hi - 1)
+        out[a] = slice(lo - s.start, hi - s.start)
+        h_dem[(*out, a)] = -((u[tuple(plus)] - u[tuple(minus)]) / (2.0 * h))
     return h_dem
 
 
 def _solve_2d(m: np.ndarray, grid: Grid, mu0: float, boundary: str) -> DemagSolution:
     hx, hy = grid.spacing
-    mfull = _embed(m, grid)
-    rhs = _div_central(mfull, grid)
+    rhs = _div_central(m, grid)
     if boundary == "farfield":
         ghosts = _farfield_ring(m, grid)
-    elif boundary == "zero":
+    else:
         Px, Py = grid.padded_cells
         ghosts = (np.zeros(Py), np.zeros(Py), np.zeros(Px), np.zeros(Px))
-    else:
-        raise ConfigError(f"unknown demag boundary mode {boundary!r}")
     u = _solve_dirichlet_2d(rhs, ghosts, grid)
 
     left, right, bottom, top = ghosts
     up = np.pad(u, 1)
     up[0, 1:-1], up[-1, 1:-1] = left, right
     up[1:-1, 0], up[1:-1, -1] = bottom, top
-    lap = (
-        (up[2:, 1:-1] - 2.0 * u + up[:-2, 1:-1]) / (hx * hx)
-        + (up[1:-1, 2:] - 2.0 * u + up[1:-1, :-2]) / (hy * hy)
-    )
-    residual = float(np.max(np.abs(lap - rhs)))
-
-    gx = np.zeros_like(u)
-    gx[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * hx)
-    gy = np.zeros_like(u)
-    gy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * hy)
-    sx, sy = _omega_slices(grid)
-    h_dem = np.zeros_like(m)
-    h_dem[..., 0] = -gx[sx, sy]
-    h_dem[..., 1] = -gy[sx, sy]
-
     fx = (up[1:, 1:-1] - up[:-1, 1:-1]) / hx  # face gradients incl. wall faces
     fy = (up[1:-1, 1:] - up[1:-1, :-1]) / hy
-    energy = 0.5 * mu0 * (float(np.sum(fx**2)) + float(np.sum(fy**2))) * grid.cell_volume
-    return DemagSolution(u=u, h_dem=h_dem, energy=energy, residual=residual)
+    # the 5-point Laplacian is the divergence of the face gradients
+    lap = (fx[1:] - fx[:-1]) / hx + (fy[:, 1:] - fy[:, :-1]) / hy
+    residual = float(np.max(np.abs(lap - rhs)))
+    energy = 0.5 * mu0 * (float(np.vdot(fx, fx)) + float(np.vdot(fy, fy))) * grid.cell_volume
+    return DemagSolution(u=u, h_dem=h_dem_from_u(u, grid), energy=energy, residual=residual)
 
 
 def demag_energy_pairing(sol: DemagSolution, m: np.ndarray, grid: Grid, mu0: float = 1.0) -> float:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
+from paleomag import demag
 from paleomag.demag import (
     _farfield_ring,
     _omega_slices,
@@ -48,6 +51,11 @@ class TestDim1:
         m[..., 0] = rng.normal(size=16)
         sol = solve_demag(m, g)
         np.testing.assert_allclose(sol.h_dem, h_dem_from_u(sol.u, g), atol=0.0)
+
+    def test_unknown_boundary(self):
+        g = make_grid(1, (1.0,), (8,))
+        with pytest.raises(ConfigError):
+            solve_demag(np.zeros((8, 2)), g, boundary="periodic")
 
 
 class TestDim2:
@@ -127,6 +135,10 @@ RING_GEOMETRIES = {
     # non-square cells; (pad - 1) * n odd, so the Omega offset is floored
     "odd-offset": ((1.0, 1.0), (7, 13), 4),
     "flat-cells-odd-offset": ((1.0, 0.2), (41, 16), 2),
+    # Omega touches the edge of the padded grid (offset 0) along one or both axes
+    "line-x-pad2": ((1.0, 1.0), (1, 8), 2),
+    "line-y-pad2": ((1.0, 1.0), (8, 1), 2),
+    "cell-pad2": ((1.0, 1.0), (1, 1), 2),
 }
 
 
@@ -153,3 +165,90 @@ class TestFarfieldRing:
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert float(np.max(np.abs(a - b))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["random", "uniform", "vortex"])
+    @pytest.mark.parametrize("geometry", RING_GEOMETRIES.values(), ids=RING_GEOMETRIES.keys())
+    def test_h_dem_is_minus_grad_u(self, geometry, kind):
+        # h_dem is formed on Omega only; it is -grad u on the padded grid bit for bit
+        g = make_grid(2, *geometry)
+        sol = solve_demag(ring_magnetization(kind, g), g)
+        want = padded_minus_grad(sol.u, g)
+        np.testing.assert_allclose(h_dem_from_u(sol.u, g), want, rtol=0.0, atol=0.0)
+        np.testing.assert_allclose(sol.h_dem, want, rtol=0.0, atol=0.0)
+
+
+def padded_minus_grad(u, grid):
+    """Reference: -grad u by central differences over the whole padded grid, on Omega.
+
+    Cells on the edge of the padded grid get a zero gradient along that axis.
+    """
+    out = []
+    for a, h in enumerate(grid.spacing):
+        ua = np.moveaxis(u, a, 0)
+        g = np.zeros_like(ua)
+        g[1:-1] = (ua[2:] - ua[:-2]) / (2.0 * h)
+        out.append(-np.moveaxis(g, 0, a)[_omega_slices(grid)])
+    return np.stack(out, axis=-1)
+
+
+def direct_solve(m, grid):
+    """Oracle: sparse direct solve of the 5-point problem with direct_ring ghosts."""
+    hx, hy = grid.spacing
+    Px, Py = grid.padded_cells
+    sx, sy = _omega_slices(grid)
+    # div(chi m) by central differences, zero outside Omega
+    full = np.zeros((Px + 2, Py + 2, 2))
+    full[sx.start + 1 : sx.stop + 1, sy.start + 1 : sy.stop + 1] = m
+    b = (full[2:, 1:-1, 0] - full[:-2, 1:-1, 0]) / (2.0 * hx) + (
+        full[1:-1, 2:, 1] - full[1:-1, :-2, 1]
+    ) / (2.0 * hy)
+    left, right, bottom, top = direct_ring(m, grid)
+    b[0, :] -= left / hx**2
+    b[-1, :] -= right / hx**2
+    b[:, 0] -= bottom / hy**2
+    b[:, -1] -= top / hy**2
+
+    def second_difference(P, h):
+        return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(P, P)) / h**2
+
+    A = sp.kron(second_difference(Px, hx), sp.identity(Py)) + sp.kron(
+        sp.identity(Px), second_difference(Py, hy)
+    )
+    return scipy.sparse.linalg.spsolve(A.tocsc(), b.ravel()).reshape(Px, Py)
+
+
+class TestSolveOracle:
+    @pytest.mark.parametrize(
+        "geometry", [((1.0, 1.0), (8, 8), 4), ((1.0, 1.0), (7, 13), 4)], ids=["8x8-pad4", "7x13-pad4"]
+    )
+    def test_matches_sparse_direct_solve(self, geometry):
+        g = make_grid(2, *geometry)
+        m = ring_magnetization("random", g)
+        sol = solve_demag(m, g)
+        want = direct_solve(m, g)
+        assert float(np.max(np.abs(sol.u - want))) <= 1e-12 * float(np.max(np.abs(want)))
+        assert sol.residual < 1e-9
+
+
+def _clear_demag_caches():
+    for f in vars(demag).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+class TestGeometryCache:
+    @pytest.mark.parametrize(
+        "other", [((1.0, 0.5), (8, 8), 4), ((1.0, 1.0), (8, 8), 2)], ids=["extents", "pad_factor"]
+    )
+    def test_solve_independent_of_order(self, other):
+        grids = {"A": make_grid(2, (1.0, 1.0), (8, 8), 4), "B": make_grid(2, *other)}
+        m = ring_magnetization("random", grids["A"])
+
+        def solve_in_order(order):
+            _clear_demag_caches()
+            return [solve_demag(m, grids[name]).u for name in order]
+
+        a1, b1, a2 = solve_in_order("ABA")
+        b0, a0 = solve_in_order("BA")
+        for got, want in ((a1, a0), (a2, a0), (b1, b0)):
+            np.testing.assert_array_equal(got, want)
