@@ -1,14 +1,16 @@
 """Per-step energy-balance and entropy audits.
 
-The audit is pure: it reconstructs every discrete rate from the two
-snapshots bracketing a step (plus the load sample) using the *same*
-formulas as the stepper, so for a converged step the balances telescope
-exactly and the residuals measure only the scheme's intrinsic
-discretization defects:
+The audit is pure: it reads the discrete rates of a step from the record
+``stepper.step_terms`` builds from the two states bracketing it (plus the
+load sample).  A run builds that record once per step, for the residual
+check and the audit; ``paleomag audit`` rebuilds it from the snapshots.
+So for a converged step the balances telescope exactly and the residuals
+measure only the scheme's intrinsic discretization defects:
 
 * ``r_mech``: mechanical/magnetic energy identity.  Each convexity defect
   of the implicit scheme enters with a definite sign, so r_mech <= 0 up
-  to roundoff -- the discrete system never creates mechanical energy.
+  to roundoff on the shipped 0D scenarios.  In 2D, strong exchange
+  (r_mech_rel up to +1.2e-7) and gravity (+1.0e-9) break that sign.
 * ``r_tot``: total (first-law) balance.  The signed defects cancel
   against the heat they generate, leaving an O(|dm|^2) remainder per step.
 * ``entropy_margin``: discrete Clausius-Duhem surplus, >= 0 up to roundoff.
@@ -32,16 +34,7 @@ from . import kinematics as kin
 from .errors import AuditError
 from .grid import NCOMP, FieldState, Grid, LoadsSample
 from .demag import h_dem_from_u
-from .stepper import (
-    _adiabatic_coupling,
-    _drive_field,
-    _heat_residual_field,
-    _objective_rates,
-    _stress,
-    _velocity_gradient,
-    _xi_field,
-    boundary_source,
-)
+from .stepper import StepTerms, _drive_field, _stress, _xi_field, step_terms
 
 
 @dataclass
@@ -51,7 +44,8 @@ class EnergyLedger:
     kinetic: int rho |v|^2 / 2
     stored:  int phi(Ee, m) + omega_eps(m, 0) + (kappa mu0 / 2)|grad m|^2
              (elastic + magnetic internal energy, temperature part removed)
-    demag:   (mu0/2) int_pad |grad u|^2
+    demag:   (mu0/2) int_pad |grad u|^2 without the faces to the far-field
+             ghost ring, which DemagSolution.energy counts
     zeeman:  + mu0 int h_ext . m      (classical orientation; see module doc)
     heat:    int w                     (thermal internal energy)
     entropy: int eta(m, theta)
@@ -101,7 +95,7 @@ class BalanceReport:
 
 
 def demag_energy_from_u(u: np.ndarray, grid: Grid, mu0: float) -> float:
-    """(mu0/2) sum of squared face gradients of u over the padded grid."""
+    """(mu0/2) sum of squared face gradients of u, without the faces to the far-field ghost ring."""
     if grid.dim == 0 or not np.any(u):
         return 0.0
     total = 0.0
@@ -119,13 +113,16 @@ def exchange_energy(m: np.ndarray, grid: Grid, params: con.MaterialParams) -> fl
     return 0.5 * params.kappa * params.mu0 * grid.integrate(np.sum(gm * gm, axis=(-2, -1)))
 
 
-def dissipation_xi(theta_lag, Ev, R, r, grid: Grid, params: con.MaterialParams) -> np.ndarray:
-    """Nonnegative dissipation density xi; raises AuditError if negative."""
-    M_lag = np.asarray(con.maxwell_viscosity(theta_lag, params))
-    xi = _xi_field(Ev, R, r, theta_lag, M_lag, grid, params)
+def _nonnegative(xi: np.ndarray) -> np.ndarray:
     if float(np.min(xi)) < -1e-12:
         raise AuditError(f"dissipation density negative: min xi = {float(np.min(xi)):.3e}")
     return xi
+
+
+def dissipation_xi(theta_lag, Ev, R, r, grid: Grid, params: con.MaterialParams) -> np.ndarray:
+    """Nonnegative dissipation density xi; raises AuditError if negative."""
+    M_lag = np.asarray(con.maxwell_viscosity(theta_lag, params))
+    return _nonnegative(_xi_field(Ev, R, r, theta_lag, M_lag, grid, params))
 
 
 def energy_ledger(
@@ -161,42 +158,34 @@ def audit_step(
     params: con.MaterialParams,
     eps: float = 0.0,
     ledger_prev: Optional[EnergyLedger] = None,
+    terms: Optional[StepTerms] = None,
 ) -> BalanceReport:
     """Audit the discrete balances of the step state_prev -> state_new.
 
     ``ledger_prev``, when given, must be the ledger of state_prev under
     loads_k.h_ext_prev -- ``energy_ledger(state_prev, grid, params,
     loads_k.h_ext_prev, eps)``, bit for bit, such as the previous step's
-    ``ledger_new`` when its h_ext_k equals this step's h_ext_prev.  It is
-    computed here when None.
+    ``ledger_new`` when its h_ext_k equals this step's h_ext_prev.
+    ``terms``, when given, must be ``step_terms(state_new, state_prev,
+    loads_k, grid, params, dt, eps)``, such as the step's StepReport.terms.
+    Each is computed here when None.
     """
-    thermal = con.thermal_law_for(params)
     tau = float(dt)
-    theta_prev = thermal.theta_of_w(state_prev.w)
-    theta_new = thermal.theta_of_w(state_new.w)
-    v = state_new.v
+    if terms is None:
+        terms = step_terms(state_new, state_prev, loads_k, grid, params, tau, eps)
+    theta_new = terms.theta_new
     m_new = state_new.m
 
-    L, driven = _velocity_gradient(v, state_new.Ee, loads_k, grid, params)
-    Ev = kin.sym(L)
-
-    # discrete rates reconstructed exactly as the stepper defines them
-    R, r, r_conv = _objective_rates(state_new, state_prev, L, grid, tau)
-
-    # dissipation and adiabatic coupling (same formulas as the heat update)
-    xi = dissipation_xi(theta_prev, Ev, R, r, grid, params)
-    xi_total = grid.integrate(xi)
-    adiab = _adiabatic_coupling(theta_new, m_new, r_conv, kin.tensor_trace(L), params, eps)
-    adiab_total = grid.integrate(adiab)
+    xi_total = grid.integrate(_nonnegative(terms.xi))
+    adiab_total = grid.integrate(terms.adiab)
     # thermomagnetic transfer in the mechanical identity
-    transfer = np.sum(con.omega_eps_m(m_new, theta_new, params, eps) * r, axis=-1)
+    transfer = np.sum(con.omega_eps_m(m_new, theta_new, params, eps) * terms.r, axis=-1)
     transfer_total = grid.integrate(transfer)
 
     # external powers
     v_mid = 0.5 * (state_new.v + state_prev.v)
-    b_lag = con.buoyancy_b(theta_prev, params)
     p_grav = params.rho * grid.integrate(
-        np.sum(loads_k.g * v_mid, axis=-1) * (1.0 - np.asarray(b_lag))
+        np.sum(loads_k.g * v_mid, axis=-1) * (1.0 - np.asarray(terms.b_lag))
     )
     p_ext_mag = -params.mu0 * grid.integrate(
         np.sum(loads_k.dh_ext_dt_k * state_prev.m, axis=-1)
@@ -205,22 +194,18 @@ def audit_step(
     boundary_heat = loads_k.j_ext_k * grid.boundary_area
 
     p_drive = 0.0
-    if driven:
+    if terms.driven:
         h_dem = h_dem_from_u(state_new.u, grid)
         h_eff = _drive_field(m_new, theta_new, loads_k, grid, params, eps) + h_dem
-        S = _stress(state_new.Ee, m_new, Ev, h_eff, grid, params)
-        p_drive = grid.integrate(kin.ddot(S, L))
+        S = _stress(state_new.Ee, m_new, terms.Ev, h_eff, grid, params)
+        p_drive = grid.integrate(kin.ddot(S, terms.L))
 
     # theta-control: implied per-cell control flux (the heat-equation residual)
     q_ctrl_total = 0.0
     ctrl_entropy = 0.0
-    j_src = boundary_source(loads_k.j_ext_k, grid)
     if loads_k.theta_k is not None:
-        q_ctrl = _heat_residual_field(
-            state_new.w, state_prev.w, v, theta_new, xi, adiab, j_src, grid, params, tau, eps
-        )
-        q_ctrl_total = grid.integrate(q_ctrl)
-        ctrl_entropy = grid.integrate(q_ctrl / np.asarray(theta_new))
+        q_ctrl_total = grid.integrate(terms.heat_res)
+        ctrl_entropy = grid.integrate(terms.heat_res / np.asarray(theta_new))
 
     # ledgers and residuals
     if ledger_prev is None:
@@ -250,7 +235,7 @@ def audit_step(
     )
 
     # Clausius-Duhem surplus with implicit flux temperatures
-    entropy_flux = grid.integrate(j_src / np.asarray(theta_new)) + ctrl_entropy
+    entropy_flux = grid.integrate(terms.j_src / np.asarray(theta_new)) + ctrl_entropy
     entropy_margin = (ledger_new.entropy - ledger_prev.entropy) - tau * entropy_flux
 
     scale = max(

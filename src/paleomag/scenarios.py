@@ -42,7 +42,7 @@ from .errors import CflViolation, ConfigError, ScenarioError
 from .grid import NCOMP, FieldState, Grid, Loads, make_grid, sample_loads
 from .snapshots import pair_record, write_snapshot
 from .stepper import (
-    _CFL_MAX, _MAX_SWEEPS, _TOL_ABS, _TOL_REL, StepOptions, _potential_residual,
+    _CFL_MAX, _MAX_SWEEPS, _TOL_ABS, _TOL_REL, StepOptions, StepReport, _potential_residual,
     _within_tolerance, step,
 )
 
@@ -423,17 +423,15 @@ def run_scenario(
         opts = config.step_options(dt)
         try:
             new_state, report = step(state, loads_s, grid, params, opts)
-        except CflViolation:
-            report = None
-            new_state = state
-        if report is None or not report.accepted:
+        except CflViolation as exc:
+            new_state, report = state, StepReport(dt=dt, message=f"CFL violation: {exc}")
+        if not report.accepted:
             traj.n_rejections += 1
             dt *= 0.5
             if dt < config.dt_min:
-                msg = report.message if report is not None else "CFL violation"
                 raise ScenarioError(
                     f"{config.name}: step at t={state.t:.6g} rejected below "
-                    f"dt_min={config.dt_min:g} ({msg})"
+                    f"dt_min={config.dt_min:g} ({report.message})"
                 )
             continue
 
@@ -441,7 +439,8 @@ def run_scenario(
         ledger_prev = None
         if carried is not None and np.array_equal(carried[0], loads_s.h_ext_prev):
             ledger_prev = carried[1]
-        rep = audit_step(state, new_state, loads_s, dt, grid, params, config.eps, ledger_prev)
+        rep = audit_step(state, new_state, loads_s, dt, grid, params, config.eps, ledger_prev,
+                         terms=report.terms)
         carried = (loads_s.h_ext_k, rep.ledger_new)
         traj.reports.append(rep)
         row = _series_row(new_state, report, loads_s, grid, params, dt)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import constitutive as con
 from . import kinematics as kin
-from .demag import h_dem_from_u, solve_demag
+from .demag import _BOUNDARIES, h_dem_from_u, solve_demag
 from .errors import CflViolation, NumericalError, ThermodynamicError
 from .grid import EYE, NCOMP, FieldState, Grid, LoadsSample
 
@@ -63,9 +63,10 @@ class StepOptions:
             raise NumericalError(f"dt must be positive, got {self.dt}")
         if not 0.0 <= self.eps < 1.0:
             raise NumericalError(f"eps must be in [0, 1), got {self.eps}")
-        if self.demag_boundary not in ("farfield", "zero"):
+        if self.demag_boundary not in _BOUNDARIES:
             raise NumericalError(
-                f"demag_boundary must be 'farfield' or 'zero', got {self.demag_boundary!r}"
+                f"demag_boundary must be {' or '.join(map(repr, _BOUNDARIES))}, "
+                f"got {self.demag_boundary!r}"
             )
 
 
@@ -80,6 +81,7 @@ class StepReport:
     accepted: bool = False
     dt: float = 0.0
     message: str = ""
+    terms: StepTerms | None = None  # of the iterate the residual gate checked
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +229,6 @@ def _drive_field(m, theta, loads_k: LoadsSample, grid: Grid, params, eps) -> np.
     return h_drv
 
 
-def _objective_rates(state_new: FieldState, state_prev: FieldState, L, grid: Grid, tau) -> tuple:
-    """ZJ rates R of Ep and r of m over the step, and the convective rate of m."""
-    v, m = state_new.v, state_new.m
-    R = (state_new.Ep - state_prev.Ep) / tau + kin.bzj_tensor(v, L, state_new.Ep, grid)
-    r = (m - state_prev.m) / tau + kin.bzj_vector(v, L, m, grid)
-    r_conv = r + kin.matvec(kin.skw(L), m)
-    return R, r, r_conv
-
-
 def _adiabatic_coupling(theta, m, r_conv, divv, params, eps):
     """theta [omega_eps_hat]'(m) . r_conv + (theta omega_eps_hat(m) + phi(theta)) div v."""
     phi = con.thermal_law_for(params).phi(theta)
@@ -243,15 +236,6 @@ def _adiabatic_coupling(theta, m, r_conv, divv, params, eps):
         theta * np.sum(con.omega_eps_hat_prime(m, params, eps) * r_conv, axis=-1)
         + (theta * con.omega_eps_hat(m, params, eps) + phi) * divv
     )
-
-
-def _heat_residual_field(
-    w_new, w_prev, v, theta_new, xi, adiab, j_src, grid: Grid, params, tau, eps
-):
-    """Residual of the enthalpy equation; under theta control, the control flux."""
-    adv_w = kin.advect_scalar(w_new, v, grid) if grid.dim >= 1 else 0.0
-    cond = params.K_cond * kin.laplacian(np.asarray(theta_new), grid) if grid.dim >= 1 else 0.0
-    return (w_new - w_prev) / tau + adv_w - cond - (1.0 - eps) * xi - adiab - j_src
 
 
 def _stress(Ee, m, Ev, h_eff, grid: Grid, params) -> np.ndarray:
@@ -461,7 +445,8 @@ def step(
         w=w,
         t=state_prev.t + tau,
     )
-    report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts)
+    report.terms = step_terms(state_new, state_prev, loads_k, grid, params, tau, eps)
+    report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts, report.terms)
     report.accepted = all(
         _within_tolerance(res, scale) for res, scale in report.residuals.values()
     )
@@ -650,33 +635,69 @@ def _within_tolerance(res: float, scale: float) -> bool:
     return res <= _TOL_ABS + 100.0 * _TOL_REL * scale
 
 
+@dataclass(frozen=True)
+class StepTerms:
+    """The discrete terms of a step that the residual check and the audit read."""
+
+    theta_prev: np.ndarray        # theta of state_prev
+    theta_new: np.ndarray         # theta of state_new
+    M_lag: np.ndarray             # Maxwell viscosity M(theta_prev)
+    b_lag: np.ndarray             # buoyancy factor b(theta_prev)
+    L: np.ndarray                 # velocity gradient
+    driven: bool                  # L prescribed (grad_v) or stress-controlled
+    Ev: np.ndarray                # E(v) = sym L
+    R: np.ndarray                 # ZJ rate of Ep
+    r: np.ndarray                 # ZJ rate of m
+    r_conv: np.ndarray            # convective rate of m
+    xi: np.ndarray                # dissipation heat source
+    adiab: np.ndarray             # adiabatic coupling
+    j_src: np.ndarray             # boundary heat source
+    heat_res: np.ndarray          # enthalpy residual; under theta control, the control flux
+
+
+def step_terms(
+    state_new: FieldState, state_prev: FieldState, loads_k: LoadsSample, grid: Grid,
+    params: con.MaterialParams, tau: float, eps: float,
+) -> StepTerms:
+    """The terms of the step state_prev -> state_new, as the stepper defines them."""
+    thermal = con.thermal_law_for(params)
+    theta_prev = thermal.theta_of_w(state_prev.w)
+    theta_new = thermal.theta_of_w(state_new.w)
+    M_lag = np.asarray(con.maxwell_viscosity(theta_prev, params))
+    v, m, w = state_new.v, state_new.m, state_new.w
+    L, driven = _velocity_gradient(v, state_new.Ee, loads_k, grid, params)
+    Ev = kin.sym(L)
+    R = (state_new.Ep - state_prev.Ep) / tau + kin.bzj_tensor(v, L, state_new.Ep, grid)
+    r = (m - state_prev.m) / tau + kin.bzj_vector(v, L, m, grid)
+    r_conv = r + kin.matvec(kin.skw(L), m)
+    xi = _xi_field(Ev, R, r, theta_prev, M_lag, grid, params)
+    adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params, eps)
+    j_src = boundary_source(loads_k.j_ext_k, grid)
+    adv_w = kin.advect_scalar(w, v, grid) if grid.dim >= 1 else 0.0
+    cond = params.K_cond * kin.laplacian(np.asarray(theta_new), grid) if grid.dim >= 1 else 0.0
+    heat_res = (w - state_prev.w) / tau + adv_w - cond - (1.0 - eps) * xi - adiab - j_src
+    return StepTerms(
+        theta_prev, theta_new, M_lag, con.buoyancy_b(theta_prev, params), L, driven, Ev,
+        R, r, r_conv, xi, adiab, j_src, heat_res,
+    )
+
+
 def residuals(
-    state_trial: FieldState,
-    state_prev: FieldState,
-    loads_k: LoadsSample,
-    grid: Grid,
-    params: con.MaterialParams,
-    opts: StepOptions,
+    state_trial: FieldState, state_prev: FieldState, loads_k: LoadsSample, grid: Grid,
+    params: con.MaterialParams, opts: StepOptions, terms: StepTerms,
 ) -> dict:
     """Max-norm residuals of the six discrete equations, with scales.
 
+    ``terms`` is step_terms of the same step at opts.dt and opts.eps.
     Returns {name: (residual, scale)}; each residual vanishes iff the
     corresponding discrete equation holds exactly on the grid.
     """
-    thermal = con.thermal_law_for(params)
     tau = opts.dt
-    eps = opts.eps
-    theta_prev = thermal.theta_of_w(state_prev.w)
-    theta_new = thermal.theta_of_w(state_trial.w)
-    M_lag = np.asarray(con.maxwell_viscosity(theta_prev, params))
     v, Ee, m = state_trial.v, state_trial.Ee, state_trial.m
-
-    L, driven = _velocity_gradient(v, Ee, loads_k, grid, params)
-    Ev = kin.sym(L)
-    R, r, r_conv = _objective_rates(state_trial, state_prev, L, grid, tau)
+    theta_prev, M_lag, R, r = terms.theta_prev, terms.M_lag, terms.R, terms.r
 
     # (b) strain split
-    res_b = (Ee - state_prev.Ee) / tau + kin.bzj_tensor(v, L, Ee, grid) + R - Ev
+    res_b = (Ee - state_prev.Ee) / tau + kin.bzj_tensor(v, terms.L, Ee, grid) + R - terms.Ev
     scale_b = max(1.0, _max_abs(Ee)) / tau
 
     # (c) inelastic flow rule M(theta^{k-1}) R = dev S_E + varkappa lap R
@@ -687,7 +708,7 @@ def residuals(
 
     # (d) magnetization inclusion
     h_dem = h_dem_from_u(state_trial.u, grid)
-    h_eff = _drive_field(m, theta_new, loads_k, grid, params, eps) + h_dem
+    h_eff = _drive_field(m, terms.theta_new, loads_k, grid, params, opts.eps) + h_dem
     rmag = np.hypot(r[..., 0], r[..., 1])
     H = np.hypot(h_eff[..., 0], h_eff[..., 1])
     # rates at the roundoff floor of the m update count as sticking
@@ -705,24 +726,17 @@ def residuals(
 
     # (f) enthalpy
     if loads_k.theta_k is not None:
-        res_f = _max_abs(state_trial.w - thermal.w_of_theta(loads_k.theta_k))
+        res_f = _max_abs(state_trial.w - con.thermal_law_for(params).w_of_theta(loads_k.theta_k))
         scale_f = max(1.0, _max_abs(state_trial.w))
     else:
-        xi = _xi_field(Ev, R, r, theta_prev, M_lag, grid, params)
-        adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params, eps)
-        res_f_field = _heat_residual_field(
-            state_trial.w, state_prev.w, v, theta_new, xi, adiab,
-            boundary_source(loads_k.j_ext_k, grid), grid, params, tau, eps,
-        )
-        res_f = _max_abs(res_f_field)
+        res_f = _max_abs(terms.heat_res)
         scale_f = max(1.0, _max_abs(state_trial.w)) / tau
 
     # (a) momentum
     res_a, scale_a = 0.0, 1.0  # kinematics prescribed; momentum not solved
-    if not driven:
+    if not terms.driven:
         res_a_field = _momentum_residual_field(
-            v, state_prev.v, Ee, m, h_eff, h_dem, con.buoyancy_b(theta_prev, params),
-            loads_k, grid, params, tau,
+            v, state_prev.v, Ee, m, h_eff, h_dem, terms.b_lag, loads_k, grid, params, tau
         )
         res_a = _max_abs(res_a_field)
         scale_a = params.rho * max(1.0, _max_abs(v)) / tau
@@ -740,7 +754,9 @@ def residuals(
 __all__ = [
     "StepOptions",
     "StepReport",
+    "StepTerms",
     "step",
+    "step_terms",
     "residuals",
     "stress_structural",
     "boundary_source",

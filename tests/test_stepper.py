@@ -7,17 +7,22 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from paleomag import constitutive as con
+from paleomag import energetics, scenarios
 from paleomag import kinematics as kin
 from paleomag.cli import ENTROPY_TOL, main
 from paleomag.demag import solve_demag
-from paleomag.errors import CflViolation, ConfigError, NumericalError, ThermodynamicError
+from paleomag.errors import (
+    CflViolation, ConfigError, NumericalError, ScenarioError, ThermodynamicError,
+)
 from paleomag.grid import FieldState, Loads, make_grid, sample_loads
 from paleomag.scenarios import ScenarioConfig, builtin_config, run_scenario
 from paleomag.stepper import (
     StepOptions,
     _corot_solve,
     boundary_source,
+    residuals,
     step,
+    step_terms,
 )
 
 from conftest import material
@@ -48,6 +53,10 @@ class TestStepOptions:
     def test_invalid(self, bad):
         with pytest.raises(NumericalError):
             StepOptions(**bad).validate()
+
+    def test_unknown_demag_boundary_names_the_choices(self):
+        with pytest.raises(NumericalError, match="must be 'farfield' or 'zero', got 'bogus'"):
+            StepOptions(dt=0.1, demag_boundary="bogus").validate()
 
 
 class TestBoundarySource:
@@ -263,6 +272,16 @@ class TestSpatial:
         with pytest.raises(CflViolation):
             step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
 
+    def test_cfl_rejection_below_dt_min_names_the_axis(self):
+        # |v| dt / h = 5 * 0.05 * 16 = 4 at dt_min: the run ends, and says why
+        cfg = ScenarioConfig(
+            name="cfl", dim=1, extents=(1.0,), cells=(16,), material=material(),
+            duration=0.1, dt=0.1, dt_min=0.05, output_every=0, v0=(5.0, 0.0),
+            grad_v_schedule={"kind": "zero"}, theta_schedule={"kind": "const", "value": 0.5},
+        )
+        with pytest.raises(ScenarioError, match=r"CFL violation: axis 0: .* exceeds 0\.9"):
+            run_scenario(cfg)
+
     def test_2d_free_step_accepted(self):
         grid = make_grid(2, (1.0, 1.0), (8, 8))
         p = material()
@@ -319,6 +338,57 @@ class TestSpatialAudit:
         # momentum and heat are solved in every sweep
         assert rep.krylov_applications >= 2 * rep.iterations > 0
         assert rep.m_passes >= rep.iterations
+
+
+def _terms_case(name):
+    """A short run whose steps exercise the record: theta control, drive, space."""
+    if name == "spatial":
+        return _spatial_config()
+    if name == "trm":
+        cfg = builtin_config("trm")
+        cfg.experiment, cfg.output_every, cfg.duration = None, 0, 20 * cfg.dt
+        return cfg, None
+    cfg = ScenarioConfig(
+        name="free", material=material(M_solid=1.0, M_magma=1.0), duration=0.2, dt=0.01,
+        output_every=0, theta0=0.5, m0=(0.3, 0.1),
+        stress_dev_schedule={"kind": "const", "value": [[0.05, 0.02], [0.02, -0.05]]},
+        j_ext_schedule={"kind": "const", "value": 0.1},
+        h_ext_schedule={"kind": "sine", "amplitude": 0.3, "period": 0.3},
+    )
+    cfg.validate()
+    return cfg, None
+
+
+class TestStepTerms:
+    @pytest.mark.parametrize("name", ["trm", "free_enthalpy_driven", "spatial"])
+    def test_carried_record_is_the_rebuilt_one(self, name, monkeypatch):
+        # run_scenario hands each audit the record its step built; the audit
+        # and the residual check must read the same from a rebuilt record
+        cfg, state = _terms_case(name)
+        steps, audits = [], []
+
+        def spy_step(*args):
+            new, rep = step(*args)
+            steps.append((args, new, rep))
+            return new, rep
+
+        def spy_audit(*args, **kwargs):
+            audits.append((args, kwargs))
+            return energetics.audit_step(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "step", spy_step)
+        monkeypatch.setattr(scenarios, "audit_step", spy_audit)
+        traj = run_scenario(cfg, initial_state=state)
+        accepted = [s for s in steps if s[2].accepted]
+        assert len(accepted) == len(audits) == traj.n_steps > 0
+        for ((prev, loads_k, grid, params, opts), new, rep), (args, kwargs) in zip(
+            accepted, audits
+        ):
+            assert kwargs["terms"] is rep.terms is not None
+            # args[:7] leaves out the carried ledger too: everything is rebuilt
+            assert energetics.audit_step(*args, **kwargs) == energetics.audit_step(*args[:7])
+            terms = step_terms(new, prev, loads_k, grid, params, opts.dt, opts.eps)
+            assert residuals(new, prev, loads_k, grid, params, opts, terms) == rep.residuals
 
 
 class TestInitialPotential:
