@@ -187,7 +187,7 @@ def cmd_audit(args) -> int:
             print(f"error: corrupt snapshot pair {tag}: {exc}", file=sys.stderr)
             return 2
         loads_s = pair_loads(meta)
-        rep = audit_step(prev, new, loads_s, meta["dt"], grid, params, eps=config.eps)
+        rep = audit_step(prev, new, loads_s, meta["dt"], grid, params)
         why = _step_bound_failure(rep)
         if why is not None:
             print(f"audit failure at t={rep.t:.6g}: {why}", file=sys.stderr)

@@ -8,7 +8,9 @@ Free energy (in-plane, d = 2 components):
 (the quartic carries the 1/2 so that the minimizer of phi + omega sits
 exactly at the saturation magnetization sqrt(a0 (theta_c - theta)/b0))
     omega(m, theta) = a0 (theta - theta_c) |m|^2          (affine in theta)
-    omega_eps = omega / (1 + eps |m|^2)                   (regularization)
+
+The paper's existence proof regularizes omega by 1/(1 + eps |m|^2); the
+scheme runs the unregularized model (eps = 0), so omega is used as it is.
 
 Dissipation potential for the magnetization rate (radial in |mdot|):
 
@@ -133,49 +135,41 @@ def omega(m: np.ndarray, theta, params: MaterialParams) -> np.ndarray:
     return params.a0 * (np.asarray(theta) - params.theta_c) * _m2(m)
 
 
-def omega_eps(m: np.ndarray, theta, params: MaterialParams, eps: float) -> np.ndarray:
-    """Regularized omega_eps = omega / (1 + eps |m|^2); eps=0 gives omega."""
-    return omega(m, theta, params) / (1.0 + eps * _m2(m))
+def omega_m(m: np.ndarray, theta, params: MaterialParams) -> np.ndarray:
+    """omega'_m = 2 a0 (theta - theta_c) m."""
+    return (2.0 * params.a0 * (np.asarray(theta) - params.theta_c))[..., None] * m
 
 
-def omega_eps_m(m: np.ndarray, theta, params: MaterialParams, eps: float) -> np.ndarray:
-    """[omega_eps]'_m = 2 a0 (theta - theta_c) m / (1 + eps|m|^2)^2."""
-    den = (1.0 + eps * _m2(m)) ** 2
-    return (2.0 * params.a0 * (np.asarray(theta) - params.theta_c) / den)[..., None] * m
+def omega_hat(m: np.ndarray, params: MaterialParams) -> np.ndarray:
+    """omega_hat = d omega / d theta = a0 |m|^2."""
+    return params.a0 * _m2(m)
 
 
-def omega_eps_hat(m: np.ndarray, params: MaterialParams, eps: float) -> np.ndarray:
-    return params.a0 * _m2(m) / (1.0 + eps * _m2(m))
+def omega_hat_m(m: np.ndarray, params: MaterialParams) -> np.ndarray:
+    """omega_hat'_m = 2 a0 m."""
+    return 2.0 * params.a0 * m
 
 
-def omega_eps_hat_prime(m: np.ndarray, params: MaterialParams, eps: float) -> np.ndarray:
-    den = (1.0 + eps * _m2(m)) ** 2
-    return (2.0 * params.a0 / den)[..., None] * m
-
-
-def h_anisotropy(m: np.ndarray, theta, params: MaterialParams, eps: float = 0.0) -> np.ndarray:
-    """Anisotropy contribution -(phi'_m + [omega_eps]'_m)/mu0 to h_drv.
+def h_anisotropy(m: np.ndarray, theta, params: MaterialParams) -> np.ndarray:
+    """Anisotropy contribution -(phi'_m + omega'_m)/mu0 to h_drv.
 
     The shipped free energy has no magnetostrictive cross term, so the
     elastic strain does not enter.
     """
-    return -(phi_m_prime(m, params) + omega_eps_m(m, theta, params, eps)) / params.mu0
+    return -(phi_m_prime(m, params) + omega_m(m, theta, params)) / params.mu0
 
 
-def h_anisotropy_jacobian(m: np.ndarray, theta, params: MaterialParams, eps: float = 0.0):
-    """Dh = -(phi''_mm + [omega_eps]''_mm)/mu0, the m-Jacobian of h_anisotropy.
+def h_anisotropy_jacobian(m: np.ndarray, theta, params: MaterialParams):
+    """Dh = -(phi''_mm + omega''_mm)/mu0, the m-Jacobian of h_anisotropy.
 
     With q = |m|^2 and c = 2 a0 (theta - theta_c):
-    phi''_mm = 2 b0 (q I + 2 m m^T) and
-    [omega_eps]''_mm = c/(1 + eps q)^2 I - 4 eps c/(1 + eps q)^3 m m^T.
+    phi''_mm = 2 b0 (q I + 2 m m^T) and omega''_mm = c I.
     """
     q = _m2(m)
     c = 2.0 * params.a0 * (np.asarray(theta) - params.theta_c)
-    den = 1.0 + eps * q
-    iso = 2.0 * params.b0 * q + c / den**2
-    rank1 = 4.0 * params.b0 - 4.0 * eps * c / den**3
+    iso = 2.0 * params.b0 * q + c
     outer = m[..., :, None] * m[..., None, :]
-    hess = iso[..., None, None] * EYE + rank1[..., None, None] * outer
+    hess = iso[..., None, None] * EYE + 4.0 * params.b0 * outer
     return -hess / params.mu0
 
 
@@ -391,9 +385,9 @@ def thermal_law_for(params: MaterialParams) -> ThermalLaw:
     return ThermalLaw(params.c_v)
 
 
-def entropy_density(m: np.ndarray, theta, params: MaterialParams, eps: float = 0.0):
-    """eta = phi'(theta) - omega_hat_eps(m); undefined at theta = 0."""
-    return thermal_law_for(params).phi_prime(theta) - omega_eps_hat(m, params, eps)
+def entropy_density(m: np.ndarray, theta, params: MaterialParams):
+    """eta = phi'(theta) - omega_hat(m); undefined at theta = 0."""
+    return thermal_law_for(params).phi_prime(theta) - omega_hat(m, params)
 
 
 __all__ = [
@@ -408,10 +402,9 @@ __all__ = [
     "m_sat",
     "maxwell_viscosity",
     "omega",
-    "omega_eps",
-    "omega_eps_hat",
-    "omega_eps_hat_prime",
-    "omega_eps_m",
+    "omega_hat",
+    "omega_hat_m",
+    "omega_m",
     "phi_m_prime",
     "phi_mech",
     "stress_elastic",

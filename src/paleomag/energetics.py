@@ -34,7 +34,7 @@ from . import kinematics as kin
 from .errors import AuditError
 from .grid import NCOMP, FieldState, Grid, LoadsSample
 from .demag import h_dem_from_u
-from .stepper import StepTerms, _drive_field, _stress, _xi_field, step_terms
+from .stepper import StepTerms, _drive_field, _stress, step_terms
 
 
 @dataclass
@@ -42,7 +42,7 @@ class EnergyLedger:
     """Energy bookkeeping of one state (all entries are volume integrals).
 
     kinetic: int rho |v|^2 / 2
-    stored:  int phi(Ee, m) + omega_eps(m, 0) + (kappa mu0 / 2)|grad m|^2
+    stored:  int phi(Ee, m) + omega(m, 0) + (kappa mu0 / 2)|grad m|^2
              (elastic + magnetic internal energy, temperature part removed)
     demag:   (mu0/2) int_pad |grad u|^2 without the faces to the far-field
              ghost ring, which DemagSolution.energy counts
@@ -119,18 +119,11 @@ def _nonnegative(xi: np.ndarray) -> np.ndarray:
     return xi
 
 
-def dissipation_xi(theta_lag, Ev, R, r, grid: Grid, params: con.MaterialParams) -> np.ndarray:
-    """Nonnegative dissipation density xi; raises AuditError if negative."""
-    M_lag = np.asarray(con.maxwell_viscosity(theta_lag, params))
-    return _nonnegative(_xi_field(Ev, R, r, theta_lag, M_lag, grid, params))
-
-
 def energy_ledger(
     state: FieldState,
     grid: Grid,
     params: con.MaterialParams,
     h_ext: Optional[np.ndarray] = None,
-    eps: float = 0.0,
 ) -> EnergyLedger:
     """Evaluate the energy ledger of a single state."""
     if h_ext is None:
@@ -138,12 +131,12 @@ def energy_ledger(
     theta = con.thermal_law_for(params).theta_of_w(state.w)
     kinetic = 0.5 * params.rho * grid.integrate(np.sum(state.v * state.v, axis=-1))
     stored = grid.integrate(
-        con.phi_mech(state.Ee, state.m, params) + con.omega_eps(state.m, 0.0, params, eps)
+        con.phi_mech(state.Ee, state.m, params) + con.omega(state.m, 0.0, params)
     ) + exchange_energy(state.m, grid, params)
     demag = demag_energy_from_u(state.u, grid, params.mu0)
     zeeman = params.mu0 * grid.integrate(np.sum(np.asarray(h_ext) * state.m, axis=-1))
     heat = grid.integrate(state.w)
-    entropy = grid.integrate(con.entropy_density(state.m, theta, params, eps))
+    entropy = grid.integrate(con.entropy_density(state.m, theta, params))
     return EnergyLedger(
         kinetic=kinetic, stored=stored, demag=demag, zeeman=zeeman, heat=heat, entropy=entropy
     )
@@ -156,7 +149,6 @@ def audit_step(
     dt: float,
     grid: Grid,
     params: con.MaterialParams,
-    eps: float = 0.0,
     ledger_prev: Optional[EnergyLedger] = None,
     terms: Optional[StepTerms] = None,
 ) -> BalanceReport:
@@ -164,22 +156,22 @@ def audit_step(
 
     ``ledger_prev``, when given, must be the ledger of state_prev under
     loads_k.h_ext_prev -- ``energy_ledger(state_prev, grid, params,
-    loads_k.h_ext_prev, eps)``, bit for bit, such as the previous step's
+    loads_k.h_ext_prev)``, bit for bit, such as the previous step's
     ``ledger_new`` when its h_ext_k equals this step's h_ext_prev.
     ``terms``, when given, must be ``step_terms(state_new, state_prev,
-    loads_k, grid, params, dt, eps)``, such as the step's StepReport.terms.
+    loads_k, grid, params, dt)``, such as the step's StepReport.terms.
     Each is computed here when None.
     """
     tau = float(dt)
     if terms is None:
-        terms = step_terms(state_new, state_prev, loads_k, grid, params, tau, eps)
+        terms = step_terms(state_new, state_prev, loads_k, grid, params, tau)
     theta_new = terms.theta_new
     m_new = state_new.m
 
     xi_total = grid.integrate(_nonnegative(terms.xi))
     adiab_total = grid.integrate(terms.adiab)
     # thermomagnetic transfer in the mechanical identity
-    transfer = np.sum(con.omega_eps_m(m_new, theta_new, params, eps) * terms.r, axis=-1)
+    transfer = np.sum(con.omega_m(m_new, theta_new, params) * terms.r, axis=-1)
     transfer_total = grid.integrate(transfer)
 
     # external powers
@@ -196,7 +188,7 @@ def audit_step(
     p_drive = 0.0
     if terms.driven:
         h_dem = h_dem_from_u(state_new.u, grid)
-        h_eff = _drive_field(m_new, theta_new, loads_k, grid, params, eps) + h_dem
+        h_eff = _drive_field(m_new, theta_new, loads_k, grid, params) + h_dem
         S = _stress(state_new.Ee, m_new, terms.Ev, h_eff, grid, params)
         p_drive = grid.integrate(kin.ddot(S, terms.L))
 
@@ -209,8 +201,8 @@ def audit_step(
 
     # ledgers and residuals
     if ledger_prev is None:
-        ledger_prev = energy_ledger(state_prev, grid, params, loads_k.h_ext_prev, eps)
-    ledger_new = energy_ledger(state_new, grid, params, loads_k.h_ext_k, eps)
+        ledger_prev = energy_ledger(state_prev, grid, params, loads_k.h_ext_prev)
+    ledger_new = energy_ledger(state_new, grid, params, loads_k.h_ext_k)
 
     supplied = tau * (p_grav + p_drive + p_ext_mag + boundary_heat + q_ctrl_total)
     r_tot = (ledger_new.total_conserving() - ledger_prev.total_conserving()) - supplied
@@ -222,11 +214,11 @@ def audit_step(
     # mechanical identity: heat removed, dissipation and transfer added back
     mech_new = (
         ledger_new.kinetic + ledger_new.stored + ledger_new.demag - ledger_new.zeeman
-        - grid.integrate(con.omega_eps(m_new, 0.0, params, eps))
+        - grid.integrate(con.omega(m_new, 0.0, params))
     )
     mech_prev = (
         ledger_prev.kinetic + ledger_prev.stored + ledger_prev.demag - ledger_prev.zeeman
-        - grid.integrate(con.omega_eps(state_prev.m, 0.0, params, eps))
+        - grid.integrate(con.omega(state_prev.m, 0.0, params))
     )
     r_mech = (
         mech_new - mech_prev
@@ -276,7 +268,6 @@ __all__ = [
     "BalanceReport",
     "energy_ledger",
     "audit_step",
-    "dissipation_xi",
     "demag_energy_from_u",
     "exchange_energy",
 ]

@@ -54,11 +54,17 @@ def _clamp_interp(t, times, values):
     return float(np.interp(t, times, values))
 
 
+def _schedule_kind(spec) -> Optional[str]:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a schedule must be a JSON object, got {spec!r}")
+    return spec.get("kind")
+
+
 def make_scalar_schedule(spec: Optional[dict]) -> Optional[Callable[[float], float]]:
     """Build a scalar sampler from a schedule dict (const/linear/sine/piecewise)."""
     if spec is None:
         return None
-    kind = spec.get("kind")
+    kind = _schedule_kind(spec)
     if kind == "const":
         value = float(spec["value"])
         return lambda t: value
@@ -89,7 +95,7 @@ def make_vector_schedule(spec: Optional[dict]) -> Optional[Callable[[float], np.
     """Vector sampler: const, sine along an axis, or per-component scalar."""
     if spec is None:
         return None
-    kind = spec.get("kind")
+    kind = _schedule_kind(spec)
     if kind == "const":
         value = np.asarray(spec["value"], dtype=np.float64)
         if value.shape != (NCOMP,):
@@ -97,6 +103,8 @@ def make_vector_schedule(spec: Optional[dict]) -> Optional[Callable[[float], np.
         return lambda t: value
     if kind == "sine":
         axis = np.asarray(spec.get("axis", [1.0, 0.0]), dtype=np.float64)
+        if axis.shape != (NCOMP,):
+            raise ConfigError(f"sine schedule axis must have {NCOMP} components")
         base = make_scalar_schedule({k: v for k, v in spec.items() if k != "axis"})
         return lambda t: base(t) * axis
     if kind == "components":
@@ -110,7 +118,7 @@ def make_tensor_schedule(spec: Optional[dict]) -> Optional[Callable[[float], np.
     """Tensor sampler: zero, const, or a rigid-rotation window."""
     if spec is None:
         return None
-    kind = spec.get("kind")
+    kind = _schedule_kind(spec)
     if kind == "zero":
         Z = np.zeros((NCOMP, NCOMP))
         return lambda t: Z
@@ -133,12 +141,14 @@ def make_tensor_schedule(spec: Optional[dict]) -> Optional[Callable[[float], np.
 # configuration
 
 
-# Solver settings that are now constants of the stepper (relaxation: the
-# sweep takes each new iterate as it stands).  Archived config.json files
-# name them, so each still loads at its fixed value.
+# Settings that only ever took one value: the solver settings are now
+# constants of the stepper (relaxation: the sweep takes each new iterate as
+# it stands), and eps, the regularization omega / (1 + eps |m|^2) of the
+# paper's existence proof, is 0.  Archived config.json files name them, so
+# each still loads at its fixed value.
 _RETIRED_KEYS = {
     "max_iters": _MAX_SWEEPS, "tol_rel": _TOL_REL, "tol_abs": _TOL_ABS,
-    "relaxation": 1.0, "cfl_max": _CFL_MAX,
+    "relaxation": 1.0, "cfl_max": _CFL_MAX, "eps": 0.0,
 }
 
 
@@ -158,7 +168,6 @@ class ScenarioConfig:
     dt_min: float = 1e-9
     dt_growth: float = 1.2
     output_every: int = 50
-    eps: float = 0.0
     demag: bool = False
     demag_boundary: str = "farfield"
     theta_schedule: Optional[dict] = None
@@ -185,6 +194,10 @@ class ScenarioConfig:
             raise ConfigError(f"theta0 must be >= 0, got {self.theta0}")
         if self.grad_v_schedule is not None and self.stress_dev_schedule is not None:
             raise ConfigError("grad_v and stress_dev drives are mutually exclusive")
+        for key, rank in (("g", 1), ("m0", 1), ("v0", 1), ("Ee0", 2), ("Ep0", 2)):
+            value, shape = getattr(self, key), (NCOMP,) * rank
+            if np.asarray(value, dtype=np.float64).shape != shape:
+                raise ConfigError(f"{key} must have shape {shape}, got {value!r}")
         self.step_options(self.dt).validate()
         make_grid(self.dim, self.extents, self.cells, self.pad_factor)
         # build every schedule once so bad specs fail at config time
@@ -211,26 +224,30 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        data = dict(data)
-        for key, fixed in _RETIRED_KEYS.items():
-            if key in data and data.pop(key) != fixed:
-                raise ConfigError(
-                    f"{key} is fixed at {fixed!r}; a config may name it at no other value"
-                )
-        known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario config keys: {sorted(unknown)}")
-        if "material" in data:
-            data["material"] = con.MaterialParams.from_dict(data["material"])
-        for key in ("extents", "cells", "g", "m0", "v0", "Ee0", "Ep0"):
-            if key in data:
-                data[key] = tuple(
-                    tuple(row) if isinstance(row, (list, tuple)) else row
-                    for row in data[key]
-                )
-        cfg = ScenarioConfig(**data)
-        cfg.validate()
+        """Build and validate a config; a malformed value raises ConfigError."""
+        try:
+            data = dict(data)
+            for key, fixed in _RETIRED_KEYS.items():
+                if key in data and data.pop(key) != fixed:
+                    raise ConfigError(
+                        f"{key} is fixed at {fixed!r}; a config may name it at no other value"
+                    )
+            known = {f.name for f in dataclasses.fields(ScenarioConfig)}
+            unknown = set(data) - known
+            if unknown:
+                raise ConfigError(f"unknown scenario config keys: {sorted(unknown)}")
+            if "material" in data:
+                data["material"] = con.MaterialParams.from_dict(data["material"])
+            for key in ("extents", "cells", "g", "m0", "v0", "Ee0", "Ep0"):
+                if key in data:
+                    data[key] = tuple(
+                        tuple(row) if isinstance(row, (list, tuple)) else row
+                        for row in data[key]
+                    )
+            cfg = ScenarioConfig(**data)
+            cfg.validate()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value ({type(exc).__name__}: {exc})") from exc
         return cfg
 
     def build_grid(self) -> Grid:
@@ -249,7 +266,6 @@ class ScenarioConfig:
     def step_options(self, dt: float) -> StepOptions:
         return StepOptions(
             dt=dt,
-            eps=self.eps,
             demag=self.demag,
             demag_boundary=self.demag_boundary,
         )
@@ -439,7 +455,7 @@ def run_scenario(
         ledger_prev = None
         if carried is not None and np.array_equal(carried[0], loads_s.h_ext_prev):
             ledger_prev = carried[1]
-        rep = audit_step(state, new_state, loads_s, dt, grid, params, config.eps, ledger_prev,
+        rep = audit_step(state, new_state, loads_s, dt, grid, params, ledger_prev,
                          terms=report.terms)
         carried = (loads_s.h_ext_k, rep.ledger_new)
         traj.reports.append(rep)
@@ -763,7 +779,7 @@ def vrm_experiment(traj: Trajectory, out_dir=None) -> dict:
     theta0 = float(make_scalar_schedule(cfg.theta_schedule)(0.0))
     h0 = make_vector_schedule(cfg.h_ext_schedule)(0.0)
     m0 = np.asarray(cfg.m0, dtype=np.float64)
-    h_eff0 = con.h_anisotropy(m0, theta0, cfg.material, cfg.eps) + h0
+    h_eff0 = con.h_anisotropy(m0, theta0, cfg.material) + h0
     r0 = con.zeta_resolvent(theta0, h_eff0, cfg.material)
     report = {
         "drift_rate_measured": drift_rate,

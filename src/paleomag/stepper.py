@@ -54,15 +54,12 @@ class StepOptions:
     """
 
     dt: float
-    eps: float = 0.0              # regularization: omega_eps and the (1-eps) heat factor
     demag: bool = True
     demag_boundary: str = "farfield"
 
     def validate(self) -> None:
         if not self.dt > 0.0:
             raise NumericalError(f"dt must be positive, got {self.dt}")
-        if not 0.0 <= self.eps < 1.0:
-            raise NumericalError(f"eps must be in [0, 1), got {self.eps}")
         if self.demag_boundary not in _BOUNDARIES:
             raise NumericalError(
                 f"demag_boundary must be {' or '.join(map(repr, _BOUNDARIES))}, "
@@ -221,20 +218,20 @@ def _velocity_gradient(v, Ee, loads_k: LoadsSample, grid: Grid, params) -> tuple
     return kin.grad_vector(v, grid, kind="velocity"), False
 
 
-def _drive_field(m, theta, loads_k: LoadsSample, grid: Grid, params, eps) -> np.ndarray:
+def _drive_field(m, theta, loads_k: LoadsSample, grid: Grid, params) -> np.ndarray:
     """h_drv = h_anisotropy + h_ext + kappa Delta m (demag added by the caller)."""
-    h_drv = con.h_anisotropy(m, theta, params, eps) + loads_k.h_ext_k
+    h_drv = con.h_anisotropy(m, theta, params) + loads_k.h_ext_k
     if params.kappa != 0.0 and grid.dim >= 1:
         h_drv = h_drv + params.kappa * kin.laplacian(m, grid)
     return h_drv
 
 
-def _adiabatic_coupling(theta, m, r_conv, divv, params, eps):
-    """theta [omega_eps_hat]'(m) . r_conv + (theta omega_eps_hat(m) + phi(theta)) div v."""
+def _adiabatic_coupling(theta, m, r_conv, divv, params):
+    """theta omega_hat'_m(m) . r_conv + (theta omega_hat(m) + phi(theta)) div v."""
     phi = con.thermal_law_for(params).phi(theta)
     return (
-        theta * np.sum(con.omega_eps_hat_prime(m, params, eps) * r_conv, axis=-1)
-        + (theta * con.omega_eps_hat(m, params, eps) + phi) * divv
+        theta * np.sum(con.omega_hat_m(m, params) * r_conv, axis=-1)
+        + (theta * con.omega_hat(m, params) + phi) * divv
     )
 
 
@@ -277,7 +274,6 @@ def step(
     opts.validate()
     thermal = con.thermal_law_for(params)
     tau = opts.dt
-    eps = opts.eps
 
     theta_prev = thermal.theta_of_w(state_prev.w)
     M_lag = np.asarray(con.maxwell_viscosity(theta_prev, params))
@@ -360,11 +356,11 @@ def step(
         m_it = m
         for _ in range(_M_PASSES):
             report.m_passes += 1
-            h_eff = _drive_field(m_it, theta_k, loads_k, grid, params, eps) + h_dem
+            h_eff = _drive_field(m_it, theta_k, loads_k, grid, params) + h_dem
             r = con.zeta_resolvent(theta_prev, h_eff, params)
             adv_m = kin.upwind_advect(m_it, v_new, grid) if grid.dim >= 1 else 0.0
             DrDh = con.zeta_resolvent_jacobian(h_eff, r, params) @ con.h_anisotropy_jacobian(
-                m_it, theta_k, params, eps
+                m_it, theta_k, params
             )
             m_cand = _solve_2x2(
                 A_m - DrDh, state_prev.m / tau - adv_m + r - kin.matvec(DrDh, m_it)
@@ -403,14 +399,14 @@ def step(
         r_conv = (m_new - state_prev.m) / tau + (
             kin.upwind_advect(m_new, v_new, grid) if grid.dim >= 1 else 0.0
         )
-        adiab = _adiabatic_coupling(theta_k, m_new, r_conv, kin.tensor_trace(L), params, eps)
+        adiab = _adiabatic_coupling(theta_k, m_new, r_conv, kin.tensor_trace(L), params)
         if w_ctrl is not None:
             w_new = w_ctrl.copy()
         elif grid.dim == 0:
-            w_new = state_prev.w + tau * ((1.0 - eps) * xi + adiab + j_src)
+            w_new = state_prev.w + tau * (xi + adiab + j_src)
         else:
             w_new, failure = _heat_solve(
-                state_prev.w, w, v_new, xi, adiab, j_src, grid, params, tau, eps, report
+                state_prev.w, w, v_new, xi, adiab, j_src, grid, params, tau, report
             )
             if failure:
                 report.message = f"heat solve failed ({failure})"
@@ -445,7 +441,7 @@ def step(
         w=w,
         t=state_prev.t + tau,
     )
-    report.terms = step_terms(state_new, state_prev, loads_k, grid, params, tau, eps)
+    report.terms = step_terms(state_new, state_prev, loads_k, grid, params, tau)
     report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts, report.terms)
     report.accepted = all(
         _within_tolerance(res, scale) for res, scale in report.residuals.values()
@@ -594,7 +590,7 @@ def _momentum_solve(
     the balance enters through the right-hand side A v_cur - res(v_cur).
     """
     tau = opts.dt
-    h_eff = _drive_field(m, theta_k, loads_k, grid, params, opts.eps) + h_dem
+    h_eff = _drive_field(m, theta_k, loads_k, grid, params) + h_dem
     res = _momentum_residual_field(
         v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
     )
@@ -606,7 +602,7 @@ def _momentum_solve(
 
 def _heat_solve(
     w_prev, w_cur, v_new, xi, adiab, j_src, grid: Grid,
-    params: con.MaterialParams, tau, eps, report: StepReport,
+    params: con.MaterialParams, tau, report: StepReport,
 ):
     """Implicit conduction solve; advection and sources at the current sweep.
 
@@ -614,7 +610,7 @@ def _heat_solve(
     implicit in w.
     """
     adv = kin.advect_scalar(w_cur, v_new, grid)
-    rhs = w_prev / tau - adv + (1.0 - eps) * xi + adiab + j_src
+    rhs = w_prev / tau - adv + xi + adiab + j_src
     apply_op = _heat_operator(grid, tau, params.K_cond, params.c_v)
     lu = _heat_lu(grid, tau, params.K_cond, params.c_v)
     return _bicgstab(apply_op, rhs, w_cur, lu, report)
@@ -657,7 +653,7 @@ class StepTerms:
 
 def step_terms(
     state_new: FieldState, state_prev: FieldState, loads_k: LoadsSample, grid: Grid,
-    params: con.MaterialParams, tau: float, eps: float,
+    params: con.MaterialParams, tau: float,
 ) -> StepTerms:
     """The terms of the step state_prev -> state_new, as the stepper defines them."""
     thermal = con.thermal_law_for(params)
@@ -671,11 +667,11 @@ def step_terms(
     r = (m - state_prev.m) / tau + kin.bzj_vector(v, L, m, grid)
     r_conv = r + kin.matvec(kin.skw(L), m)
     xi = _xi_field(Ev, R, r, theta_prev, M_lag, grid, params)
-    adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params, eps)
+    adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params)
     j_src = boundary_source(loads_k.j_ext_k, grid)
     adv_w = kin.advect_scalar(w, v, grid) if grid.dim >= 1 else 0.0
     cond = params.K_cond * kin.laplacian(np.asarray(theta_new), grid) if grid.dim >= 1 else 0.0
-    heat_res = (w - state_prev.w) / tau + adv_w - cond - (1.0 - eps) * xi - adiab - j_src
+    heat_res = (w - state_prev.w) / tau + adv_w - cond - xi - adiab - j_src
     return StepTerms(
         theta_prev, theta_new, M_lag, con.buoyancy_b(theta_prev, params), L, driven, Ev,
         R, r, r_conv, xi, adiab, j_src, heat_res,
@@ -688,7 +684,7 @@ def residuals(
 ) -> dict:
     """Max-norm residuals of the six discrete equations, with scales.
 
-    ``terms`` is step_terms of the same step at opts.dt and opts.eps.
+    ``terms`` is step_terms of the same step at opts.dt.
     Returns {name: (residual, scale)}; each residual vanishes iff the
     corresponding discrete equation holds exactly on the grid.
     """
@@ -708,7 +704,7 @@ def residuals(
 
     # (d) magnetization inclusion
     h_dem = h_dem_from_u(state_trial.u, grid)
-    h_eff = _drive_field(m, terms.theta_new, loads_k, grid, params, opts.eps) + h_dem
+    h_eff = _drive_field(m, terms.theta_new, loads_k, grid, params) + h_dem
     rmag = np.hypot(r[..., 0], r[..., 1])
     H = np.hypot(h_eff[..., 0], h_eff[..., 1])
     # rates at the roundoff floor of the m update count as sticking

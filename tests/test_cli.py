@@ -80,10 +80,33 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "setting",
-        ["relaxation=0", "eps=1.0", "tol_rel=-1", "max_iters=0",
+        ["relaxation=0", "eps=1.0", "eps=0.1", "tol_rel=-1", "max_iters=0",
          "demag_boundary=bogus", "cfl_max=-1", "tol_rel=1e-10"],
     )
     def test_invalid_solver_setting(self, tmp_path, setting):
+        out = tmp_path / "o"
+        code = run_cli("run", "--config", "vrm", "--out", str(out),
+                       "--set", "duration=0.01", "--set", setting)
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failure"]
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            'h_ext_schedule={"kind":"const"}',
+            'theta_schedule={"kind":"linear","start":1.0}',
+            'theta_schedule={"kind":"const","value":"hot"}',
+            'h_ext_schedule={"kind":"sine","amplitude":0.1,"period":1.0,"axis":[1,0,0]}',
+            "h_ext_schedule=5",
+            'dt="abc"',
+            'material.rho="abc"',
+            "cells=5",
+            "m0=[1,2,3]",
+        ],
+    )
+    def test_malformed_value(self, tmp_path, setting):
+        # a value of the wrong kind or shape is a configuration error
         out = tmp_path / "o"
         code = run_cli("run", "--config", "vrm", "--out", str(out),
                        "--set", "duration=0.01", "--set", setting)
@@ -104,18 +127,20 @@ class TestAudit:
 
     def test_archived_config_with_retired_settings(self, tmp_path, capsys):
         # config.json files written before the five solver settings became
-        # constants name them; at their fixed values they still load
+        # constants and eps was fixed at 0 name them; at their fixed values
+        # they still load
         out = tmp_path / "run"
         assert run_short_trm(out) == 0
         path = out / "config.json"
         config = json.loads(path.read_text())
-        config.update(max_iters=200, tol_rel=1e-11, tol_abs=1e-13, relaxation=1.0, cfl_max=0.9)
+        config.update(max_iters=200, tol_rel=1e-11, tol_abs=1e-13, relaxation=1.0, cfl_max=0.9,
+                      eps=0.0)
         path.write_text(json.dumps(config))
         assert run_cli("audit", str(out)) == 0
-        config["relaxation"] = 0.5
-        path.write_text(json.dumps(config))
-        assert run_cli("audit", str(out)) == 2
-        assert "relaxation" in capsys.readouterr().err
+        for key, value in (("relaxation", 0.5), ("eps", 0.1)):
+            path.write_text(json.dumps(dict(config, **{key: value})))
+            assert run_cli("audit", str(out)) == 2
+            assert key in capsys.readouterr().err
 
     def test_empty_dir(self, tmp_path):
         empty = tmp_path / "empty"

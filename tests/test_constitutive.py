@@ -66,20 +66,22 @@ class TestFreeEnergy:
                   - con.phi_mech(np.zeros((2, 2)), m - dm, p)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-7, abs=1e-10)
 
-    def test_omega_eps_family(self):
+    def test_omega_family(self):
         p = material(a0=2.0, theta_c=1.0)
         m = np.array([0.5, 0.0])
-        eps = 0.3
-        w = con.omega_eps(m, 1.4, p, eps)
-        assert w == pytest.approx(2.0 * 0.4 * 0.25 / (1.0 + 0.3 * 0.25), rel=1e-14)
+        w = con.omega(m, 1.4, p)
+        assert w == pytest.approx(2.0 * 0.4 * 0.25, rel=1e-14)
         # derivative in m by finite differences
         h = 1e-6
         dm = np.array([h, 0.0])
-        fd = (con.omega_eps(m + dm, 1.4, p, eps) - con.omega_eps(m - dm, 1.4, p, eps)) / (2 * h)
-        assert con.omega_eps_m(m, 1.4, p, eps)[0] == pytest.approx(fd, rel=1e-6)
+        fd = (con.omega(m + dm, 1.4, p) - con.omega(m - dm, 1.4, p)) / (2 * h)
+        assert con.omega_m(m, 1.4, p)[0] == pytest.approx(fd, rel=1e-6)
         # theta-derivative hat function
-        fd_t = (con.omega_eps(m, 1.4 + h, p, eps) - con.omega_eps(m, 1.4 - h, p, eps)) / (2 * h)
-        assert con.omega_eps_hat(m, p, eps) == pytest.approx(fd_t, rel=1e-6)
+        fd_t = (con.omega(m, 1.4 + h, p) - con.omega(m, 1.4 - h, p)) / (2 * h)
+        assert con.omega_hat(m, p) == pytest.approx(fd_t, rel=1e-6)
+        # and its derivative in m
+        fd_hat = (con.omega_hat(m + dm, p) - con.omega_hat(m - dm, p)) / (2 * h)
+        assert con.omega_hat_m(m, p)[0] == pytest.approx(fd_hat, rel=1e-6)
 
     def test_m_sat(self):
         p = material(a0=2.0, b0=0.5, theta_c=1.0)
@@ -271,10 +273,9 @@ class TestJacobians:
     @pytest.mark.parametrize("theta", [0.4, 1.3])
     def test_h_anisotropy_jacobian_matches_central_differences(self, theta):
         p = material(a0=0.8, b0=1.3, mu0=1.7)
-        eps = 0.3
         m = np.array([0.3, -0.5])
-        Dh = con.h_anisotropy_jacobian(m, theta, p, eps)
-        fd = _central_jacobian(lambda x: con.h_anisotropy(x, theta, p, eps), m)
+        Dh = con.h_anisotropy_jacobian(m, theta, p)
+        fd = _central_jacobian(lambda x: con.h_anisotropy(x, theta, p), m)
         np.testing.assert_allclose(Dh, fd, rtol=1e-8, atol=1e-10)
         # a Hessian of the free energy: symmetric
         np.testing.assert_allclose(Dh, Dh.T, atol=1e-15)
@@ -283,13 +284,13 @@ class TestJacobians:
         p = material(h_c_high=0.2, theta_b=2.0)
         m = rng.standard_normal((3, 4, 2))
         theta = rng.uniform(0.3, 1.5, (3, 4))
-        Dh = con.h_anisotropy_jacobian(m, theta, p, 0.1)
+        Dh = con.h_anisotropy_jacobian(m, theta, p)
         h_eff = rng.standard_normal((3, 4, 2))
         r = con.zeta_resolvent(0.5, h_eff, p)
         Dr = con.zeta_resolvent_jacobian(h_eff, r, p)
         for i, j in np.ndindex(3, 4):
             np.testing.assert_array_equal(
-                Dh[i, j], con.h_anisotropy_jacobian(m[i, j], theta[i, j], p, 0.1))
+                Dh[i, j], con.h_anisotropy_jacobian(m[i, j], theta[i, j], p))
             np.testing.assert_array_equal(
                 Dr[i, j], con.zeta_resolvent_jacobian(h_eff[i, j], r[i, j], p))
 

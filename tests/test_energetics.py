@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from paleomag import constitutive as con
-from paleomag.energetics import (
-    audit_step,
-    demag_energy_from_u,
-    dissipation_xi,
-    energy_ledger,
-)
+from paleomag.energetics import audit_step, demag_energy_from_u, energy_ledger
 from paleomag.grid import FieldState, Loads, make_grid, sample_loads
-from paleomag.stepper import StepOptions, step
+from paleomag.stepper import StepOptions, _xi_field, step
 
 from conftest import material
 
@@ -45,7 +40,7 @@ class TestEnergyLedger:
         p = material()
         s = state_0d(grid0, p, theta=0.5, m=(0.4, 0.0))
         led = energy_ledger(s, grid0, p)
-        # phi + omega_eps(m, theta=0): 0.5 b0 |m|^4 + a0 (0 - theta_c)|m|^2
+        # phi + omega(m, theta=0): 0.5 b0 |m|^4 + a0 (0 - theta_c)|m|^2
         assert led.stored == pytest.approx(0.5 * 0.4**4 - 0.16, rel=1e-12)
 
     def test_zeeman_orientation(self, grid0):
@@ -60,18 +55,23 @@ class TestEnergyLedger:
         assert demag_energy_from_u(np.ones(grid.padded_cells), grid, 1.0) == 0.0
 
 
+def xi_at(theta, Ev, R, r, grid, params):
+    """The stepper's xi with the Maxwell viscosity lagged at theta."""
+    M_lag = np.asarray(con.maxwell_viscosity(theta, params))
+    return _xi_field(Ev, R, r, theta, M_lag, grid, params)
+
+
 class TestDissipation:
     def test_zero_rates(self, grid0):
         p = material()
-        xi = dissipation_xi(0.5, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2),
-                            grid0, p)
+        xi = xi_at(0.5, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), grid0, p)
         assert float(xi) == 0.0
 
     def test_shear_and_flow_terms(self, grid0):
         p = material(nu1=2.0, M_solid=3.0, M_magma=3.0)
         Ev = np.array([[0.0, 0.1], [0.1, 0.0]])
         R = np.array([[0.05, 0.0], [0.0, -0.05]])
-        xi = dissipation_xi(0.5, Ev, R, np.zeros(2), grid0, p)
+        xi = xi_at(0.5, Ev, R, np.zeros(2), grid0, p)
         assert float(xi) == pytest.approx(2.0 * 0.02 + 3.0 * 0.005, rel=1e-12)
 
     def test_dissipation_nonnegative_random(self, grid0, rng):
@@ -81,7 +81,7 @@ class TestDissipation:
             Ev = 0.5 * (Ev + Ev.T)
             R = rng.normal(size=(2, 2))
             R = 0.5 * (R + R.T)
-            xi = dissipation_xi(0.7, Ev, R, rng.normal(size=2), grid0, p)
+            xi = xi_at(0.7, Ev, R, rng.normal(size=2), grid0, p)
             assert float(xi) >= 0.0
 
 

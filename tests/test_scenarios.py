@@ -149,7 +149,7 @@ class TestRunScenario:
         for meta, rep in zip(pairs, traj.reports):
             prev, _ = read_snapshot(out / "snapshots" / f"pair_{meta['index']:08d}_a.bin")
             h_prev = pair_loads(meta).h_ext_prev
-            assert rep.ledger_prev == energy_ledger(prev, grid, cfg.material, h_prev, cfg.eps)
+            assert rep.ledger_prev == energy_ledger(prev, grid, cfg.material, h_prev)
         carried = sum(b.ledger_prev is a.ledger_new for a, b in zip(traj.reports, traj.reports[1:]))
         assert carried > 0
 

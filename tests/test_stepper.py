@@ -45,10 +45,10 @@ def state_0d(grid, params, theta=0.5, m=(0.0, 0.0), Ee=None):
 class TestStepOptions:
     @pytest.mark.parametrize(
         "bad",
-        [dict(dt=0.0), dict(dt=0.1, eps=1.0), dict(dt=0.1, eps=-0.1),
-         dict(dt=0.1, demag_boundary="bogus")],
-        # stable ids: bad3..bad5 were the sweep limits, now module constants
-        ids=["bad0", "bad1", "bad2", "bad6"],
+        [dict(dt=0.0), dict(dt=0.1, demag_boundary="bogus")],
+        # stable ids: bad1 and bad2 were eps, now a retired config key;
+        # bad3..bad5 were the sweep limits, now module constants
+        ids=["bad0", "bad6"],
     )
     def test_invalid(self, bad):
         with pytest.raises(NumericalError):
@@ -385,9 +385,10 @@ class TestStepTerms:
             accepted, audits
         ):
             assert kwargs["terms"] is rep.terms is not None
-            # args[:7] leaves out the carried ledger too: everything is rebuilt
-            assert energetics.audit_step(*args, **kwargs) == energetics.audit_step(*args[:7])
-            terms = step_terms(new, prev, loads_k, grid, params, opts.dt, opts.eps)
+            # args[:6] leaves out the carried ledger too: everything is rebuilt
+            assert len(args) == 7
+            assert energetics.audit_step(*args, **kwargs) == energetics.audit_step(*args[:6])
+            terms = step_terms(new, prev, loads_k, grid, params, opts.dt)
             assert residuals(new, prev, loads_k, grid, params, opts, terms) == rep.residuals
 
 
