@@ -1,11 +1,14 @@
 """Demagnetizing field: Delta u = div(chi_Omega m) on a padded grid.
 
 The whole-space Poisson problem is approximated on a grid extended by
-``pad_factor`` in every direction.  In 2D the discrete 5-point problem is
-solved exactly (to roundoff) by a type-I discrete sine transform with
-Dirichlet ghost values taken either as zero or from the continuum
-dipole far field of the magnetization (default), which sharply reduces
-the domain-truncation error of the pad.  h_dem = -grad u on Omega.
+``pad_factor`` in every direction: P = pad_factor * n - 1 cells per axis,
+so the Dirichlet ghost lines at index -1 and P lie pad_factor * L apart.
+In 2D the discrete 5-point problem is solved exactly (to roundoff) by a
+type-I discrete sine transform, whose FFT length 2 (P + 1) = 2 pad_factor n
+is a power of two at the usual sizes, with Dirichlet ghost values taken
+either as zero or from the continuum dipole far field of the magnetization
+(default), which sharply reduces the domain-truncation error of the pad.
+h_dem = -grad u on Omega.
 
 The far-field ghosts and the cells of Omega lie on one lattice, so the
 values on each of the four ghost lines are a sum, over the source rows
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.fft
@@ -35,12 +39,31 @@ _BOUNDARIES = ("farfield", "zero")
 
 @dataclass
 class DemagSolution:
-    """u on the padded grid, h_dem = -grad u on Omega, field energy (>= 0)."""
+    """u on the padded grid and h_dem = -grad u on Omega.
+
+    ``energy`` (the field energy, >= 0) and ``residual`` (the largest
+    5-point Poisson residual) are checks the sweep never reads, so they
+    are built on first read and kept; in 2D from u and the ghost ring and
+    div(chi m) of the solve.  The energy counts the faces to the ghost
+    ring, which the audit ledger's ``energetics.demag_energy_from_u``
+    leaves out.
+    """
 
     u: np.ndarray
     h_dem: np.ndarray
-    energy: float
-    residual: float
+    _checks: Callable[[], tuple[float, float]]
+
+    @functools.cached_property
+    def _energy_residual(self) -> tuple[float, float]:
+        return self._checks()
+
+    @property
+    def energy(self) -> float:
+        return self._energy_residual[0]
+
+    @property
+    def residual(self) -> float:
+        return self._energy_residual[1]
 
 
 def _omega_slices(grid: Grid) -> tuple[slice, ...]:
@@ -185,9 +208,7 @@ def solve_demag(
         raise ConfigError(f"m has shape {m.shape}, expected {grid.spatial_shape + (NCOMP,)}")
     if grid.dim == 0:
         # A material point has no stray-field self-interaction in this model.
-        return DemagSolution(
-            u=np.zeros(()), h_dem=np.zeros((NCOMP,)), energy=0.0, residual=0.0
-        )
+        return DemagSolution(np.zeros(()), np.zeros((NCOMP,)), lambda: (0.0, 0.0))
     if boundary not in _BOUNDARIES:
         raise ConfigError(f"unknown demag boundary mode {boundary!r}")
     if grid.dim == 1:
@@ -207,9 +228,9 @@ def _solve_1d(m: np.ndarray, grid: Grid, mu0: float) -> DemagSolution:
     mx_full = np.zeros(grid.padded_cells)
     mx_full[sx] = m[..., 0]
     u = np.cumsum(mx_full) * h - 0.5 * h * mx_full  # midpoint antiderivative
-    h_dem = h_dem_from_u(u, grid)
-    energy = 0.5 * mu0 * float(np.sum(mx_full**2)) * h
-    return DemagSolution(u=u, h_dem=h_dem, energy=energy, residual=0.0)
+    return DemagSolution(
+        u, h_dem_from_u(u, grid), lambda: (0.5 * mu0 * float(np.sum(mx_full**2)) * h, 0.0)
+    )
 
 
 def h_dem_from_u(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -232,7 +253,6 @@ def h_dem_from_u(u: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _solve_2d(m: np.ndarray, grid: Grid, mu0: float, boundary: str) -> DemagSolution:
-    hx, hy = grid.spacing
     rhs = _div_central(m, grid)
     if boundary == "farfield":
         ghosts = _farfield_ring(m, grid)
@@ -240,7 +260,20 @@ def _solve_2d(m: np.ndarray, grid: Grid, mu0: float, boundary: str) -> DemagSolu
         Px, Py = grid.padded_cells
         ghosts = (np.zeros(Py), np.zeros(Py), np.zeros(Px), np.zeros(Px))
     u = _solve_dirichlet_2d(rhs, ghosts, grid)
+    return DemagSolution(
+        u, h_dem_from_u(u, grid), lambda: _poisson_checks(u, ghosts, rhs, grid, mu0)
+    )
 
+
+def _poisson_checks(
+    u: np.ndarray, ghosts, rhs: np.ndarray, grid: Grid, mu0: float
+) -> tuple[float, float]:
+    """(field energy, max |5-point Laplacian of u - rhs|) of a 2D solve.
+
+    u is framed by its ghost ring; the energy sums the squared face
+    gradients, the faces to the ring included.
+    """
+    hx, hy = grid.spacing
     left, right, bottom, top = ghosts
     up = np.pad(u, 1)
     up[0, 1:-1], up[-1, 1:-1] = left, right
@@ -251,7 +284,7 @@ def _solve_2d(m: np.ndarray, grid: Grid, mu0: float, boundary: str) -> DemagSolu
     lap = (fx[1:] - fx[:-1]) / hx + (fy[:, 1:] - fy[:, :-1]) / hy
     residual = float(np.max(np.abs(lap - rhs)))
     energy = 0.5 * mu0 * (float(np.vdot(fx, fx)) + float(np.vdot(fy, fy))) * grid.cell_volume
-    return DemagSolution(u=u, h_dem=h_dem_from_u(u, grid), energy=energy, residual=residual)
+    return energy, residual
 
 
 def demag_energy_pairing(sol: DemagSolution, m: np.ndarray, grid: Grid, mu0: float = 1.0) -> float:

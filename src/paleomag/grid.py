@@ -65,7 +65,14 @@ class Grid:
 
     @property
     def padded_cells(self) -> tuple[int, ...]:
-        return tuple(self.pad_factor * n for n in self.cells)
+        """pad_factor * n - 1 cells per axis for the demag potential u.
+
+        The Dirichlet ghost lines of the 2D solve, at index -1 and P, then
+        lie exactly pad_factor * L apart, and its DST-I of P points runs an
+        FFT of length 2 (P + 1) = 2 pad_factor n, a power of two at pad 4
+        and n = 32, 64 or 128.
+        """
+        return tuple(self.pad_factor * n - 1 for n in self.cells)
 
     @property
     def boundary_area(self) -> float:

@@ -4,9 +4,13 @@ import csv
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from paleomag.cli import main
+from paleomag.grid import FieldState, sample_loads
+from paleomag.scenarios import builtin_config
+from paleomag.snapshots import pair_record, write_snapshot
 
 
 def run_cli(*argv):
@@ -153,6 +157,24 @@ class TestAudit:
         pair = sorted((out / "snapshots").glob("pair_*_b.bin"))[0]
         pair.write_bytes(b"XXXXXXXX" + pair.read_bytes()[8:])
         assert run_cli("audit", str(out)) == 2
+
+    def test_snapshot_of_old_padded_shape(self, tmp_path, capsys):
+        # a 2D run directory from before u had pad_factor * n - 1 cells per axis
+        config = builtin_config("trm")
+        config.dim, config.extents, config.cells = 2, (1.0, 1.0), (4, 2)
+        grid = config.build_grid()
+        out = tmp_path / "run"
+        (out / "snapshots").mkdir(parents=True)
+        (out / "config.json").write_text(json.dumps(config.to_dict()))
+        loads = sample_loads(config.build_loads(), config.dt, config.dt)
+        (out / "pairs.json").write_text(
+            json.dumps([pair_record(0, config.dt, config.dt, loads)]))
+        state = FieldState.zeros(grid, w0=1.0)
+        state.u = np.zeros((16, 8))
+        for side in "ab":
+            write_snapshot(out / "snapshots" / f"pair_00000000_{side}.bin", state, grid)
+        assert run_cli("audit", str(out)) == 2
+        assert "u has shape (16, 8), expected (15, 7)" in capsys.readouterr().err
 
     def test_tampered_energy(self, tmp_path):
         out = tmp_path / "run"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -252,3 +253,55 @@ class TestGeometryCache:
         b0, a0 = solve_in_order("BA")
         for got, want in ((a1, a0), (a2, a0), (b1, b0)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestTransformLength:
+    @pytest.mark.parametrize("cells", [(32, 32), (64, 64), (128, 128), (7, 13)],
+                             ids=["32", "64", "128", "7x13"])
+    def test_ghost_lines_pad_lengths_apart(self, cells):
+        # ghosts at index -1 and P: P + 1 cells span pad_factor * L
+        g = make_grid(2, (1.0, 1.0), cells, 4)
+        for P, n in zip(g.padded_cells, g.cells):
+            assert P + 1 == 4 * n
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_dst_fft_length_is_fast(self, n):
+        # SciPy runs a DST-I of P points as an FFT of length 2 (P + 1)
+        for P in make_grid(2, (1.0, 1.0), (n, n), 4).padded_cells:
+            assert scipy.fft.next_fast_len(2 * (P + 1)) == 2 * (P + 1)
+
+
+def eager_checks(u, m, grid, mu0=1.0):
+    """Oracle: energy and residual as every 2D solve once formed them (far-field ghosts)."""
+    hx, hy = grid.spacing
+    rhs = demag._div_central(m, grid)
+    left, right, bottom, top = _farfield_ring(m, grid)
+    up = np.pad(u, 1)
+    up[0, 1:-1], up[-1, 1:-1] = left, right
+    up[1:-1, 0], up[1:-1, -1] = bottom, top
+    fx = (up[1:, 1:-1] - up[:-1, 1:-1]) / hx
+    fy = (up[1:-1, 1:] - up[1:-1, :-1]) / hy
+    lap = (fx[1:] - fx[:-1]) / hx + (fy[:, 1:] - fy[:, :-1]) / hy
+    residual = float(np.max(np.abs(lap - rhs)))
+    energy = 0.5 * mu0 * (float(np.vdot(fx, fx)) + float(np.vdot(fy, fy))) * grid.cell_volume
+    return energy, residual
+
+
+class TestChecksOnRead:
+    def test_equal_the_eager_formula(self):
+        g = make_grid(2, (1.0, 1.0), (7, 13), 4)
+        m = ring_magnetization("random", g)
+        sol = solve_demag(m, g, mu0=1.3)
+        energy, residual = eager_checks(sol.u, m, g, mu0=1.3)
+        assert sol.residual == residual
+        assert sol.energy == energy
+
+    def test_built_once_on_first_read(self, monkeypatch):
+        builds, build = [], demag._poisson_checks
+        monkeypatch.setattr(demag, "_poisson_checks", lambda *a: builds.append(a) or build(*a))
+        g = make_grid(2, (1.0, 1.0), (8, 8), 4)
+        sol = solve_demag(ring_magnetization("vortex", g), g)
+        assert builds == []
+        first = (sol.energy, sol.residual)
+        assert (sol.energy, sol.residual) == first
+        assert len(builds) == 1

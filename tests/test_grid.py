@@ -25,7 +25,7 @@ class TestMakeGrid:
         assert grid1.spatial_shape == (16,)
         assert grid1.spacing == (1.0 / 16,)
         assert grid1.boundary_area == 2.0
-        assert grid1.padded_cells == (64,)
+        assert grid1.padded_cells == (63,)
 
     def test_dim2(self):
         g = make_grid(2, (2.0, 1.0), (8, 4))
@@ -33,7 +33,7 @@ class TestMakeGrid:
         assert g.cell_volume == pytest.approx(0.0625)
         assert g.total_volume == pytest.approx(2.0)
         assert g.boundary_area == pytest.approx(6.0)
-        assert g.padded_cells == (32, 16)
+        assert g.padded_cells == (31, 15)
 
     def test_integrate_midpoint(self, grid2):
         assert grid2.integrate(grid2.scalar_field(1.0)) == pytest.approx(1.0)

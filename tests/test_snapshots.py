@@ -73,6 +73,17 @@ def test_corrupt_header(tmp_path, grid0):
         read_snapshot(path)
 
 
+def test_u_of_the_old_padded_shape(tmp_path):
+    # before u had pad_factor * n - 1 cells per axis it had pad_factor * n
+    grid = make_grid(2, (2.0, 1.0), (8, 4))
+    state = FieldState.zeros(grid, w0=1.0)
+    state.u = np.zeros((32, 16))
+    path = tmp_path / "old.bin"
+    write_snapshot(path, state, grid)
+    with pytest.raises(ConfigError, match=r"u has shape \(32, 16\), expected \(31, 15\)"):
+        read_snapshot(path)
+
+
 def test_magic_constant():
     assert MAGIC == b"PMAGSNP1"
 

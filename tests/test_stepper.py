@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from paleomag import constitutive as con
-from paleomag import energetics, scenarios
+from paleomag import demag, energetics, scenarios, stepper
 from paleomag import kinematics as kin
 from paleomag.cli import ENTROPY_TOL, main
 from paleomag.demag import solve_demag
@@ -319,6 +319,19 @@ def _spatial_config(**overrides):
 
 
 class TestSpatialAudit:
+    def test_sweep_builds_no_demag_checks(self, monkeypatch):
+        # energy and residual of a solve are built only when read
+        cfg, state = _spatial_config()
+        solves, builds = [], []
+        solve, build = stepper.solve_demag, demag._poisson_checks
+        monkeypatch.setattr(stepper, "solve_demag", lambda *a: solves.append(a) or solve(*a))
+        monkeypatch.setattr(demag, "_poisson_checks", lambda *a: builds.append(a) or build(*a))
+        grid = cfg.build_grid()
+        _, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), grid,
+                      cfg.material, cfg.step_options(cfg.dt))
+        assert rep.accepted
+        assert solves and builds == []
+
     def test_exchange_gravity_demag_balances(self):
         cfg, state = _spatial_config()
         traj = run_scenario(cfg, initial_state=state)
