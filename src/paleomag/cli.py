@@ -192,7 +192,8 @@ def cmd_audit(args) -> int:
         if why is not None:
             print(f"audit failure at t={rep.t:.6g}: {why}", file=sys.stderr)
             return 3
-        row = audit_rows.get(_fmt_key(meta["t"]))
+        i = meta["index"]  # pair i is step i, logged in row i of audit.csv (from 1)
+        row = audit_rows[i - 1] if 1 <= i <= len(audit_rows) else None
         if row is not None:
             ledger = rep.ledger_new  # the ledger of `new` under loads_s.h_ext_k
             for name, value in (
@@ -213,18 +214,11 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def _fmt_key(t: float) -> str:
-    return f"{t:.12g}"
-
-
-def _read_audit_csv(path: Path) -> dict:
-    rows = {}
+def _read_audit_csv(path: Path) -> list:
     if not path.exists():
-        return rows
+        return []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows[_fmt_key(float(row["t"]))] = row
-    return rows
+        return list(csv.DictReader(fh))
 
 
 def cmd_sweep(args) -> int:

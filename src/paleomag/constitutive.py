@@ -14,8 +14,10 @@ scheme runs the unregularized model (eps = 0), so omega is used as it is.
 
 Dissipation potential for the magnetization rate (radial in |mdot|):
 
-    zeta(theta; mdot) = h_c(theta)|mdot| + eps_reg |mdot|^r_exp
-                        + tau_c * min(|mdot|, m_r)^2
+    zeta(theta; mdot) = h_c(theta)|mdot| + eps_reg |mdot|^r_exp + tau_c |mdot|^2
+
+(strictly convex when tau_c or eps_reg is positive, so each field h_eff
+has one rate mdot)
 
 The engine is dimension-agnostic; shipped scenarios are nondimensional.
 h_c is expressed in the same units as the driving field h_drv (A/m), so
@@ -52,7 +54,6 @@ class MaterialParams:
     hc_width: float = 0.02    # blocking transition width
     tau_c: float = 0.05       # viscous magnetization time constant
     eps_reg: float = 1e-6     # coercive regularization coefficient in zeta
-    m_r: float = math.inf     # rate threshold capping the quadratic branch
     r_exp: float = 3.0        # rate exponent in zeta
     kappa: float = 0.0        # exchange coefficient
     varkappa: float = 0.0     # inelastic-rate gradient coefficient
@@ -71,7 +72,7 @@ class MaterialParams:
 
     def validate(self) -> None:
         pos = ("rho", "mu0", "nu1", "K_E", "G_E", "theta_c", "c_v", "K_cond",
-               "M_solid", "M_magma", "melt_width", "hc_width", "m_r", "p")
+               "M_solid", "M_magma", "melt_width", "hc_width", "p")
         for name in pos:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"MaterialParams.{name} must be > 0, got {getattr(self, name)}")
@@ -92,6 +93,11 @@ class MaterialParams:
 
     @staticmethod
     def from_dict(data: dict) -> "MaterialParams":
+        data = dict(data)
+        # archived config.json files name the retired rate cap m_r at infinity
+        if "m_r" in data and float(data.pop("m_r")) != math.inf:
+            raise ConfigError("m_r (the rate cap of zeta) is fixed at inf; "
+                              "a config may name it at no other value")
         known = {f.name for f in dataclasses.fields(MaterialParams)}
         unknown = set(data) - known
         if unknown:
@@ -236,18 +242,16 @@ def buoyancy_b(theta, params: MaterialParams):
 
 
 def zeta(theta, mdot_mag, params: MaterialParams):
-    """zeta(theta; |mdot|) = h_c|mdot| + eps_reg|mdot|^r_exp + tau_c min(|mdot|, m_r)^2."""
+    """zeta(theta; |mdot|) = h_c|mdot| + eps_reg|mdot|^r_exp + tau_c|mdot|^2."""
     s = np.abs(np.asarray(mdot_mag, dtype=np.float64))
-    capped = np.minimum(s, params.m_r)
-    return h_c(theta, params) * s + params.eps_reg * s ** params.r_exp + params.tau_c * capped ** 2
+    return h_c(theta, params) * s + params.eps_reg * s ** params.r_exp + params.tau_c * s ** 2
 
 
 def zeta_prime(theta, mdot_mag, params: MaterialParams):
-    """d zeta / d|mdot| for |mdot| > 0 (quadratic branch frozen above m_r)."""
+    """d zeta / d|mdot| for |mdot| > 0."""
     s = np.asarray(mdot_mag, dtype=np.float64)
     out = h_c(theta, params) + params.r_exp * params.eps_reg * s ** (params.r_exp - 1.0)
-    out = out + np.where(s <= params.m_r, 2.0 * params.tau_c * s, 0.0)
-    return out
+    return out + 2.0 * params.tau_c * s
 
 
 def zeta_diss(theta, r_vec: np.ndarray, params: MaterialParams):
@@ -275,9 +279,8 @@ def zeta_resolvent(theta, h_eff: np.ndarray, params: MaterialParams) -> np.ndarr
     """Solve h_eff in d zeta(theta; mdot) for mdot (pointwise, vectorized).
 
     By radial symmetry mdot is parallel to h_eff and its magnitude s solves
-    zeta'(s) = |h_eff| on the active branch; |h_eff| <= h_c gives sticking.
-    The value-capped quadratic makes zeta nonconvex at m_r, so both branches
-    are compared through the objective zeta(s) - |h_eff| s.
+    zeta'(s) = |h_eff|, which has one root since zeta' increases strictly;
+    |h_eff| <= h_c gives sticking.
     """
     H = np.sqrt(_m2(h_eff))
     excess = H - h_c(theta, params)
@@ -291,35 +294,20 @@ def zeta_resolvent(theta, h_eff: np.ndarray, params: MaterialParams) -> np.ndarr
                 "zeta has no minimizer above the sticking threshold "
                 "(eps_reg = tau_c = 0); the flow rule is ill-posed"
             )
-        # branch A: quadratic term active (s <= m_r)
         if eps == 0.0:
-            sA = ex / (2.0 * tc)
+            s_ex = ex / (2.0 * tc)
         elif tc == 0.0:
-            sA = (ex / (re * eps)) ** (1.0 / (re - 1.0))
+            s_ex = (ex / (re * eps)) ** (1.0 / (re - 1.0))
         elif re == 3.0:
             # the root of 3 eps s^2 + 2 tc s = ex, rationalized: no
             # cancellation when 3 eps ex << tc^2
-            sA = ex / (tc + np.sqrt(tc * tc + 3.0 * eps * ex))
+            s_ex = ex / (tc + np.sqrt(tc * tc + 3.0 * eps * ex))
         else:
             hi = np.maximum(ex / (2.0 * tc), (ex / (re * eps)) ** (1.0 / (re - 1.0))) + 1.0
-            sA = _branch_root_bisect(
+            s_ex = _branch_root_bisect(
                 ex, 0.0, hi, lambda s_: re * eps * s_ ** (re - 1.0) + 2.0 * tc * s_
             )
-        s = np.where(active, sA, 0.0)
-        if np.isfinite(params.m_r):
-            if eps == 0.0:
-                raise ConstitutiveError(
-                    "capped quadratic zeta with eps_reg = 0 is not coercive "
-                    "beyond the rate threshold m_r"
-                )
-            # branch B: cap active (s > m_r), zeta' = h_c + r eps s^(r-1);
-            # the cap makes zeta nonconvex, so both branch candidates are
-            # compared through the objective (global-minimizer convention)
-            sA_cl = np.minimum(sA, params.m_r)
-            sB = np.maximum((ex / (re * eps)) ** (1.0 / (re - 1.0)), params.m_r)
-            objA = zeta(theta, sA_cl, params) - H * sA_cl
-            objB = zeta(theta, sB, params) - H * sB
-            s = np.where(active, np.where(objB < objA, sB, sA_cl), 0.0)
+        s = np.where(active, s_ex, 0.0)
     unit = h_eff / np.maximum(H, 1e-300)[..., None]
     return s[..., None] * unit
 
@@ -329,16 +317,15 @@ def zeta_resolvent_jacobian(h_eff: np.ndarray, r: np.ndarray, params: MaterialPa
 
     The resolvent is radial, r = s(H) h/H with H = |h_eff|, so
     Dr = s'(H) hh^T + (s/H)(I - hh^T) with hh^T the projector on h_eff and
-    s' = 1/zeta''(s) on the branch s lies on.  s' = 0 where s sits at the
-    cap m_r (a clamped branch), and Dr = 0 at sticking (r = 0).
+    s' = 1/zeta''(s), and Dr = 0 at sticking (r = 0).
     """
     H = np.sqrt(_m2(h_eff))
     s = np.sqrt(_m2(r))
     moving = s > 0.0
     s_on = np.where(moving, s, 1.0)
     eps, tc, re = params.eps_reg, params.tau_c, params.r_exp
-    zpp = re * (re - 1.0) * eps * s_on ** (re - 2.0) + np.where(s_on < params.m_r, 2.0 * tc, 0.0)
-    ds = np.where(moving & (s != params.m_r), 1.0 / np.maximum(zpp, 1e-300), 0.0)
+    zpp = re * (re - 1.0) * eps * s_on ** (re - 2.0) + 2.0 * tc
+    ds = np.where(moving, 1.0 / np.maximum(zpp, 1e-300), 0.0)
     H_on = np.maximum(H, 1e-300)
     ratio = np.where(moving, s / H_on, 0.0)
     unit = h_eff / H_on[..., None]

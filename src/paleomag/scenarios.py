@@ -1,7 +1,7 @@
 """Reference experiments and the scenario run driver.
 
 A scenario is a JSON-able :class:`ScenarioConfig` (grid, material, load
-schedules, dt policy, initial data).  ``run_scenario`` integrates it with
+schedules, dt, initial data).  ``run_scenario`` integrates it with
 step rejection / dt halving, audits every accepted step, and optionally
 writes a run directory (config copy, time-series CSV, audit CSV, snapshot
 pairs for offline re-auditing).
@@ -92,7 +92,7 @@ def make_scalar_schedule(spec: Optional[dict]) -> Optional[Callable[[float], flo
 
 
 def make_vector_schedule(spec: Optional[dict]) -> Optional[Callable[[float], np.ndarray]]:
-    """Vector sampler: const, sine along an axis, or per-component scalar."""
+    """Vector sampler: const, or sine along an axis."""
     if spec is None:
         return None
     kind = _schedule_kind(spec)
@@ -107,10 +107,6 @@ def make_vector_schedule(spec: Optional[dict]) -> Optional[Callable[[float], np.
             raise ConfigError(f"sine schedule axis must have {NCOMP} components")
         base = make_scalar_schedule({k: v for k, v in spec.items() if k != "axis"})
         return lambda t: base(t) * axis
-    if kind == "components":
-        fx = make_scalar_schedule(spec["x"])
-        fy = make_scalar_schedule(spec["y"])
-        return lambda t: np.array([fx(t), fy(t)])
     raise ConfigError(f"unknown vector schedule kind {kind!r}")
 
 
@@ -141,14 +137,21 @@ def make_tensor_schedule(spec: Optional[dict]) -> Optional[Callable[[float], np.
 # configuration
 
 
+# The dt policy: a rejected step halves dt, and a run whose dt falls below
+# _DT_MIN fails; each accepted step lets dt grow by _DT_GROWTH, up to the
+# configured dt.
+_DT_MIN = 1e-9
+_DT_GROWTH = 1.2
+
 # Settings that only ever took one value: the solver settings are now
 # constants of the stepper (relaxation: the sweep takes each new iterate as
-# it stands), and eps, the regularization omega / (1 + eps |m|^2) of the
-# paper's existence proof, is 0.  Archived config.json files name them, so
-# each still loads at its fixed value.
+# it stands), eps, the regularization omega / (1 + eps |m|^2) of the
+# paper's existence proof, is 0, and the dt policy is fixed.  Archived
+# config.json files name them, so each still loads at its fixed value.
 _RETIRED_KEYS = {
     "max_iters": _MAX_SWEEPS, "tol_rel": _TOL_REL, "tol_abs": _TOL_ABS,
     "relaxation": 1.0, "cfl_max": _CFL_MAX, "eps": 0.0,
+    "dt_min": _DT_MIN, "dt_growth": _DT_GROWTH,
 }
 
 
@@ -165,8 +168,6 @@ class ScenarioConfig:
     material: con.MaterialParams = field(default_factory=con.MaterialParams)
     duration: float = 1.0
     dt: float = 0.01
-    dt_min: float = 1e-9
-    dt_growth: float = 1.2
     output_every: int = 50
     demag: bool = False
     demag_boundary: str = "farfield"
@@ -186,10 +187,8 @@ class ScenarioConfig:
         self.material.validate()
         if not self.duration >= 0.0:
             raise ConfigError(f"duration must be >= 0, got {self.duration}")
-        if not 0.0 < self.dt_min <= self.dt:
-            raise ConfigError(f"need 0 < dt_min <= dt, got {self.dt_min} / {self.dt}")
-        if self.dt_growth < 1.0:
-            raise ConfigError(f"dt_growth must be >= 1, got {self.dt_growth}")
+        if not _DT_MIN <= self.dt:
+            raise ConfigError(f"dt must be >= {_DT_MIN:g}, got {self.dt}")
         if self.theta0 < 0.0:
             raise ConfigError(f"theta0 must be >= 0, got {self.theta0}")
         if self.grad_v_schedule is not None and self.stress_dev_schedule is not None:
@@ -394,10 +393,10 @@ def run_scenario(
 ) -> Trajectory:
     """Integrate a scenario over [0, duration]; audit every accepted step.
 
-    Rejected steps halve dt (down to dt_min, then ScenarioError); accepted
-    steps let dt recover by dt_growth up to the configured dt.  A supplied
-    ``initial_state`` whose u fails the stepper's potential residual gate
-    against its m raises ConfigError.
+    Rejected steps halve dt (down to a fixed floor, then ScenarioError);
+    accepted steps let dt recover by a fixed factor up to the configured
+    dt.  A supplied ``initial_state`` whose u fails the stepper's potential
+    residual gate against its m raises ConfigError.
     """
     config.validate()
     grid = config.build_grid()
@@ -444,10 +443,10 @@ def run_scenario(
         if not report.accepted:
             traj.n_rejections += 1
             dt *= 0.5
-            if dt < config.dt_min:
+            if dt < _DT_MIN:
                 raise ScenarioError(
                     f"{config.name}: step at t={state.t:.6g} rejected below "
-                    f"dt_min={config.dt_min:g} ({report.message})"
+                    f"the smallest dt {_DT_MIN:g} ({report.message})"
                 )
             continue
 
@@ -472,7 +471,7 @@ def run_scenario(
             pair_meta.append(pair_record(step_index, new_state.t, dt, loads_s))
 
         state = new_state
-        dt = min(dt * config.dt_growth, config.dt)
+        dt = min(dt * _DT_GROWTH, config.dt)
 
     traj.final_state = state
     traj.n_steps = step_index
@@ -814,7 +813,6 @@ def _relaxation_fixture(
         h_ext_schedule=None,
         m0=(0.0, 0.0),
         Ee0=((5e-4, 0.0), (0.0, -5e-4)),
-        dt_growth=1.0,
     )
     traj = run_scenario(cfg)
     s = traj.column("Sdev_xx")

@@ -85,7 +85,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "setting",
         ["relaxation=0", "eps=1.0", "eps=0.1", "tol_rel=-1", "max_iters=0",
-         "demag_boundary=bogus", "cfl_max=-1", "tol_rel=1e-10"],
+         "demag_boundary=bogus", "cfl_max=-1", "tol_rel=1e-10", "dt_min=1e-6",
+         "dt_growth=1.0", "material.m_r=0.5"],
     )
     def test_invalid_solver_setting(self, tmp_path, setting):
         out = tmp_path / "o"
@@ -130,21 +131,27 @@ class TestAudit:
         assert run_cli("audit", str(out)) == 0
 
     def test_archived_config_with_retired_settings(self, tmp_path, capsys):
-        # config.json files written before the five solver settings became
-        # constants and eps was fixed at 0 name them; at their fixed values
-        # they still load
+        # config.json files written before the five solver settings, the dt
+        # policy and the rate cap m_r became constants and eps was fixed at 0
+        # name them; at their fixed values they still load
         out = tmp_path / "run"
         assert run_short_trm(out) == 0
         path = out / "config.json"
         config = json.loads(path.read_text())
         config.update(max_iters=200, tol_rel=1e-11, tol_abs=1e-13, relaxation=1.0, cfl_max=0.9,
-                      eps=0.0)
+                      eps=0.0, dt_min=1e-9, dt_growth=1.2)
+        config["material"]["m_r"] = float("inf")
         path.write_text(json.dumps(config))
+        assert '"m_r": Infinity' in path.read_text()
         assert run_cli("audit", str(out)) == 0
-        for key, value in (("relaxation", 0.5), ("eps", 0.1)):
+        for key, value in (("relaxation", 0.5), ("eps", 0.1), ("dt_min", 1e-6),
+                           ("dt_growth", 1.0)):
             path.write_text(json.dumps(dict(config, **{key: value})))
             assert run_cli("audit", str(out)) == 2
             assert key in capsys.readouterr().err
+        path.write_text(json.dumps(dict(config, material=dict(config["material"], m_r=0.5))))
+        assert run_cli("audit", str(out)) == 2
+        assert "m_r" in capsys.readouterr().err
 
     def test_empty_dir(self, tmp_path):
         empty = tmp_path / "empty"
@@ -187,6 +194,20 @@ class TestAudit:
         blob[off:off + 8] = struct.pack("<d", 0.75)
         pair.write_bytes(bytes(blob))
         assert run_cli("audit", str(out)) == 3
+
+    def test_tampered_audit_row(self, tmp_path, capsys):
+        # pair `index` i is checked against row i of audit.csv
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        index = json.loads((out / "pairs.json").read_text())[0]["index"]
+        path = out / "audit.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        col = rows[0].index("stored")
+        rows[index][col] = repr(float(rows[index][col]) + 1e-3)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run_cli("audit", str(out)) == 3
+        assert "logged stored=" in capsys.readouterr().err
 
 
 class TestSweep:

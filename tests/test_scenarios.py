@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paleomag import constitutive as con
+from paleomag import scenarios
 from paleomag.energetics import energy_ledger
 from paleomag.errors import ConfigError, ConstitutiveError
 from paleomag.scenarios import (
@@ -22,6 +23,7 @@ from paleomag.scenarios import (
     vrm_experiment,
 )
 from paleomag.snapshots import pair_loads, read_snapshot
+from paleomag.stepper import StepReport
 
 
 class TestSchedules:
@@ -132,6 +134,28 @@ class TestRunScenario:
         run_scenario(copy.deepcopy(cfg), out_dir=b)
         assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
         assert (a / "audit.csv").read_bytes() == (b / "audit.csv").read_bytes()
+
+    def test_dt_regrows_after_a_rejection(self, monkeypatch):
+        # a rejected step halves dt; each accepted step then grows it by 1.2,
+        # up to the configured dt
+        real_step = scenarios.step
+        calls = []
+
+        def reject_once(state, loads_s, grid, params, opts):
+            calls.append(opts.dt)
+            if len(calls) == 1:
+                return state, StepReport(dt=opts.dt, message="forced rejection")
+            return real_step(state, loads_s, grid, params, opts)
+
+        monkeypatch.setattr(scenarios, "step", reject_once)
+        cfg = builtin_config("vrm")
+        cfg.experiment = None
+        cfg.duration = 6 * cfg.dt
+        traj = run_scenario(cfg)
+        assert traj.n_rejections == 1
+        factors = [0.5, 0.6, 0.72, 0.864, 1.0, 1.0]
+        np.testing.assert_allclose(traj.column("dt")[:6], np.multiply(factors, cfg.dt),
+                                   rtol=1e-15)
 
     def test_carried_ledger_is_the_recomputed_one(self, tmp_path):
         # the audit of a step reuses the previous step's ledger_new as its

@@ -273,10 +273,11 @@ class TestSpatial:
             step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
 
     def test_cfl_rejection_below_dt_min_names_the_axis(self):
-        # |v| dt / h = 5 * 0.05 * 16 = 4 at dt_min: the run ends, and says why
+        # |v| dt / h = 1e9 * 1e-9 * 16 = 16 even at the smallest dt: the run
+        # ends, and says why
         cfg = ScenarioConfig(
             name="cfl", dim=1, extents=(1.0,), cells=(16,), material=material(),
-            duration=0.1, dt=0.1, dt_min=0.05, output_every=0, v0=(5.0, 0.0),
+            duration=0.1, dt=0.1, output_every=0, v0=(1e9, 0.0),
             grad_v_schedule={"kind": "zero"}, theta_schedule={"kind": "const", "value": 0.5},
         )
         with pytest.raises(ScenarioError, match=r"CFL violation: axis 0: .* exceeds 0\.9"):
