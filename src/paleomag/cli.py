@@ -193,30 +193,30 @@ def cmd_audit(args) -> int:
             print(f"audit failure at t={rep.t:.6g}: {why}", file=sys.stderr)
             return 3
         i = meta["index"]  # pair i is step i, logged in row i of audit.csv (from 1)
-        row = audit_rows[i - 1] if 1 <= i <= len(audit_rows) else None
-        if row is not None:
-            ledger = rep.ledger_new  # the ledger of `new` under loads_s.h_ext_k
-            for name, value in (
-                ("kinetic", ledger.kinetic),
-                ("stored", ledger.stored),
-                ("heat", ledger.heat),
-                ("zeeman", ledger.zeeman),
-            ):
+        if not 1 <= i <= len(audit_rows):
+            print(f"error: audit.csv has no row for snapshot pair {tag}", file=sys.stderr)
+            return 2
+        row = audit_rows[i - 1]
+        ledger = rep.ledger_new  # the ledger of `new` under loads_s.h_ext_k
+        for name in ("kinetic", "stored", "demag", "zeeman", "heat", "entropy"):
+            value = getattr(ledger, name)
+            try:
                 stored_val = float(row[name])
-                if abs(stored_val - value) > 1e-9 * max(1.0, abs(value)):
-                    print(
-                        f"audit failure: logged {name}={stored_val!r} at t={meta['t']:.6g} "
-                        f"disagrees with snapshot value {value!r}",
-                        file=sys.stderr,
-                    )
-                    return 3
+            except (KeyError, TypeError, ValueError):
+                print(f"error: audit.csv row {i} has no valid {name} entry", file=sys.stderr)
+                return 2
+            if abs(stored_val - value) > 1e-9 * max(1.0, abs(value)):
+                print(
+                    f"audit failure: logged {name}={stored_val!r} at t={meta['t']:.6g} "
+                    f"disagrees with snapshot value {value!r}",
+                    file=sys.stderr,
+                )
+                return 3
     print(f"audit: {len(pairs)} snapshot pairs re-verified; all bounds hold")
     return 0
 
 
 def _read_audit_csv(path: Path) -> list:
-    if not path.exists():
-        return []
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 

@@ -1,300 +1,186 @@
-"""Demagnetizing field: Delta u = div(chi_Omega m) on a padded grid.
+"""Demagnetizing field: Delta u = div(chi_Omega m) on the infinite lattice.
 
-The whole-space Poisson problem is approximated on a grid extended by
-``pad_factor`` in every direction: P = pad_factor * n - 1 cells per axis,
-so the Dirichlet ghost lines at index -1 and P lie pad_factor * L apart.
-In 2D the discrete 5-point problem is solved exactly (to roundoff) by a
-type-I discrete sine transform, whose FFT length 2 (P + 1) = 2 pad_factor n
-is a power of two at the usual sizes, with Dirichlet ghost values taken
-either as zero or from the continuum dipole far field of the magnetization
-(default), which sharply reduces the domain-truncation error of the pad.
-h_dem = -grad u on Omega.
+u solves the 5-point Poisson problem L u = div_c(chi_Omega m) on the whole
+unbounded lattice of the grid, with div_c the central divergence and u
+vanishing at infinity up to a constant.  div_c(chi m) is supported on
+Omega and its one-cell halo, so u is kept there, n + 2 cells per axis,
+and h_dem = -grad_c u on Omega (central differences).
 
-The far-field ghosts and the cells of Omega lie on one lattice, so the
-values on each of the four ghost lines are a sum, over the source rows
-(or columns) of Omega, of 1D Toeplitz convolutions along the line with
-the kernel 1 / (dx + i dy) of the lattice offsets (lattice Green's
-function convolution, Hockney & Eastwood 1988).  They are evaluated
-exactly, to roundoff, by FFTs along each line with kernel spectra that
-are computed once per grid (``_farfield_ring``).
+In 2D, u = G * div_c(chi m) with G = L^{-1} delta, the Green's function
+of the 5-point Laplacian on the infinite lattice (lattice Green's
+function convolution: Hockney & Eastwood 1988; Martinsson & Rodin 2002,
+Proc. R. Soc. A 458:2609).  G follows from a 1D integral per offset
+(``_lattice_green``) and is mirrored, so G(d) = G(-d) exactly; the
+convolution is one zero-padded real FFT with G's spectrum cached per grid.
+In 1D, u' = chi m_x, the midpoint antiderivative, is the same operator.
 
-div(chi m) vanishes outside Omega and its one-cell halo, and h_dem is
-needed on Omega only, so neither is formed on the rest of the padded grid.
+The map m -> h_dem is then symmetric, -grad_c being the adjoint of
+div_c, and the field energy has one formula,
+
+    E = -(mu0/2) int_Omega m . h_dem >= 0,
+
+which the audit ledger books (``energetics.energy_ledger``): for any two
+magnetizations, E(m1) - E(m0) + E(m1 - m0) = -mu0 int h_dem(m1) . (m1 - m0).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.fft
+import scipy.special
 
 from .errors import ConfigError
 from .grid import NCOMP, Grid
 
-_BOUNDARIES = ("farfield", "zero")
+# the one boundary condition, u -> 0 at infinity, by the name a config
+# or a caller may still pass
+BOUNDARY = "farfield"
 
 
 @dataclass
 class DemagSolution:
-    """u on the padded grid and h_dem = -grad u on Omega.
+    """u on Omega plus its halo and h_dem = -grad u on Omega, for m.
 
-    ``energy`` (the field energy, >= 0) and ``residual`` (the largest
-    5-point Poisson residual) are checks the sweep never reads, so they
-    are built on first read and kept; in 2D from u and the ghost ring and
-    div(chi m) of the solve.  The energy counts the faces to the ghost
-    ring, which the audit ledger's ``energetics.demag_energy_from_u``
-    leaves out.
+    ``residual``, the largest 5-point Poisson residual of u on Omega
+    (``poisson_residual``), is a check the sweep never reads, so it is
+    formed on read.
     """
 
     u: np.ndarray
     h_dem: np.ndarray
-    _checks: Callable[[], tuple[float, float]]
-
-    @functools.cached_property
-    def _energy_residual(self) -> tuple[float, float]:
-        return self._checks()
-
-    @property
-    def energy(self) -> float:
-        return self._energy_residual[0]
+    m: np.ndarray
+    grid: Grid
 
     @property
     def residual(self) -> float:
-        return self._energy_residual[1]
+        return poisson_residual(self.u, self.m, self.grid)
 
 
-def _omega_slices(grid: Grid) -> tuple[slice, ...]:
-    return tuple(
-        slice((P - n) // 2, (P - n) // 2 + n)
-        for P, n in zip(grid.padded_cells, grid.cells)
-    )
-
-
-def _line_spectra(n: int, P: int, o: int, step: complex, across: np.ndarray) -> np.ndarray:
-    """Spectra of the kernels 1 / (d step + across) of one pair of ghost lines.
-
-    ``n`` source cells start at padded index ``o`` of an axis of ``P``
-    padded cells, ``step`` is one cell along that axis as a complex
-    number, and ``across`` (side, source row) is the offset of each
-    side's ghost line from each source row.  Kernel entry e is the offset
-    d = e - o - n + 1 along the line, so entry t + n - 1 of the linear
-    convolution is target index t.  The transform is at least as long as
-    the kernel, so the circular wrap-around reaches no target.
-    """
-    along = (np.arange(P + n - 1) - o - n + 1) * step
-    kern = 1.0 / (along + across[..., None])
-    spec = scipy.fft.fft(kern, scipy.fft.next_fast_len(P + n - 1), axis=-1)
-    spec.flags.writeable = False
-    return spec
-
-
-# Keyed by the whole geometry: cells, extents and pad_factor all enter.
-@functools.lru_cache(maxsize=4)
-def _ring_spectra(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel spectra of the (left, right) and the (bottom, top) ghost lines.
-
-    Shapes (2, nx, Ly) and (2, ny, Lx): the left and right lines run
-    along y and see source row i of Omega at x offset (-1 - i) hx and
-    (Px - i) hx; the bottom and top lines likewise run along x.
-    """
-    hx, hy = grid.spacing
-    nx, ny = grid.cells
-    Px, Py = grid.padded_cells
-    sx, sy = _omega_slices(grid)
-    ix = np.arange(sx.start, sx.stop)
-    iy = np.arange(sy.start, sy.stop)
-    across_x = np.stack([-1 - ix, Px - ix]) * hx
-    across_y = np.stack([-1 - iy, Py - iy]) * (1j * hy)
-    return (
-        _line_spectra(ny, Py, sy.start, 1j * hy, across_x),
-        _line_spectra(nx, Px, sx.start, hx, across_y),
-    )
-
-
-def _farfield_ring(m: np.ndarray, grid: Grid):
-    """Continuum dipole-potential values at the four ghost-cell lines (2D).
-
-    u(x) = sum_j m_j . (x - x_j) / (2 pi |x - x_j|^2) * cell_volume,
-    the far field of Delta u = div(chi m) in the plane.  With z = x + i y
-    and mu = m_x + i m_y, m . d / |d|^2 = Re(mu / d), so
-
-        u(z) = cell_volume / (2 pi) * Re sum_j mu_j / (z - z_j).
-
-    Ghosts (lattice index -1 and P per axis) and sources (the cells of
-    Omega) sit on one lattice.  Along the left ghost line (x index -1),
-    source row a of Omega (x index i_a) is at the fixed x offset
-    -1 - i_a, so the line values are sum_a (mu[a, :] conv k_a)(j), a sum
-    of 1D convolutions along y with the kernels
-    k_a(d) = 1 / ((-1 - i_a) hx + i d hy); likewise for the other three
-    lines.  mu is transformed once along y and once
-    along x, multiplied by the cached kernel spectra of the grid
-    (``_ring_spectra``), summed over the source rows and transformed back
-    once per side (Hockney & Eastwood 1988).  The result is the direct
-    sum to roundoff; no ghost is within a cell of a source.
-    """
-    nx, ny = grid.cells
-    Px, Py = grid.padded_cells
-    spec_lr, spec_bt = _ring_spectra(grid)
-    mu = m[..., 0] + 1j * m[..., 1]
-    mu_y = scipy.fft.fft(mu, spec_lr.shape[-1], axis=1)
-    mu_x = scipy.fft.fft(mu.T, spec_bt.shape[-1], axis=1)
-    lr = scipy.fft.ifft((spec_lr * mu_y).sum(axis=1), axis=-1)
-    bt = scipy.fft.ifft((spec_bt * mu_x).sum(axis=1), axis=-1)
-    c = grid.cell_volume / (2.0 * np.pi)
-    left, right = lr.real[:, ny - 1 : ny - 1 + Py] * c
-    bottom, top = bt.real[:, nx - 1 : nx - 1 + Px] * c
-    return left, right, bottom, top
-
-
-@functools.lru_cache(maxsize=4)
-def _dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
-    """lambda_x + lambda_y of the 5-point Laplacian on the padded grid."""
-    hx, hy = grid.spacing
-    Px, Py = grid.padded_cells
-    kx = np.arange(1, Px + 1)
-    ky = np.arange(1, Py + 1)
-    lam_x = (2.0 * np.cos(np.pi * kx / (Px + 1)) - 2.0) / (hx * hx)
-    lam_y = (2.0 * np.cos(np.pi * ky / (Py + 1)) - 2.0) / (hy * hy)
-    lam = lam_x[:, None] + lam_y[None, :]
-    lam.flags.writeable = False
-    return lam
-
-
-def _solve_dirichlet_2d(rhs: np.ndarray, ghosts, grid: Grid) -> np.ndarray:
-    """Exact 5-point Dirichlet solve on the padded grid via DST-I."""
-    hx, hy = grid.spacing
-    left, right, bottom, top = ghosts
-    b = rhs.copy()
-    b[0, :] -= left / (hx * hx)
-    b[-1, :] -= right / (hx * hx)
-    b[:, 0] -= bottom / (hy * hy)
-    b[:, -1] -= top / (hy * hy)
-    bhat = scipy.fft.dstn(b, type=1, overwrite_x=True)
-    bhat /= _dirichlet_eigenvalues(grid)
-    return scipy.fft.idstn(bhat, type=1, overwrite_x=True)
+def _shifted(dim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...], tuple[slice, ...]]:
+    """(plus, centre, minus): Omega in the halo grid, and Omega moved +-1 along axis."""
+    centre = (slice(1, -1),) * dim
+    plus, minus = list(centre), list(centre)
+    plus[axis], minus[axis] = slice(2, None), slice(None, -2)
+    return tuple(plus), centre, tuple(minus)
 
 
 def _div_central(m: np.ndarray, grid: Grid) -> np.ndarray:
-    """Central divergence of chi_Omega m on the padded grid (2D).
+    """div_c(chi_Omega m) on Omega and its halo, from m framed by two zero cells."""
+    mp = np.pad(m, [(2, 2)] * grid.dim + [(0, 0)])
+    div = np.zeros(grid.halo_cells)
+    for a, h in enumerate(grid.spacing):
+        plus, _, minus = _shifted(grid.dim, a)
+        div += (mp[(*plus, a)] - mp[(*minus, a)]) / (2.0 * h)
+    return div
 
-    It vanishes outside Omega and its one-cell halo, so only that block
-    is computed, from m framed by two zero cells: the padded grid holds
-    zeros there, and at its edge the difference reads a zero beyond it.
+
+def poisson_residual(u: np.ndarray, m: np.ndarray, grid: Grid) -> float:
+    """max over Omega of |L u - div_c(chi m)|, L the 5-point Laplacian."""
+    if grid.dim == 0:
+        return 0.0
+    lap = 0.0
+    for a, h in enumerate(grid.spacing):
+        plus, centre, minus = _shifted(grid.dim, a)
+        lap = lap + (u[plus] - 2.0 * u[centre] + u[minus]) / (h * h)
+    return float(np.max(np.abs(lap - _div_central(m, grid)[centre])))
+
+
+def _lattice_green(spacing: tuple[float, float], shape: tuple[int, int]) -> np.ndarray:
+    """G(p, q) - G(0, 0) of the 2D 5-point Laplacian, 0 <= p < P, 0 <= q < Q.
+
+    Along y the equation is diagonalized by e^{i q theta}; along x it
+    leaves g(p+1) - 2 g(p) + g(p-1) = 4 sinh^2(t/2) g(p) with
+    sinh(t/2) = (h_x/h_y) sin(theta/2), whose decaying solution is
+    e^{-|p| t}.  Hence
+
+        G(p, q) - G(0, 0)
+            = (h_x^2 / 2 pi) int_0^pi [1 - e^{-|p| t} cos(q theta)] / sinh t dtheta,
+
+    evaluated by Gauss-Legendre with 4 max(P, Q) + 70 nodes, the
+    numerator as -expm1(-p t) + e^{-p t} 2 sin^2(q theta / 2) so no
+    digit cancels: a matrix-vector and a matrix-matrix product, O(n N)
+    memory.
     """
-    hx, hy = grid.spacing
-    mp = np.pad(m, ((2, 2), (2, 2), (0, 0)))
-    div = (mp[2:, 1:-1, 0] - mp[:-2, 1:-1, 0]) / (2.0 * hx) + (
-        mp[1:-1, 2:, 1] - mp[1:-1, :-2, 1]
-    ) / (2.0 * hy)
-    out = np.zeros(grid.padded_cells)
-    # the halo block, clipped where Omega touches the edge of the padded grid
-    dst, src = [], []
-    for s, P in zip(_omega_slices(grid), grid.padded_cells):
-        lo, hi = max(s.start - 1, 0), min(s.stop + 1, P)
-        dst.append(slice(lo, hi))
-        src.append(slice(lo - s.start + 1, hi - s.start + 1))
-    out[tuple(dst)] = div[tuple(src)]
-    return out
+    hx, hy = spacing
+    P, Q = shape
+    x, w = scipy.special.roots_legendre(4 * max(P, Q) + 70)
+    theta = 0.5 * np.pi * (x + 1.0)
+    t = 2.0 * np.arcsinh(hx / hy * np.sin(0.5 * theta))
+    c = 0.5 * np.pi * w / np.sinh(t)
+    pt = np.arange(P)[:, None] * t
+    q_theta = np.arange(Q)[:, None] * (0.5 * theta)
+    G = ((-np.expm1(-pt)) @ c)[:, None] + np.exp(-pt) @ (2.0 * np.sin(q_theta) ** 2 * c).T
+    return hx * hx / (2.0 * np.pi) * G
+
+
+@functools.lru_cache(maxsize=4)
+def _green_spectrum(grid: Grid) -> tuple[np.ndarray, tuple[int, int]]:
+    """(real spectrum, shape) of G on the circular FFT lattice of the 2D convolution.
+
+    Sources and targets both span the halo grid, n + 2 cells per axis, so
+    offsets run over |d| <= n + 1 and a transform of length
+    next_fast_len(2 n + 3) holds each at its own index d mod length.  G is
+    written once for |d| and mirrored, so G(d) = G(-d) exactly and its
+    spectrum is real.
+    """
+    nx, ny = grid.halo_cells
+    G = _lattice_green(grid.spacing, (nx, ny))
+    Mx, My = (scipy.fft.next_fast_len(2 * n - 1, real=True) for n in (nx, ny))
+    kern = np.zeros((Mx, My))
+    kern[:nx, :ny] = G
+    kern[Mx - nx + 1 :, :ny] = G[:0:-1]
+    kern[:, My - ny + 1 :] = kern[:, ny - 1 : 0 : -1]
+    spec = scipy.fft.rfft2(kern).real
+    spec.flags.writeable = False
+    return spec, (Mx, My)
 
 
 def solve_demag(
-    m: np.ndarray, grid: Grid, mu0: float = 1.0, boundary: str = "farfield"
+    m: np.ndarray, grid: Grid, _mu0: float = 1.0, boundary: str = BOUNDARY
 ) -> DemagSolution:
-    """Solve the demag Poisson problem for the magnetization m on Omega."""
+    """u and h_dem of the magnetization m on Omega.
+
+    The third argument, mu0, is accepted for callers that pass it; u and
+    h_dem do not depend on it.  ``boundary`` may only be "farfield".
+    """
     if m.shape != grid.spatial_shape + (NCOMP,):
         raise ConfigError(f"m has shape {m.shape}, expected {grid.spatial_shape + (NCOMP,)}")
+    if boundary != BOUNDARY:
+        raise ConfigError(f"demag boundary must be {BOUNDARY!r}, got {boundary!r}")
     if grid.dim == 0:
         # A material point has no stray-field self-interaction in this model.
-        return DemagSolution(np.zeros(()), np.zeros((NCOMP,)), lambda: (0.0, 0.0))
-    if boundary not in _BOUNDARIES:
-        raise ConfigError(f"unknown demag boundary mode {boundary!r}")
+        return DemagSolution(np.zeros(()), np.zeros((NCOMP,)), m, grid)
     if grid.dim == 1:
-        return _solve_1d(m, grid, mu0)
-    return _solve_2d(m, grid, mu0, boundary)
-
-
-def _solve_1d(m: np.ndarray, grid: Grid, mu0: float) -> DemagSolution:
-    """1D: u' = chi m_x (u' -> 0 at infinity); h_dem = -grad u discretely.
-
-    The cell-centered antiderivative gives u' = m_x exactly in the
-    interior; h_dem is the same central gradient the audit reconstructs,
-    so the discrete field is self-consistent through the edge cells.
-    """
-    (h,) = grid.spacing
-    (sx,) = _omega_slices(grid)
-    mx_full = np.zeros(grid.padded_cells)
-    mx_full[sx] = m[..., 0]
-    u = np.cumsum(mx_full) * h - 0.5 * h * mx_full  # midpoint antiderivative
-    return DemagSolution(
-        u, h_dem_from_u(u, grid), lambda: (0.5 * mu0 * float(np.sum(mx_full**2)) * h, 0.0)
-    )
+        # u' = chi m_x: the midpoint antiderivative, whose second
+        # difference is div_c(chi m) exactly
+        (h,) = grid.spacing
+        mx = np.pad(m[..., 0], 1)
+        u = np.cumsum(mx) * h - 0.5 * h * mx
+    else:
+        spec, shape = _green_spectrum(grid)
+        fhat = scipy.fft.rfft2(_div_central(m, grid), shape)
+        u = scipy.fft.irfft2(fhat * spec, shape)[tuple(slice(n) for n in grid.halo_cells)]
+    return DemagSolution(u, h_dem_from_u(u, grid), m, grid)
 
 
 def h_dem_from_u(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """-grad u restricted to Omega (central differences on the padded grid).
-
-    Cells on the edge of the padded grid have one neighbour only and get
-    a zero gradient along that axis.
-    """
+    """-grad_c u on Omega, u given on Omega and its halo."""
     h_dem = np.zeros(grid.spatial_shape + (NCOMP,))
     if grid.dim == 0 or not np.any(u):
         return h_dem
-    slices = _omega_slices(grid)
-    for a, (s, P, h) in enumerate(zip(slices, grid.padded_cells, grid.spacing)):
-        lo, hi = max(s.start, 1), min(s.stop, P - 1)
-        plus, minus, out = list(slices), list(slices), [slice(None)] * grid.dim
-        plus[a], minus[a] = slice(lo + 1, hi + 1), slice(lo - 1, hi - 1)
-        out[a] = slice(lo - s.start, hi - s.start)
-        h_dem[(*out, a)] = -((u[tuple(plus)] - u[tuple(minus)]) / (2.0 * h))
+    for a, h in enumerate(grid.spacing):
+        plus, _, minus = _shifted(grid.dim, a)
+        h_dem[..., a] = -((u[plus] - u[minus]) / (2.0 * h))
     return h_dem
 
 
-def _solve_2d(m: np.ndarray, grid: Grid, mu0: float, boundary: str) -> DemagSolution:
-    rhs = _div_central(m, grid)
-    if boundary == "farfield":
-        ghosts = _farfield_ring(m, grid)
-    else:
-        Px, Py = grid.padded_cells
-        ghosts = (np.zeros(Py), np.zeros(Py), np.zeros(Px), np.zeros(Px))
-    u = _solve_dirichlet_2d(rhs, ghosts, grid)
-    return DemagSolution(
-        u, h_dem_from_u(u, grid), lambda: _poisson_checks(u, ghosts, rhs, grid, mu0)
-    )
-
-
-def _poisson_checks(
-    u: np.ndarray, ghosts, rhs: np.ndarray, grid: Grid, mu0: float
-) -> tuple[float, float]:
-    """(field energy, max |5-point Laplacian of u - rhs|) of a 2D solve.
-
-    u is framed by its ghost ring; the energy sums the squared face
-    gradients, the faces to the ring included.
-    """
-    hx, hy = grid.spacing
-    left, right, bottom, top = ghosts
-    up = np.pad(u, 1)
-    up[0, 1:-1], up[-1, 1:-1] = left, right
-    up[1:-1, 0], up[1:-1, -1] = bottom, top
-    fx = (up[1:, 1:-1] - up[:-1, 1:-1]) / hx  # face gradients incl. wall faces
-    fy = (up[1:-1, 1:] - up[1:-1, :-1]) / hy
-    # the 5-point Laplacian is the divergence of the face gradients
-    lap = (fx[1:] - fx[:-1]) / hx + (fy[:, 1:] - fy[:, :-1]) / hy
-    residual = float(np.max(np.abs(lap - rhs)))
-    energy = 0.5 * mu0 * (float(np.vdot(fx, fx)) + float(np.vdot(fy, fy))) * grid.cell_volume
-    return energy, residual
-
-
-def demag_energy_pairing(sol: DemagSolution, m: np.ndarray, grid: Grid, mu0: float = 1.0) -> float:
-    """mu0 int_Omega m . grad u, the weak-form pairing dual to the energy."""
-    return -mu0 * float(np.sum(m * sol.h_dem)) * grid.cell_volume
-
-
 __all__ = [
+    "BOUNDARY",
     "DemagSolution",
     "solve_demag",
-    "demag_energy_pairing",
+    "poisson_residual",
     "h_dem_from_u",
 ]

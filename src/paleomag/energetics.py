@@ -9,8 +9,8 @@ measure only the scheme's intrinsic discretization defects:
 
 * ``r_mech``: mechanical/magnetic energy identity.  Each convexity defect
   of the implicit scheme enters with a definite sign, so r_mech <= 0 up
-  to roundoff on the shipped 0D scenarios.  In 2D, strong exchange
-  (r_mech_rel up to +1.2e-7) and gravity (+1.0e-9) break that sign.
+  to roundoff on the shipped 0D scenarios.  In 2D, gravity (r_mech_rel
+  up to +1.0e-9) breaks that sign.
 * ``r_tot``: total (first-law) balance.  The signed defects cancel
   against the heat they generate, leaving an O(|dm|^2) remainder per step.
 * ``entropy_margin``: discrete Clausius-Duhem surplus, >= 0 up to roundoff.
@@ -44,8 +44,8 @@ class EnergyLedger:
     kinetic: int rho |v|^2 / 2
     stored:  int phi(Ee, m) + omega(m, 0) + (kappa mu0 / 2)|grad m|^2
              (elastic + magnetic internal energy, temperature part removed)
-    demag:   (mu0/2) int_pad |grad u|^2 without the faces to the far-field
-             ghost ring, which DemagSolution.energy counts
+    demag:   -(mu0/2) int_Omega m . h_dem, h_dem = -grad_c u (the field
+             energy of the infinite-lattice potential, >= 0; see demag)
     zeeman:  + mu0 int h_ext . m      (classical orientation; see module doc)
     heat:    int w                     (thermal internal energy)
     entropy: int eta(m, theta)
@@ -94,16 +94,11 @@ class BalanceReport:
     entropy_flux: float
 
 
-def demag_energy_from_u(u: np.ndarray, grid: Grid, mu0: float) -> float:
-    """(mu0/2) sum of squared face gradients of u, without the faces to the far-field ghost ring."""
+def demag_energy(m: np.ndarray, u: np.ndarray, grid: Grid, mu0: float) -> float:
+    """The demag field energy -(mu0/2) int_Omega m . h_dem of the potential u of m."""
     if grid.dim == 0 or not np.any(u):
         return 0.0
-    total = 0.0
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        ua = np.moveaxis(u, a, 0)
-        total += float(np.sum(((ua[1:] - ua[:-1]) / h) ** 2))
-    return 0.5 * mu0 * total * grid.cell_volume
+    return -0.5 * mu0 * grid.integrate(np.sum(m * h_dem_from_u(u, grid), axis=-1))
 
 
 def exchange_energy(m: np.ndarray, grid: Grid, params: con.MaterialParams) -> float:
@@ -133,7 +128,7 @@ def energy_ledger(
     stored = grid.integrate(
         con.phi_mech(state.Ee, state.m, params) + con.omega(state.m, 0.0, params)
     ) + exchange_energy(state.m, grid, params)
-    demag = demag_energy_from_u(state.u, grid, params.mu0)
+    demag = demag_energy(state.m, state.u, grid, params.mu0)
     zeeman = params.mu0 * grid.integrate(np.sum(np.asarray(h_ext) * state.m, axis=-1))
     heat = grid.integrate(state.w)
     entropy = grid.integrate(con.entropy_density(state.m, theta, params))
@@ -268,6 +263,6 @@ __all__ = [
     "BalanceReport",
     "energy_ledger",
     "audit_step",
-    "demag_energy_from_u",
+    "demag_energy",
     "exchange_energy",
 ]

@@ -29,7 +29,7 @@ EYE.flags.writeable = False
 
 @dataclass(frozen=True)
 class Grid:
-    """Structured rectangular discretization of Omega plus demag padding.
+    """Structured rectangular discretization of Omega.
 
     dim = 0 is the homogeneous material-point mode: all fields are single
     values and every spatial derivative operator returns zero.
@@ -38,7 +38,6 @@ class Grid:
     dim: int
     extents: tuple[float, ...]
     cells: tuple[int, ...]
-    pad_factor: int = 4
 
     @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
@@ -64,15 +63,9 @@ class Grid:
         return vol if self.dim > 0 else 1.0
 
     @property
-    def padded_cells(self) -> tuple[int, ...]:
-        """pad_factor * n - 1 cells per axis for the demag potential u.
-
-        The Dirichlet ghost lines of the 2D solve, at index -1 and P, then
-        lie exactly pad_factor * L apart, and its DST-I of P points runs an
-        FFT of length 2 (P + 1) = 2 pad_factor n, a power of two at pad 4
-        and n = 32, 64 or 128.
-        """
-        return tuple(self.pad_factor * n - 1 for n in self.cells)
+    def halo_cells(self) -> tuple[int, ...]:
+        """n + 2 cells per axis for the demag potential u: Omega and a one-cell halo."""
+        return tuple(n + 2 for n in self.cells)
 
     @property
     def boundary_area(self) -> float:
@@ -93,9 +86,6 @@ class Grid:
     def tensor_field(self) -> np.ndarray:
         return np.zeros(self.spatial_shape + (NCOMP, NCOMP), dtype=np.float64)
 
-    def padded_scalar_field(self) -> np.ndarray:
-        return np.zeros(self.padded_cells, dtype=np.float64)
-
     def cell_centers(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinates per axis, origin at the domain corner."""
         return tuple(
@@ -111,7 +101,6 @@ def make_grid(
     dim: int,
     extents: Sequence[float] = (),
     cells: Sequence[int] = (),
-    pad_factor: int = 4,
 ) -> Grid:
     """Validate and build a :class:`Grid`."""
     if dim not in (0, 1, 2):
@@ -126,9 +115,7 @@ def make_grid(
         raise ConfigError(f"extents must be positive, got {extents}")
     if any(n < 1 for n in cells):
         raise ConfigError(f"cell counts must be >= 1, got {cells}")
-    if pad_factor < 2:
-        raise ConfigError(f"pad_factor must be >= 2, got {pad_factor}")
-    return Grid(dim=dim, extents=extents, cells=cells, pad_factor=int(pad_factor))
+    return Grid(dim=dim, extents=extents, cells=cells)
 
 
 @dataclass
@@ -136,7 +123,7 @@ class FieldState:
     """All unknowns at one time level.
 
     v: velocity (m/s); Ee: elastic strain; Ep: inelastic strain (trace-free);
-    m: magnetization (A/m); u: demag potential on the padded grid (A);
+    m: magnetization (A/m); u: demag potential on Omega and its halo (A);
     w: enthalpy density (J/m^3); t: time (s).
     """
 
@@ -155,7 +142,7 @@ class FieldState:
             Ee=grid.tensor_field(),
             Ep=grid.tensor_field(),
             m=grid.vector_field(),
-            u=grid.padded_scalar_field(),
+            u=np.zeros(grid.halo_cells),
             w=grid.scalar_field(w0),
             t=0.0,
         )
@@ -179,7 +166,7 @@ class FieldState:
             "Ee": shp + (NCOMP, NCOMP),
             "Ep": shp + (NCOMP, NCOMP),
             "m": shp + (NCOMP,),
-            "u": grid.padded_cells,
+            "u": grid.halo_cells,
             "w": shp,
         }
         for name, shape in expect.items():

@@ -36,13 +36,13 @@ import numpy as np
 
 from . import constitutive as con
 from . import kinematics as kin
-from .demag import solve_demag
+from .demag import BOUNDARY, solve_demag
 from .energetics import BalanceReport, audit_step
 from .errors import CflViolation, ConfigError, ScenarioError
 from .grid import NCOMP, FieldState, Grid, Loads, make_grid, sample_loads
 from .snapshots import pair_record, write_snapshot
 from .stepper import (
-    _CFL_MAX, _MAX_SWEEPS, _TOL_ABS, _TOL_REL, StepOptions, StepReport, _potential_residual,
+    _CFL_MAX, _MAX_SWEEPS, _TOL_ABS, _TOL_REL, StepOptions, StepReport, _max_abs,
     _within_tolerance, step,
 )
 
@@ -146,12 +146,13 @@ _DT_GROWTH = 1.2
 # Settings that only ever took one value: the solver settings are now
 # constants of the stepper (relaxation: the sweep takes each new iterate as
 # it stands), eps, the regularization omega / (1 + eps |m|^2) of the
-# paper's existence proof, is 0, and the dt policy is fixed.  Archived
-# config.json files name them, so each still loads at its fixed value.
+# paper's existence proof, is 0, the dt policy is fixed, and demag, an
+# infinite-lattice convolution, pads no grid.  Archived config.json files
+# name them, so each still loads at its fixed value.
 _RETIRED_KEYS = {
     "max_iters": _MAX_SWEEPS, "tol_rel": _TOL_REL, "tol_abs": _TOL_ABS,
     "relaxation": 1.0, "cfl_max": _CFL_MAX, "eps": 0.0,
-    "dt_min": _DT_MIN, "dt_growth": _DT_GROWTH,
+    "dt_min": _DT_MIN, "dt_growth": _DT_GROWTH, "pad_factor": 4,
 }
 
 
@@ -164,13 +165,12 @@ class ScenarioConfig:
     dim: int = 0
     extents: tuple = ()
     cells: tuple = ()
-    pad_factor: int = 4
     material: con.MaterialParams = field(default_factory=con.MaterialParams)
     duration: float = 1.0
     dt: float = 0.01
     output_every: int = 50
     demag: bool = False
-    demag_boundary: str = "farfield"
+    demag_boundary: str = BOUNDARY      # the only one: u -> 0 at infinity
     theta_schedule: Optional[dict] = None
     j_ext_schedule: Optional[dict] = None
     h_ext_schedule: Optional[dict] = None
@@ -197,8 +197,10 @@ class ScenarioConfig:
             value, shape = getattr(self, key), (NCOMP,) * rank
             if np.asarray(value, dtype=np.float64).shape != shape:
                 raise ConfigError(f"{key} must have shape {shape}, got {value!r}")
+        if self.demag_boundary != BOUNDARY:
+            raise ConfigError(f"demag_boundary must be {BOUNDARY!r}, got {self.demag_boundary!r}")
         self.step_options(self.dt).validate()
-        make_grid(self.dim, self.extents, self.cells, self.pad_factor)
+        make_grid(self.dim, self.extents, self.cells)
         # build every schedule once so bad specs fail at config time
         theta_s = make_scalar_schedule(self.theta_schedule)
         j_s = make_scalar_schedule(self.j_ext_schedule)
@@ -250,7 +252,7 @@ class ScenarioConfig:
         return cfg
 
     def build_grid(self) -> Grid:
-        return make_grid(self.dim, self.extents, self.cells, self.pad_factor)
+        return make_grid(self.dim, self.extents, self.cells)
 
     def build_loads(self) -> Loads:
         return Loads(
@@ -263,11 +265,7 @@ class ScenarioConfig:
         )
 
     def step_options(self, dt: float) -> StepOptions:
-        return StepOptions(
-            dt=dt,
-            demag=self.demag,
-            demag_boundary=self.demag_boundary,
-        )
+        return StepOptions(dt=dt, demag=self.demag)
 
     def initial_state(self, grid: Grid, thermal: con.ThermalLaw) -> FieldState:
         state = FieldState.zeros(grid)
@@ -281,7 +279,7 @@ class ScenarioConfig:
         state.Ep[...] = np.asarray(self.Ep0, dtype=np.float64)
         if self.demag and grid.dim >= 1:
             # u solved at t = 0, so step 1 does not book the demag energy as a jump
-            state.u[...] = solve_demag(state.m, grid, self.material.mu0, self.demag_boundary).u
+            state.u[...] = solve_demag(state.m, grid).u
         state.validate(grid)
         return state
 
@@ -406,8 +404,9 @@ def run_scenario(
         state = config.initial_state(grid, con.thermal_law_for(params))
     else:
         state = initial_state.copy()
-        opts = config.step_options(config.dt)
-        res, scale = _potential_residual(state.u, state.m, grid, params, opts)
+        # u comes from outside the program: solve for it once and compare
+        u_m = solve_demag(state.m, grid).u if config.demag else np.zeros_like(state.u)
+        res, scale = _max_abs(state.u - u_m), max(1.0, _max_abs(u_m))
         if not _within_tolerance(res, scale):
             raise ConfigError(
                 f"{config.name}: initial u does not match its m "

@@ -29,7 +29,6 @@ def write_snapshot(path, state: FieldState, grid: Grid) -> None:
         "dim": grid.dim,
         "extents": list(grid.extents),
         "cells": list(grid.cells),
-        "pad_factor": grid.pad_factor,
         "time": state.t,
         "fields": [
             {"name": name, "shape": list(getattr(state, name).shape)} for name in _FIELDS
@@ -56,9 +55,9 @@ def read_snapshot(path) -> tuple[FieldState, Grid]:
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: corrupt snapshot header: {exc}") from exc
-        grid = make_grid(
-            header["dim"], header["extents"], header["cells"], header["pad_factor"]
-        )
+        # snapshots written before demag became a lattice convolution also
+        # name a pad_factor; nothing reads it
+        grid = make_grid(header["dim"], header["extents"], header["cells"])
         arrays = {}
         for spec in header["fields"]:
             shape = tuple(spec["shape"])

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import constitutive as con
 from . import kinematics as kin
-from .demag import _BOUNDARIES, h_dem_from_u, solve_demag
+from .demag import h_dem_from_u, poisson_residual, solve_demag
 from .errors import CflViolation, NumericalError, ThermodynamicError
 from .grid import EYE, NCOMP, FieldState, Grid, LoadsSample
 
@@ -55,16 +55,10 @@ class StepOptions:
 
     dt: float
     demag: bool = True
-    demag_boundary: str = "farfield"
 
     def validate(self) -> None:
         if not self.dt > 0.0:
             raise NumericalError(f"dt must be positive, got {self.dt}")
-        if self.demag_boundary not in _BOUNDARIES:
-            raise NumericalError(
-                f"demag_boundary must be {' or '.join(map(repr, _BOUNDARIES))}, "
-                f"got {self.demag_boundary!r}"
-            )
 
 
 @dataclass
@@ -388,7 +382,7 @@ def step(
 
         # --- demag block -----------------------------------------------------
         if opts.demag and grid.dim >= 1:
-            sol = solve_demag(m_new, grid, params.mu0, opts.demag_boundary)
+            sol = solve_demag(m_new, grid)
             u_new, h_dem = sol.u, sol.h_dem
         else:
             u_new = np.zeros_like(state_prev.u)
@@ -617,12 +611,16 @@ def _heat_solve(
 
 
 def _potential_residual(
-    u: np.ndarray, m: np.ndarray, grid: Grid, params: con.MaterialParams, opts: StepOptions
+    u: np.ndarray, m: np.ndarray, grid: Grid, opts: StepOptions
 ) -> tuple[float, float]:
-    """(residual, scale) of u against the demag potential of m (0 without demag)."""
+    """(residual, scale) of the 5-point Poisson equation L u = div_c(chi m) on Omega.
+
+    The scale is the largest diagonal term of the stencil.  Without demag
+    the equation is u = 0.
+    """
     if opts.demag and grid.dim >= 1:
-        u_m = solve_demag(m, grid, params.mu0, opts.demag_boundary).u
-        return _max_abs(u - u_m), max(1.0, _max_abs(u_m))
+        diag = sum(2.0 / (h * h) for h in grid.spacing)
+        return poisson_residual(u, m, grid), max(1.0, diag * _max_abs(u))
     return _max_abs(u), 1.0
 
 
@@ -718,7 +716,7 @@ def residuals(
     scale_d = max(1.0, float(H.max()))
 
     # (e) demag potential
-    res_e, scale_e = _potential_residual(state_trial.u, m, grid, params, opts)
+    res_e, scale_e = _potential_residual(state_trial.u, m, grid, opts)
 
     # (f) enthalpy
     if loads_k.theta_k is not None:

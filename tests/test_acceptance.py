@@ -170,7 +170,7 @@ class TestCriterion4Saturation:
 
 
 def _disk_factor_error(cells):
-    grid = make_grid(2, (1.0, 1.0), (cells, cells), pad_factor=4)
+    grid = make_grid(2, (1.0, 1.0), (cells, cells))
     x, y = grid.cell_centers()
     inside = (x[:, None] - 0.5) ** 2 + (y[None, :] - 0.5) ** 2 <= 0.3**2
     m = np.zeros(grid.spatial_shape + (2,))

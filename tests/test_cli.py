@@ -139,13 +139,13 @@ class TestAudit:
         path = out / "config.json"
         config = json.loads(path.read_text())
         config.update(max_iters=200, tol_rel=1e-11, tol_abs=1e-13, relaxation=1.0, cfl_max=0.9,
-                      eps=0.0, dt_min=1e-9, dt_growth=1.2)
+                      eps=0.0, dt_min=1e-9, dt_growth=1.2, pad_factor=4)
         config["material"]["m_r"] = float("inf")
         path.write_text(json.dumps(config))
         assert '"m_r": Infinity' in path.read_text()
         assert run_cli("audit", str(out)) == 0
         for key, value in (("relaxation", 0.5), ("eps", 0.1), ("dt_min", 1e-6),
-                           ("dt_growth", 1.0)):
+                           ("dt_growth", 1.0), ("pad_factor", 2)):
             path.write_text(json.dumps(dict(config, **{key: value})))
             assert run_cli("audit", str(out)) == 2
             assert key in capsys.readouterr().err
@@ -166,7 +166,8 @@ class TestAudit:
         assert run_cli("audit", str(out)) == 2
 
     def test_snapshot_of_old_padded_shape(self, tmp_path, capsys):
-        # a 2D run directory from before u had pad_factor * n - 1 cells per axis
+        # a 2D run directory from before u had n + 2 cells per axis: u had
+        # pad_factor * n - 1
         config = builtin_config("trm")
         config.dim, config.extents, config.cells = 2, (1.0, 1.0), (4, 2)
         grid = config.build_grid()
@@ -176,12 +177,13 @@ class TestAudit:
         loads = sample_loads(config.build_loads(), config.dt, config.dt)
         (out / "pairs.json").write_text(
             json.dumps([pair_record(0, config.dt, config.dt, loads)]))
+        (out / "audit.csv").write_text("t,dt\n")
         state = FieldState.zeros(grid, w0=1.0)
-        state.u = np.zeros((16, 8))
+        state.u = np.zeros((15, 7))
         for side in "ab":
             write_snapshot(out / "snapshots" / f"pair_00000000_{side}.bin", state, grid)
         assert run_cli("audit", str(out)) == 2
-        assert "u has shape (16, 8), expected (15, 7)" in capsys.readouterr().err
+        assert "u has shape (15, 7), expected (6, 4)" in capsys.readouterr().err
 
     def test_tampered_energy(self, tmp_path):
         out = tmp_path / "run"
@@ -208,6 +210,62 @@ class TestAudit:
             csv.writer(fh).writerows(rows)
         assert run_cli("audit", str(out)) == 3
         assert "logged stored=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["demag", "entropy"])
+    def test_tampered_ledger_column(self, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        index = json.loads((out / "pairs.json").read_text())[-1]["index"]
+        path = out / "audit.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        col = rows[0].index(name)
+        rows[index][col] = repr(float(rows[index][col]) + 1e-3)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run_cli("audit", str(out)) == 3
+        assert f"logged {name}=" in capsys.readouterr().err
+
+    def test_missing_audit_csv(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        (out / "audit.csv").unlink()
+        assert run_cli("audit", str(out)) == 2
+        assert "audit.csv" in capsys.readouterr().err
+
+    def test_pair_without_audit_row(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        index = json.loads((out / "pairs.json").read_text())[-1]["index"]
+        path = out / "audit.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:index]))
+        assert run_cli("audit", str(out)) == 2
+        assert f"no row for snapshot pair {index:08d}" in capsys.readouterr().err
+
+    def test_truncated_audit_row(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        index = json.loads((out / "pairs.json").read_text())[-1]["index"]
+        path = out / "audit.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[index] = ",".join(lines[index].split(",")[:4]) + "\n"
+        path.write_text("".join(lines))
+        assert run_cli("audit", str(out)) == 2
+        assert f"audit.csv row {index} has no valid" in capsys.readouterr().err
+
+    def test_archive_written_with_pad_factor(self, tmp_path):
+        # 0D run directories written while demag padded a grid name
+        # pad_factor in config.json and in every snapshot header
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        path = out / "config.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), pad_factor=4)))
+        for snap in (out / "snapshots").glob("*.bin"):
+            blob = snap.read_bytes()
+            (hlen,) = struct.unpack("<Q", blob[8:16])
+            header = dict(json.loads(blob[16:16 + hlen]), pad_factor=4)
+            text = json.dumps(header, sort_keys=True).encode("utf-8")
+            snap.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:])
+        assert run_cli("audit", str(out)) == 0
 
 
 class TestSweep:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paleomag import constitutive as con
-from paleomag.energetics import audit_step, demag_energy_from_u, energy_ledger
+from paleomag.energetics import audit_step, demag_energy, energy_ledger
 from paleomag.grid import FieldState, Loads, make_grid, sample_loads
 from paleomag.stepper import StepOptions, _xi_field, step
 
@@ -50,9 +50,10 @@ class TestEnergyLedger:
         assert led.zeeman == pytest.approx(0.1)
         assert led.total() - led.total_conserving() == pytest.approx(2 * led.zeeman)
 
-    def test_demag_energy_from_u_zero_for_flat(self):
+    def test_demag_energy_zero_for_flat_u(self):
         grid = make_grid(2, (1.0, 1.0), (8, 8))
-        assert demag_energy_from_u(np.ones(grid.padded_cells), grid, 1.0) == 0.0
+        m = np.full((8, 8, 2), 0.5)
+        assert demag_energy(m, np.ones(grid.halo_cells), grid, 1.0) == 0.0
 
 
 def xi_at(theta, Ev, R, r, grid, params):

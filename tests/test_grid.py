@@ -19,13 +19,13 @@ class TestMakeGrid:
         assert grid0.cell_volume == 1.0
         assert grid0.total_volume == 1.0
         assert grid0.boundary_area == 1.0
-        assert grid0.padded_cells == ()
+        assert grid0.halo_cells == ()
 
     def test_dim1(self, grid1):
         assert grid1.spatial_shape == (16,)
         assert grid1.spacing == (1.0 / 16,)
         assert grid1.boundary_area == 2.0
-        assert grid1.padded_cells == (63,)
+        assert grid1.halo_cells == (18,)
 
     def test_dim2(self):
         g = make_grid(2, (2.0, 1.0), (8, 4))
@@ -33,7 +33,7 @@ class TestMakeGrid:
         assert g.cell_volume == pytest.approx(0.0625)
         assert g.total_volume == pytest.approx(2.0)
         assert g.boundary_area == pytest.approx(6.0)
-        assert g.padded_cells == (31, 15)
+        assert g.halo_cells == (10, 6)
 
     def test_integrate_midpoint(self, grid2):
         assert grid2.integrate(grid2.scalar_field(1.0)) == pytest.approx(1.0)
@@ -48,7 +48,6 @@ class TestMakeGrid:
             dict(dim=2, extents=(1,), cells=(4, 4)),
             dict(dim=1, extents=(-1.0,), cells=(4,)),
             dict(dim=1, extents=(1.0,), cells=(0,)),
-            dict(dim=2, extents=(1, 1), cells=(4, 4), pad_factor=1),
         ],
     )
     def test_invalid(self, args):
@@ -73,7 +72,7 @@ class TestFieldState:
         s = FieldState.zeros(grid2)
         assert s.v.shape == (8, 8, NCOMP)
         assert s.Ee.shape == (8, 8, NCOMP, NCOMP)
-        assert s.u.shape == grid2.padded_cells
+        assert s.u.shape == grid2.halo_cells
         assert s.w.shape == (8, 8)
         s.validate(grid2)
 

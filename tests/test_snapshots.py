@@ -1,6 +1,7 @@
 """Binary snapshot format: bit-exact round trips and corruption handling."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -74,14 +75,31 @@ def test_corrupt_header(tmp_path, grid0):
 
 
 def test_u_of_the_old_padded_shape(tmp_path):
-    # before u had pad_factor * n - 1 cells per axis it had pad_factor * n
+    # before u had n + 2 cells per axis it had pad_factor * n - 1
     grid = make_grid(2, (2.0, 1.0), (8, 4))
     state = FieldState.zeros(grid, w0=1.0)
-    state.u = np.zeros((32, 16))
+    state.u = np.zeros((31, 15))
     path = tmp_path / "old.bin"
     write_snapshot(path, state, grid)
-    with pytest.raises(ConfigError, match=r"u has shape \(32, 16\), expected \(31, 15\)"):
+    with pytest.raises(ConfigError, match=r"u has shape \(31, 15\), expected \(10, 6\)"):
         read_snapshot(path)
+
+
+def test_header_naming_pad_factor(tmp_path, grid0):
+    # snapshots written while demag padded a grid name pad_factor; the
+    # reader ignores it
+    state = random_state(grid0)
+    path = tmp_path / "old.bin"
+    write_snapshot(path, state, grid0)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = dict(json.loads(blob[16 : 16 + hlen]), pad_factor=4)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen :])
+    back, grid = read_snapshot(path)
+    assert grid == grid0
+    for name in ("v", "Ee", "Ep", "m", "u", "w"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(state, name))
 
 
 def test_magic_constant():

@@ -45,9 +45,10 @@ def state_0d(grid, params, theta=0.5, m=(0.0, 0.0), Ee=None):
 class TestStepOptions:
     @pytest.mark.parametrize(
         "bad",
-        [dict(dt=0.0), dict(dt=0.1, demag_boundary="bogus")],
+        [dict(dt=0.0), dict(dt=float("nan"))],
         # stable ids: bad1 and bad2 were eps, now a retired config key;
-        # bad3..bad5 were the sweep limits, now module constants
+        # bad3..bad5 were the sweep limits, now module constants; bad6 was
+        # the demag boundary, which ScenarioConfig checks
         ids=["bad0", "bad6"],
     )
     def test_invalid(self, bad):
@@ -55,8 +56,8 @@ class TestStepOptions:
             StepOptions(**bad).validate()
 
     def test_unknown_demag_boundary_names_the_choices(self):
-        with pytest.raises(NumericalError, match="must be 'farfield' or 'zero', got 'bogus'"):
-            StepOptions(dt=0.1, demag_boundary="bogus").validate()
+        with pytest.raises(ConfigError, match="must be 'farfield', got 'bogus'"):
+            ScenarioConfig(demag_boundary="bogus").validate()
 
 
 class TestBoundarySource:
@@ -321,17 +322,20 @@ def _spatial_config(**overrides):
 
 class TestSpatialAudit:
     def test_sweep_builds_no_demag_checks(self, monkeypatch):
-        # energy and residual of a solve are built only when read
+        # each sweep solves demag once and forms no Poisson residual; the
+        # residual gate forms it once, for the accepted iterate, without a solve
         cfg, state = _spatial_config()
-        solves, builds = [], []
-        solve, build = stepper.solve_demag, demag._poisson_checks
+        solves, checks, reads = [], [], []
+        solve, check = stepper.solve_demag, stepper.poisson_residual
         monkeypatch.setattr(stepper, "solve_demag", lambda *a: solves.append(a) or solve(*a))
-        monkeypatch.setattr(demag, "_poisson_checks", lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(stepper, "poisson_residual", lambda *a: checks.append(a) or check(*a))
+        monkeypatch.setattr(demag, "poisson_residual", lambda *a: reads.append(a) or check(*a))
         grid = cfg.build_grid()
-        _, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), grid,
-                      cfg.material, cfg.step_options(cfg.dt))
+        new, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), grid,
+                        cfg.material, cfg.step_options(cfg.dt))
         assert rep.accepted
-        assert solves and builds == []
+        assert len(solves) == rep.iterations and reads == []
+        assert len(checks) == 1 and checks[0][0] is new.u
 
     def test_exchange_gravity_demag_balances(self):
         cfg, state = _spatial_config()
@@ -352,6 +356,48 @@ class TestSpatialAudit:
         # momentum and heat are solved in every sweep
         assert rep.krylov_applications >= 2 * rep.iterations > 0
         assert rep.m_passes >= rep.iterations
+
+
+def _dike_config(cells=(16, 16)):
+    """A hot stripe in a noisily magnetized host, demag on (perfbench's dike_2d)."""
+    cfg = ScenarioConfig(
+        name="dike", dim=2, extents=(1.0, 1.0), cells=cells, material=material(),
+        duration=3 * 0.005, dt=0.005, demag=True, output_every=0, theta0=0.5,
+        h_ext_schedule={"kind": "const", "value": [0.3, 0.0]},
+    )
+    cfg.validate()
+    grid = cfg.build_grid()
+    thermal = con.thermal_law_for(cfg.material)
+    state = cfg.initial_state(grid, thermal)
+    stripe = np.broadcast_to(np.abs(grid.cell_centers()[0][:, None] - 0.5) < 0.15, cells)
+    state.w[...] = np.where(stripe, thermal.w_of_theta(1.2), thermal.w_of_theta(0.5))
+    noise = np.random.default_rng(1).uniform(-0.02, 0.02, cells + (2,))
+    state.m[...] = np.where(stripe[..., None], 0.0, np.array([0.5, 0.2]) + noise)
+    state.u[...] = solve_demag(state.m, grid).u
+    return cfg, state
+
+
+class TestDemagDefect:
+    @pytest.mark.parametrize("case", [_spatial_config, _dike_config], ids=["8x8", "dike16"])
+    def test_static_demag_defect_vanishes(self, case):
+        # A = dE + E(dm) - mu0 int grad u_new . dm, the demag part of the
+        # first-law remainder, is zero for a symmetric m -> h_dem map
+        cfg, state = case()
+        grid, loads, mu0 = cfg.build_grid(), cfg.build_loads(), cfg.material.mu0
+        for _ in range(3):
+            loads_k = sample_loads(loads, state.t + cfg.dt, cfg.dt)
+            new, rep = step(state, loads_k, grid, cfg.material, cfg.step_options(cfg.dt))
+            assert rep.accepted
+            audit = energetics.audit_step(state, new, loads_k, cfg.dt, grid, cfg.material,
+                                          terms=rep.terms)
+            dm = new.m - state.m
+            A = (
+                audit.ledger_new.demag - audit.ledger_prev.demag
+                + energetics.demag_energy(dm, solve_demag(dm, grid).u, grid, mu0)
+                + mu0 * grid.integrate(np.sum(demag.h_dem_from_u(new.u, grid) * dm, axis=-1))
+            )
+            assert abs(A) <= 1e-14 * audit.scale
+            state = new
 
 
 def _terms_case(name):
