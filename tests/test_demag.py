@@ -97,8 +97,6 @@ class TestDim2:
             solve_demag(np.zeros((4, 4, 2)), g)
 
 
-
-
 def random_magnetization(grid, seed=11):
     return np.random.default_rng(seed).normal(size=grid.spatial_shape + (2,))
 
@@ -135,48 +133,71 @@ class TestLatticeGreen:
         np.testing.assert_allclose(lap, delta, rtol=0.0, atol=1e-12)
 
 
-GEOMETRIES = {
-    "square": ((1.0, 1.0), (32, 32)),
-    "flat": ((1.0, 0.2), (40, 8)),
-    "anisotropic": ((1.0, 1.0), (7, 13)),
-    "flat-cells": ((1.0, 0.2), (41, 16)),
-    "line-x": ((1.0, 1.0), (1, 8)),
-    "line-y": ((1.0, 1.0), (8, 1)),
-    "cell": ((1.0, 1.0), (1, 1)),
+# The ids are those of the cases first written for the retired padded
+# solve, whose "padN" and "odd-offset" parts named where Omega sat in the
+# padded grid; the halo grid has no such setting, so they only name cases.
+RING_GEOMETRIES = {
+    "square-pad4": ((1.0, 1.0), (32, 32)),
+    # the same cells at twice the spacing: G scales as h^2, div_c as 1/h
+    "square-pad2": ((2.0, 2.0), (32, 32)),
+    "flat-pad2": ((1.0, 0.2), (40, 8)),
+    # non-square cells
+    "odd-offset": ((1.0, 1.0), (7, 13)),
+    "flat-cells-odd-offset": ((1.0, 0.2), (41, 16)),
+    # Omega one cell thick along one or both axes
+    "line-x-pad2": ((1.0, 1.0), (1, 8)),
+    "line-y-pad2": ((1.0, 1.0), (8, 1)),
+    "cell-pad2": ((1.0, 1.0), (1, 1)),
 }
 
 
-class TestConvolution:
-    def test_matches_direct_sum(self):
-        # u(x) = sum_s G(x - s) div_c(chi m)(s), every cell of Omega and its
-        # halo against every other, on a grid with non-square cells
-        g = make_grid(2, (1.0, 1.0), (7, 13))
-        m = random_magnetization(g)
-        f = demag._div_central(m, g)
-        nx, ny = g.halo_cells
-        G = _lattice_green(g.spacing, (nx, ny))
-        dx = np.abs(np.arange(nx)[:, None] - np.arange(nx)[None, :])
-        dy = np.abs(np.arange(ny)[:, None] - np.arange(ny)[None, :])
-        want = np.einsum("iajb,ab->ij", G[dx][:, :, dy], f)
+def ring_magnetization(kind, grid):
+    if kind == "random":
+        return random_magnetization(grid)
+    if kind == "uniform":
+        return np.broadcast_to([0.5, 0.2], grid.spatial_shape + (2,)).copy()
+    # vortex about the centre of Omega: net moment zero
+    x, y = grid.cell_centers()
+    X, Y = np.meshgrid(x - 0.5 * grid.extents[0], y - 0.5 * grid.extents[1], indexing="ij")
+    return np.stack([-Y, X], axis=-1)
+
+
+def direct_sum(m, grid):
+    """Oracle: u(x) = sum_s G(x - s) div_c(chi m)(s), every cell of Omega and
+    its halo against every other."""
+    f = demag._div_central(m, grid)
+    nx, ny = grid.halo_cells
+    G = _lattice_green(grid.spacing, (nx, ny))
+    dx = np.abs(np.arange(nx)[:, None] - np.arange(nx)[None, :])
+    dy = np.abs(np.arange(ny)[:, None] - np.arange(ny)[None, :])
+    return np.einsum("iajb,ab->ij", G[dx][:, :, dy], f)
+
+
+class TestFarfieldRing:
+    """u on Omega and its halo ring, vanishing at infinity ("farfield")."""
+
+    @pytest.mark.parametrize("kind", ["random", "uniform", "vortex"])
+    @pytest.mark.parametrize("geometry", RING_GEOMETRIES.values(), ids=RING_GEOMETRIES.keys())
+    def test_matches_direct_sum(self, geometry, kind):
+        g = make_grid(2, *geometry)
+        m = ring_magnetization(kind, g)
         got = solve_demag(m, g).u
-        assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
+        want = direct_sum(m, g)
+        assert got.shape == want.shape == g.halo_cells
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+        # the halo ring on its own
+        ring = np.ones(g.halo_cells, dtype=bool)
+        ring[1:-1, 1:-1] = False
+        assert float(np.max(np.abs(got[ring] - want[ring]))) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("cells", [(8, 8), (16, 16), (7, 13)], ids=["8", "16", "7x13"])
-    def test_self_adjoint(self, cells):
-        g = make_grid(2, (1.0, 1.0), cells)
-        m1, m2 = random_magnetization(g, 1), random_magnetization(g, 2)
-        h1, h2 = solve_demag(m1, g).h_dem, solve_demag(m2, g).h_dem
-        a, b = float(np.sum(m1 * h2)), float(np.sum(m2 * h1))
-        assert abs(a - b) <= 1e-13 * max(abs(a), abs(b))
-
-    @pytest.mark.parametrize("kind", ["random", "uniform"])
-    @pytest.mark.parametrize("geometry", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+    @pytest.mark.parametrize("kind", ["random", "uniform", "vortex"])
+    @pytest.mark.parametrize("geometry", RING_GEOMETRIES.values(), ids=RING_GEOMETRIES.keys())
     def test_h_dem_is_minus_grad_u(self, geometry, kind):
         # -grad u by central differences over the whole halo grid, on Omega,
         # bit for bit
         g = make_grid(2, *geometry)
-        m = random_magnetization(g) if kind == "random" else np.full(g.spatial_shape + (2,), 0.5)
-        sol = solve_demag(m, g)
+        sol = solve_demag(ring_magnetization(kind, g), g)
         assert sol.u.shape == g.halo_cells
         want = np.stack(
             [-np.gradient(sol.u, h, axis=a)[1:-1, 1:-1] for a, h in enumerate(g.spacing)],
@@ -184,6 +205,16 @@ class TestConvolution:
         )
         np.testing.assert_array_equal(sol.h_dem, want)
         np.testing.assert_array_equal(h_dem_from_u(sol.u, g), want)
+
+
+class TestConvolution:
+    @pytest.mark.parametrize("cells", [(8, 8), (16, 16), (7, 13)], ids=["8", "16", "7x13"])
+    def test_self_adjoint(self, cells):
+        g = make_grid(2, (1.0, 1.0), cells)
+        m1, m2 = random_magnetization(g, 1), random_magnetization(g, 2)
+        h1, h2 = solve_demag(m1, g).h_dem, solve_demag(m2, g).h_dem
+        a, b = float(np.sum(m1 * h2)), float(np.sum(m2 * h1))
+        assert abs(a - b) <= 1e-13 * max(abs(a), abs(b))
 
     def test_residual_reads_a_wrong_u(self):
         g = make_grid(2, (1.0, 1.0), (8, 8))
