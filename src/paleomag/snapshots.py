@@ -10,8 +10,10 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -44,29 +46,53 @@ def write_snapshot(path, state: FieldState, grid: Grid) -> None:
             fh.write(arr.tobytes())
 
 
-def read_snapshot(path) -> tuple[FieldState, Grid]:
+def read_snapshot(path, blob: Optional[bytes] = None) -> tuple[FieldState, Grid]:
+    """Decode the snapshot file at ``path`` and validate its state.
+
+    ``blob``, when given, must be the file's bytes, read by the caller; the
+    file is then not read again.  The fields are read-only views of the
+    bytes.  A malformed file raises ConfigError.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ConfigError(f"{path}: not a paleomag snapshot (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path}: corrupt snapshot header: {exc}") from exc
+    if blob is None:
+        blob = path.read_bytes()
+    if blob[:8] != MAGIC:
+        raise ConfigError(f"{path}: not a paleomag snapshot (bad magic {blob[:8]!r})")
+    if len(blob) < 16:
+        raise ConfigError(f"{path}: truncated snapshot preamble ({len(blob)} bytes)")
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    offset = 16 + hlen
+    if offset > len(blob):
+        raise ConfigError(f"{path}: truncated snapshot header")
+    try:
+        header = json.loads(blob[16:offset].decode("utf-8"))
         # snapshots written before demag became a lattice convolution also
         # name a pad_factor; nothing reads it
         grid = make_grid(header["dim"], header["extents"], header["cells"])
-        arrays = {}
-        for spec in header["fields"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ConfigError(f"{path}: truncated payload for field {spec['name']}")
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    state = FieldState(t=float(header["time"]), **{k: arrays[k] for k in _FIELDS})
+        t = float(header["time"])
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["fields"]]
+    except KeyError as exc:
+        raise ConfigError(f"{path}: snapshot header has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: corrupt snapshot header: {exc}") from exc
+    arrays = {}
+    for name, shape in specs:
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ConfigError(f"{path}: field {name} has a malformed shape {list(shape)}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(blob):
+            raise ConfigError(f"{path}: truncated payload for field {name}")
+        arr = np.frombuffer(blob, "<f8", count, offset)
+        if not arr.flags.aligned:
+            # reductions over unaligned data round differently: copy
+            arr = arr.copy()
+            arr.flags.writeable = False
+        arrays[name] = arr.reshape(shape)
+        offset += 8 * count
+    try:
+        state = FieldState(t=t, **{k: arrays[k] for k in _FIELDS})
+    except KeyError as exc:
+        raise ConfigError(f"{path}: snapshot has no field {exc}") from exc
     state.validate(grid)
     return state, grid
 

@@ -410,9 +410,11 @@ def step(
         # --- convergence ------------------------------------------------------
         change = 0.0
         if not one_pass:
-            for old, new in ((v, v_new), (Ee, Ee_new), (Ep, Ep_new), (m, m_new), (w, w_new)):
+            for old, new in (
+                (v, v_new), (Ee, Ee_new), (R, R_new), (Ep, Ep_new), (m, m_new), (w, w_new)
+            ):
                 change = max(change, _max_abs(new - old) / max(1.0, _max_abs(new)))
-        v, Ee, Ep, m, u, w = v_new, Ee_new, Ep_new, m_new, u_new, w_new
+        v, Ee, R, Ep, m, u, w = v_new, Ee_new, R_new, Ep_new, m_new, u_new, w_new
         theta_k = theta_new
         if change < _TOL_REL:
             converged = True

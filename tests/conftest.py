@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,16 @@ def grid1():
 @pytest.fixture
 def grid2():
     return make_grid(2, (1.0, 1.0), (8, 8))
+
+
+def rewrite_snapshot_header(path, edit):
+    """Rewrite a snapshot file's JSON header through ``edit(header)``; keep its payload."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:])
 
 
 def material(**overrides) -> MaterialParams:

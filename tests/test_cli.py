@@ -7,10 +7,13 @@ import struct
 import numpy as np
 import pytest
 
+from paleomag import cli, energetics
 from paleomag.cli import main
-from paleomag.grid import FieldState, sample_loads
+from paleomag.grid import FieldState, make_grid, sample_loads
 from paleomag.scenarios import builtin_config
-from paleomag.snapshots import pair_record, write_snapshot
+from paleomag.snapshots import pair_record, read_snapshot, write_snapshot
+
+from conftest import rewrite_snapshot_header
 
 
 def run_cli(*argv):
@@ -23,6 +26,15 @@ def run_short_trm(out_dir):
         "run", "--config", "trm", "--out", str(out_dir),
         "--set", "duration=1.0", "--set", "experiment=null",
         "--set", "output_every=20",
+    )
+
+
+def run_trm_chain(out_dir, output_every=1):
+    """A 10-step trm run; with output_every=1 pair i's `_b` file is pair i+1's `_a` file."""
+    return run_cli(
+        "run", "--config", "trm", "--out", str(out_dir),
+        "--set", "duration=0.1", "--set", "experiment=null",
+        "--set", f"output_every={output_every}",
     )
 
 
@@ -251,6 +263,71 @@ class TestAudit:
         path.write_text("".join(lines))
         assert run_cli("audit", str(out)) == 2
         assert f"audit.csv row {index} has no valid" in capsys.readouterr().err
+
+    def test_truncated_preamble(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        pair = sorted((out / "snapshots").glob("pair_*_a.bin"))[0]
+        pair.write_bytes(pair.read_bytes()[:12])
+        assert run_cli("audit", str(out)) == 2
+        assert "truncated snapshot preamble" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("dim"),
+        lambda h: h.pop("fields"),
+        lambda h: h["fields"][3].pop("name"),
+    ], ids=["dim", "fields", "field name"])
+    def test_malformed_pair_header(self, tmp_path, capsys, edit):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        rewrite_snapshot_header(sorted((out / "snapshots").glob("pair_*_b.bin"))[0], edit)
+        assert run_cli("audit", str(out)) == 2
+        assert "corrupt snapshot pair" in capsys.readouterr().err
+
+    def test_snapshot_on_another_grid(self, tmp_path, capsys):
+        # pair 1 of a 0D run rewritten as a state of a 1-cell 1D grid
+        out = tmp_path / "run"
+        assert run_trm_chain(out) == 0
+        grid1 = make_grid(1, (1.0,), (1,))
+        for side in "ab":
+            path = out / "snapshots" / f"pair_00000001_{side}.bin"
+            state, _ = read_snapshot(path)
+            fields = {name: getattr(state, name)[None] for name in ("v", "Ee", "Ep", "m", "w")}
+            write_snapshot(path, FieldState(u=np.zeros(3), t=state.t, **fields), grid1)
+        assert run_cli("audit", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Grid(dim=1, extents=(1.0,), cells=(1,))" in err
+        assert "Grid(dim=0, extents=(), cells=())" in err
+
+    @pytest.mark.parametrize("output_every", [1, 2])
+    def test_chained_state_is_decoded_once(self, tmp_path, monkeypatch, output_every):
+        # with output_every=1 pair i+1's `_a` file is pair i's `_b` file, byte
+        # for byte: its state is decoded and its ledger booked once
+        out = tmp_path / "run"
+        assert run_trm_chain(out, output_every) == 0
+        n_pairs = len(json.loads((out / "pairs.json").read_text()))
+        reads, ledgers = [], []
+        read, ledger = cli.read_snapshot, energetics.energy_ledger
+        monkeypatch.setattr(cli, "read_snapshot", lambda *a: reads.append(a) or read(*a))
+        monkeypatch.setattr(energetics, "energy_ledger",
+                            lambda *a: ledgers.append(a) or ledger(*a))
+        assert run_cli("audit", str(out)) == 0
+        expected = n_pairs + 1 if output_every == 1 else 2 * n_pairs
+        assert n_pairs == 10 // output_every
+        assert len(reads) == len(ledgers) == expected
+
+    def test_tampered_chained_input_state(self, tmp_path):
+        # pair 2's `_a` file no longer matches pair 1's `_b` file, so it is
+        # decoded on its own and its bumped m fails the energy balance
+        out = tmp_path / "run"
+        assert run_trm_chain(out) == 0
+        pair = out / "snapshots" / "pair_00000002_a.bin"
+        blob = bytearray(pair.read_bytes())
+        (hlen,) = struct.unpack("<Q", bytes(blob[8:16]))
+        off = 16 + hlen + 8 * (2 + 4 + 4)  # m_x, as in test_tampered_energy
+        blob[off:off + 8] = struct.pack("<d", 0.75)
+        pair.write_bytes(bytes(blob))
+        assert run_cli("audit", str(out)) == 3
 
     def test_archive_written_with_pad_factor(self, tmp_path):
         # 0D run directories written while demag padded a grid name

@@ -17,6 +17,8 @@ from paleomag.snapshots import (
     write_snapshot,
 )
 
+from conftest import rewrite_snapshot_header
+
 
 def random_state(grid, seed=11):
     rng = np.random.default_rng(seed)
@@ -72,6 +74,74 @@ def test_corrupt_header(tmp_path, grid0):
     path.write_bytes(bytes(blob))
     with pytest.raises(ConfigError):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("size", [8, 12, 15])
+def test_truncated_preamble(tmp_path, grid0, size):
+    path = tmp_path / "short.bin"
+    write_snapshot(path, FieldState.zeros(grid0, w0=1.0), grid0)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ConfigError, match="truncated snapshot preamble"):
+        read_snapshot(path)
+
+
+def test_header_longer_than_file(tmp_path, grid0):
+    path = tmp_path / "hlen.bin"
+    write_snapshot(path, FieldState.zeros(grid0, w0=1.0), grid0)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(blob)) + blob[16:])
+    with pytest.raises(ConfigError, match="truncated snapshot header"):
+        read_snapshot(path)
+
+
+MALFORMED_HEADERS = {
+    "no dim": lambda h: h.pop("dim"),
+    "no fields": lambda h: h.pop("fields"),
+    "no time": lambda h: h.pop("time"),
+    "field without name": lambda h: h["fields"][0].pop("name"),
+    "field without shape": lambda h: h["fields"][0].pop("shape"),
+    "field missing": lambda h: h["fields"].pop(),
+    "negative shape": lambda h: h["fields"][0].update(shape=[-1]),
+    "shape of strings": lambda h: h["fields"][0].update(shape=["2"]),
+    "fields not a list": lambda h: h.update(fields=3),
+    "extents not numbers": lambda h: h.update(dim=1, extents=["a"], cells=[1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_header(tmp_path, grid0, case):
+    path = tmp_path / "hdr.bin"
+    write_snapshot(path, FieldState.zeros(grid0, w0=1.0), grid0)
+    rewrite_snapshot_header(path, MALFORMED_HEADERS[case])
+    with pytest.raises(ConfigError):
+        read_snapshot(path)
+
+
+def test_decoded_fields_are_read_only_and_aligned(tmp_path):
+    # the fields view the file's bytes; an unaligned payload is copied once,
+    # since NumPy reductions over unaligned data round differently
+    grid = make_grid(2, (1.0, 2.0), (6, 4))
+    state = random_state(grid)
+    path = tmp_path / "snap.bin"
+    for pad in range(8):  # every payload offset modulo 8
+        write_snapshot(path, state, grid)
+        rewrite_snapshot_header(path, lambda h: h.update(note="x" * pad))
+        back, _ = read_snapshot(path)
+        for name in ("v", "Ee", "Ep", "m", "u", "w"):
+            arr = getattr(back, name)
+            assert arr.flags.aligned and not arr.flags.writeable
+            assert np.array_equal(arr, getattr(state, name))
+
+
+def test_given_bytes_are_decoded_without_a_read(tmp_path, grid0):
+    state = random_state(grid0)
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, state, grid0)
+    blob = path.read_bytes()
+    path.unlink()
+    back, grid = read_snapshot(path, blob)
+    assert grid == grid0 and back.t == state.t
+    np.testing.assert_array_equal(back.m, state.m)
 
 
 def test_u_of_the_old_padded_shape(tmp_path):

@@ -346,6 +346,18 @@ class TestSpatialAudit:
             assert rep.entropy_margin_rel >= ENTROPY_TOL
         assert float(np.min(traj.final_state.w)) >= 0.0
 
+    def test_inelastic_rate_gradient_converges(self):
+        # varkappa lap R couples the strain block to the R iterate, which the
+        # sweep must carry; no energy bound here, r_tot_rel is the 2D term T
+        cfg, state = _spatial_config(material=material(kappa=0.001, varkappa=0.01))
+        grid = cfg.build_grid()
+        loads = cfg.build_loads()
+        for _ in range(3):
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
+                              cfg.material, cfg.step_options(cfg.dt))
+            assert rep.accepted, rep.message
+            for name, (res, scale) in rep.residuals.items():
+                assert stepper._within_tolerance(res, scale), name
 
     def test_step_counts_krylov_applications(self):
         cfg, state = _spatial_config()
