@@ -26,6 +26,7 @@ from .scenarios import (
     EXPERIMENTS,
     SHIPPED_SCENARIOS,
     ScenarioConfig,
+    audit_values,
     builtin_config,
     run_scenario,
 )
@@ -169,27 +170,29 @@ def cmd_audit(args) -> int:
     try:
         config = ScenarioConfig.from_dict(json.loads((run_dir / "config.json").read_text()))
         pairs = json.loads((run_dir / "pairs.json").read_text())
-        columns, audit_rows = _read_audit_csv(run_dir / "audit.csv")
+        columns, audit_lines = _read_audit_csv(run_dir / "audit.csv")
     except (OSError, json.JSONDecodeError, PaleomagError) as exc:
         print(f"error: cannot read run directory: {exc}", file=sys.stderr)
         return 2
-    if not pairs:
-        print("error: run directory holds no snapshot pairs to audit", file=sys.stderr)
+    if not isinstance(pairs, list) or not pairs:
+        print("error: pairs.json lists no snapshot pairs to audit", file=sys.stderr)
         return 2
     grid = config.build_grid()
     params = config.material
-    ledger_columns = [
-        (name, columns.get(name))
-        for name in ("kinetic", "stored", "demag", "zeeman", "heat", "entropy")
-    ]
     snapshots = run_dir / "snapshots"
     # the last pair's `_b` file, its state and (h_ext_k, ledger_new) of its audit
     blob_b = new = carried = None
-    for meta in pairs:
-        tag = f"{meta['index']:08d}"
+    for n, meta in enumerate(pairs):
+        try:
+            i, t = meta["index"], float(meta["t"])
+            tag = f"{i:08d}"
+            loads_s = pair_loads(meta)
+        except (KeyError, TypeError, ValueError) as exc:
+            print(f"error: malformed pairs.json entry {n} (counted from 0): "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
         path_a = snapshots / f"pair_{tag}_a.bin"
         path_b = snapshots / f"pair_{tag}_b.bin"
-        loads_s = pair_loads(meta)
         ledger_prev = None
         try:
             blob_a = path_a.read_bytes()
@@ -213,22 +216,20 @@ def cmd_audit(args) -> int:
         if why is not None:
             print(f"audit failure at t={rep.t:.6g}: {why}", file=sys.stderr)
             return 3
-        i = meta["index"]  # pair i is step i, logged in row i of audit.csv (from 1)
-        if not 1 <= i <= len(audit_rows):
+        # pair i is step i, logged in the i-th non-blank row of audit.csv
+        if not 1 <= i <= len(audit_lines):
             print(f"error: audit.csv has no row for snapshot pair {tag}", file=sys.stderr)
             return 2
-        row = audit_rows[i - 1]
-        ledger = rep.ledger_new  # the ledger of `new` under loads_s.h_ext_k
-        for name, col in ledger_columns:
-            value = getattr(ledger, name)
+        row = next(csv.reader([audit_lines[i - 1]]))
+        for name, value in audit_values(rep).items():
             try:
-                stored_val = float(row[col])
+                stored_val = float(row[columns.get(name)])
             except (IndexError, TypeError, ValueError):
                 print(f"error: audit.csv row {i} has no valid {name} entry", file=sys.stderr)
                 return 2
             if abs(stored_val - value) > 1e-9 * max(1.0, abs(value)):
                 print(
-                    f"audit failure: logged {name}={stored_val!r} at t={meta['t']:.6g} "
+                    f"audit failure: logged {name}={stored_val!r} at t={t:.6g} "
                     f"disagrees with snapshot value {value!r}",
                     file=sys.stderr,
                 )
@@ -248,12 +249,14 @@ def _read_pair_state(path: Path, blob: bytes, grid):
 
 
 def _read_audit_csv(path: Path) -> tuple[dict, list]:
-    """audit.csv's column positions by name, and its rows (blank lines skipped)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [row for row in reader if row]
-    return {name: j for j, name in enumerate(header)}, rows
+    """audit.csv's column positions by name, and its non-blank rows as unparsed lines.
+
+    A pair parses only the row it names, so an audit of a few pairs of a
+    long run does not parse every row.
+    """
+    lines = path.read_text().splitlines()
+    header = next(csv.reader(lines[:1]), [])
+    return {name: j for j, name in enumerate(header)}, [line for line in lines[1:] if line]
 
 
 def cmd_sweep(args) -> int:

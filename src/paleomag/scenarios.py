@@ -355,8 +355,8 @@ def _series_row(state, report, loads_s, grid, params, dt):
     }
 
 
-def _audit_row(rep: BalanceReport, row: dict) -> dict:
-    """The audit.csv row of a step; theta_min and trace_ep_max from its series row."""
+def audit_values(rep: BalanceReport) -> dict:
+    """The audit.csv entries of a step that its audit gives: all but theta_min, trace_ep_max."""
     return {
         "t": rep.t,
         "dt": rep.dt,
@@ -379,8 +379,6 @@ def _audit_row(rep: BalanceReport, row: dict) -> dict:
         "p_ext_mag": rep.p_ext_mag,
         "boundary_heat": rep.boundary_heat,
         "q_ctrl": rep.q_ctrl_total,
-        "theta_min": row["theta_min"],
-        "trace_ep_max": row["trace_ep_max"],
     }
 
 
@@ -458,7 +456,8 @@ def run_scenario(
         carried = (loads_s.h_ext_k, rep.ledger_new)
         traj.reports.append(rep)
         row = _series_row(new_state, report, loads_s, grid, params, dt)
-        audit_rows.append(_audit_row(rep, row))
+        audit_rows.append(dict(audit_values(rep), theta_min=row["theta_min"],
+                               trace_ep_max=row["trace_ep_max"]))
         for key in SERIES_COLUMNS:
             traj.series[key].append(row[key])
         traj.times.append(new_state.t)
@@ -863,6 +862,7 @@ __all__ = [
     "Trajectory",
     "HysteresisLoop",
     "run_scenario",
+    "audit_values",
     "builtin_config",
     "irm_loop",
     "extract_loop",

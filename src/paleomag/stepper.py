@@ -28,6 +28,21 @@ sweep is already the fixed point.  A stress drive makes L read the Ee
 iterate, free enthalpy makes the m block read the previous sweep's w, and
 a spatial step couples every block through v and h_dem; those steps sweep
 until nothing changes.  The residual gate decides acceptance either way.
+
+Both loops stop on their estimated error.  An iteration whose updates fall
+from d_prev to d contracts at the rate q = d / d_prev, and the error left
+in its iterate is about q d / (1 - q) = d^2 / (d_prev - d): the stopping
+test of CVODE's nonlinear solve (Hindmarsh et al. 2005, ACM TOMS 31:363).
+- The m block's Newton passes stop once the update dm is below the block's
+  tolerance tol_m, or once dm < dm_prev and dm^2 / (dm_prev - dm) < tol_m;
+  at Newton's quadratic rate the estimate is conservative.
+- The sweep stops once no block changes by more than _TOL_REL relative.
+  Where change < change_prev, change^2 / (change_prev - change) < _TOL_REL
+  and min w >= -_TOL_ABS, it forms the state of the iterate and its
+  residuals, and stops there if every residual is within its gate.  If one
+  is not, it sweeps on from the iterate as it stands, so this stop never
+  rejects a step that the first one accepts.  The estimate alone is not
+  enough: the m_inclusion residual grows like dm / tau as dt shrinks.
 """
 
 from __future__ import annotations
@@ -65,14 +80,18 @@ class StepOptions:
 class StepReport:
     """Solver diagnostics for one attempted step."""
 
-    iterations: int = 0           # outer block sweeps; 1 where no block is lagged
+    # outer block sweeps, 1 where no block is lagged: they stop once a sweep
+    # changes no block by more than _TOL_REL relative, or earlier, once the
+    # estimated error is below _TOL_REL and the residual gate confirms it
+    iterations: int = 0
+    change: float = 0.0           # the last sweep's largest relative block change
     m_passes: int = 0             # Newton passes of the m block, over all sweeps
     krylov_applications: int = 0  # operator applications of the Krylov solves
     residuals: dict = field(default_factory=dict)
     accepted: bool = False
     dt: float = 0.0
     message: str = ""
-    terms: StepTerms | None = None  # of the iterate the residual gate checked
+    terms: StepTerms | None = None  # of the last iterate the residual gate checked
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +318,8 @@ def step(
     # no block reads a field that a later block of the same sweep writes,
     # so the first sweep is the fixed point (see the module docstring)
     one_pass = grid.dim == 0 and loads_k.stress_dev_k is None and w_ctrl is not None
-    converged = False
     report = StepReport(dt=tau)
+    change_prev = 0.0  # no sweep before the first, so no contraction rate
 
     for it in range(_MAX_SWEEPS):
         report.iterations = it + 1
@@ -348,6 +367,7 @@ def step(
         # J m_new = J m - F(m) is solved in closed form per cell
         A_m = EYE / tau - Wsp
         m_it = m
+        dm_prev = 0.0
         for _ in range(_M_PASSES):
             report.m_passes += 1
             h_eff = _drive_field(m_it, theta_k, loads_k, grid, params) + h_dem
@@ -370,8 +390,10 @@ def step(
             if not math.isfinite(dm):
                 report.message = f"magnetization block failed (non-finite iterate, change {dm})"
                 return state_prev, report
-            if dm < _TOL_ABS + _TOL_REL * max(1.0, _max_abs(m_it)):
+            tol_m = _TOL_ABS + _TOL_REL * max(1.0, _max_abs(m_it))
+            if dm < tol_m or (dm < dm_prev and dm * dm < tol_m * (dm_prev - dm)):
                 break
+            dm_prev = dm
         else:
             report.message = (
                 f"magnetization block did not converge in {_M_PASSES} passes "
@@ -414,40 +436,65 @@ def step(
                 (v, v_new), (Ee, Ee_new), (R, R_new), (Ep, Ep_new), (m, m_new), (w, w_new)
             ):
                 change = max(change, _max_abs(new - old) / max(1.0, _max_abs(new)))
+        report.change = change
         v, Ee, R, Ep, m, u, w = v_new, Ee_new, R_new, Ep_new, m_new, u_new, w_new
         theta_k = theta_new
         if change < _TOL_REL:
-            converged = True
             break
-
-    if not converged:
+        # at the contraction rate q = change / change_prev the iterate's
+        # error is about q change / (1 - q); once that is below the
+        # tolerance, stop here if the gate passes, else sweep on
+        if (
+            change < change_prev
+            and change * change < _TOL_REL * (change_prev - change)
+            and float(np.min(w)) >= -_TOL_ABS
+        ):
+            state_new = _gate(state_prev, (v, Ee, Ep, m, u, w), loads_k, grid, params, opts,
+                              report)
+            if report.accepted:
+                return state_new, report
+        change_prev = change
+    else:
         report.message = f"no convergence after {report.iterations} sweeps (change {change:.3e})"
         return state_prev, report
 
     if float(np.min(w)) < -_TOL_ABS:
         raise ThermodynamicError(f"enthalpy became negative: min w = {float(np.min(w)):.3e}")
-    w = np.maximum(w, 0.0)
-
-    state_new = FieldState(
-        v=np.array(v, dtype=np.float64).reshape(state_prev.v.shape),
-        Ee=kin.sym(Ee),
-        Ep=Ep,
-        m=m,
-        u=u,
-        w=w,
-        t=state_prev.t + tau,
-    )
-    report.terms = step_terms(state_new, state_prev, loads_k, grid, params, tau)
-    report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts, report.terms)
-    report.accepted = all(
-        _within_tolerance(res, scale) for res, scale in report.residuals.values()
-    )
+    state_new = _gate(state_prev, (v, Ee, Ep, m, u, w), loads_k, grid, params, opts, report)
     if not report.accepted:
         report.message = "converged iterate fails residual check: " + ", ".join(
             f"{k}={res:.2e}/{scale:.2e}" for k, (res, scale) in report.residuals.items()
         )
         return state_prev, report
     return state_new, report
+
+
+def _gate(
+    state_prev: FieldState, iterate: tuple, loads_k: LoadsSample, grid: Grid,
+    params: con.MaterialParams, opts: StepOptions, report: StepReport,
+) -> FieldState:
+    """The state of the sweep iterate (v, Ee, Ep, m, u, w), checked by the residual gate.
+
+    Sets report.terms, .residuals and .accepted (every residual within its
+    gate).  min w >= -_TOL_ABS is the caller's to check; w is clipped at 0.
+    The iterate's arrays are not written.
+    """
+    v, Ee, Ep, m, u, w = iterate
+    state_new = FieldState(
+        v=np.array(v, dtype=np.float64).reshape(state_prev.v.shape),
+        Ee=kin.sym(Ee),
+        Ep=Ep,
+        m=m,
+        u=u,
+        w=np.maximum(w, 0.0),
+        t=state_prev.t + opts.dt,
+    )
+    report.terms = step_terms(state_new, state_prev, loads_k, grid, params, opts.dt)
+    report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts, report.terms)
+    report.accepted = all(
+        _within_tolerance(res, scale) for res, scale in report.residuals.values()
+    )
+    return state_new
 
 
 def _xi_field(Ev, R, r, theta_prev, M_lag, grid: Grid, params: con.MaterialParams):

@@ -237,6 +237,55 @@ class TestAudit:
         assert run_cli("audit", str(out)) == 3
         assert f"logged {name}=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [("r_tot_rel", 0.5), ("r_mech", 7.0)])
+    def test_tampered_replayed_column(self, tmp_path, capsys, name, value):
+        # every column that the audit replays is compared, not the ledger alone
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        index = json.loads((out / "pairs.json").read_text())[0]["index"]
+        path = out / "audit.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        rows[index][rows[0].index(name)] = repr(value)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run_cli("audit", str(out)) == 3
+        assert f"logged {name}={value!r}" in capsys.readouterr().err
+
+    def test_parses_only_the_rows_pairs_name(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        n_pairs = len(json.loads((out / "pairs.json").read_text()))
+        n_rows = len((out / "audit.csv").read_text().splitlines()) - 1
+        parsed = []
+        reader = csv.reader
+        monkeypatch.setattr(cli.csv, "reader", lambda lines: parsed.extend(lines) or reader(lines))
+        assert run_cli("audit", str(out)) == 0
+        assert len(parsed) == 1 + n_pairs < n_rows
+
+    @pytest.mark.parametrize("edit", [
+        lambda e: e.pop("h_ext_prev"),
+        lambda e: e.pop("index"),
+        lambda e: e.update(dt="0.01"),
+        lambda e: e.update(index="4"),
+    ], ids=["h_ext_prev", "index", "dt", "index type"])
+    def test_malformed_pairs_entry(self, tmp_path, capsys, edit):
+        out = tmp_path / "run"
+        assert run_trm_chain(out) == 0
+        path = out / "pairs.json"
+        pairs = json.loads(path.read_text())
+        edit(pairs[3])
+        path.write_text(json.dumps(pairs))
+        assert run_cli("audit", str(out)) == 2
+        assert "malformed pairs.json entry 3 " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairs", [[], {}, 5])
+    def test_pairs_json_without_a_list(self, tmp_path, capsys, pairs):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        (out / "pairs.json").write_text(json.dumps(pairs))
+        assert run_cli("audit", str(out)) == 2
+        assert "pairs.json lists no snapshot pairs" in capsys.readouterr().err
+
     def test_missing_audit_csv(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_short_trm(out) == 0

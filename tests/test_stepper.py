@@ -412,6 +412,62 @@ class TestDemagDefect:
             state = new
 
 
+class TestEarlyStop:
+    @pytest.mark.parametrize("case", [_spatial_config, _dike_config], ids=["8x8", "dike16"])
+    def test_stopped_step_is_within_its_gate(self, case):
+        # each step stops on its estimated error, before a sweep changes no
+        # block by more than the tolerance, and only where the gate holds
+        cfg, state = case()
+        grid, loads = cfg.build_grid(), cfg.build_loads()
+        for _ in range(3):
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
+                              cfg.material, cfg.step_options(cfg.dt))
+            assert rep.accepted, rep.message
+            assert rep.change >= stepper._TOL_REL
+            for name, (res, scale) in rep.residuals.items():
+                assert stepper._within_tolerance(res, scale), name
+
+    def test_dike_sweeps_and_newton_passes(self):
+        cfg, state = _dike_config((32, 32))
+        grid, loads = cfg.build_grid(), cfg.build_loads()
+        for _ in range(3):
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
+                              cfg.material, cfg.step_options(cfg.dt))
+            assert rep.accepted, rep.message
+            assert rep.iterations <= 7 and rep.m_passes <= 18
+
+    def test_failed_gate_sweeps_on(self, monkeypatch):
+        # where the estimate passes but the gate fails, the sweep goes on
+        # from the iterate it checked, unchanged, to the change test's stop
+        cfg, state = _spatial_config()
+        grid, params = cfg.build_grid(), cfg.material
+        loads_k = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
+        opts = cfg.step_options(cfg.dt)
+        early, rep_early = step(state, loads_k, grid, params, opts)
+        assert rep_early.change >= stepper._TOL_REL
+        fields = ("v", "Ee", "Ep", "m", "u", "w")
+        checked = []
+        real = stepper.residuals
+
+        def fail_first(trial, *args):
+            res = real(trial, *args)
+            checked.append((trial, {name: getattr(trial, name).copy() for name in fields}))
+            if len(checked) == 1:
+                res["m_inclusion"] = (1.0, res["m_inclusion"][1])
+            return res
+
+        monkeypatch.setattr(stepper, "residuals", fail_first)
+        new, rep = step(state, loads_k, grid, params, opts)
+        assert rep.accepted, rep.message
+        assert len(checked) == 2 and checked[1][0] is new
+        assert rep.iterations == rep_early.iterations + 1
+        assert rep.change < stepper._TOL_REL
+        trial, at_check = checked[0]
+        for name in fields:
+            assert np.array_equal(getattr(trial, name), getattr(early, name)), name
+            assert np.array_equal(getattr(trial, name), at_check[name]), name
+
+
 def _terms_case(name):
     """A short run whose steps exercise the record: theta control, drive, space."""
     if name == "spatial":
