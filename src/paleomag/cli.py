@@ -29,6 +29,7 @@ from .scenarios import (
     audit_values,
     builtin_config,
     run_scenario,
+    state_values,
 )
 from .snapshots import pair_loads, read_snapshot
 
@@ -143,6 +144,11 @@ def cmd_run(args) -> int:
         manifest["accepted"] = True
         manifest["steps"] = traj.n_steps
         manifest["rejections"] = traj.n_rejections
+        manifest["solver"] = {
+            "sweeps": traj.sweeps,
+            "m_passes": traj.m_passes,
+            "krylov_applications": traj.krylov_applications,
+        }
         ok, why = check_audit_bounds(traj)
         manifest["audit_pass"] = ok
         manifest["audit_detail"] = why
@@ -221,7 +227,7 @@ def cmd_audit(args) -> int:
             print(f"error: audit.csv has no row for snapshot pair {tag}", file=sys.stderr)
             return 2
         row = next(csv.reader([audit_lines[i - 1]]))
-        for name, value in audit_values(rep).items():
+        for name, value in {**audit_values(rep), **state_values(new, params)}.items():
             try:
                 stored_val = float(row[columns.get(name)])
             except (IndexError, TypeError, ValueError):

@@ -299,6 +299,10 @@ class Trajectory:
     final_state: Optional[FieldState] = None
     n_steps: int = 0
     n_rejections: int = 0
+    # the StepReport counts, summed over every attempted step
+    sweeps: int = 0
+    m_passes: int = 0
+    krylov_applications: int = 0
 
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self.series[name])
@@ -349,14 +353,22 @@ def _series_row(state, report, loads_s, grid, params, dt):
         "v_x": mean(state.v[..., 0]),
         "v_y": mean(state.v[..., 1]),
         "w_total": grid.integrate(state.w),
-        "theta_min": float(theta.min()),
-        "trace_ep_max": float(abs(kin.tensor_trace(state.Ep)).max()),
+        **state_values(state, params),
         "iterations": report.iterations,
     }
 
 
+def state_values(state: FieldState, params: con.MaterialParams) -> dict:
+    """The audit.csv entries of a step that its new state gives."""
+    theta = con.thermal_law_for(params).theta_of_w(state.w)
+    return {
+        "theta_min": float(np.min(theta)),
+        "trace_ep_max": float(abs(kin.tensor_trace(state.Ep)).max()),
+    }
+
+
 def audit_values(rep: BalanceReport) -> dict:
-    """The audit.csv entries of a step that its audit gives: all but theta_min, trace_ep_max."""
+    """The audit.csv entries of a step that its audit gives: all but the state_values ones."""
     return {
         "t": rep.t,
         "dt": rep.dt,
@@ -437,6 +449,9 @@ def run_scenario(
             new_state, report = step(state, loads_s, grid, params, opts)
         except CflViolation as exc:
             new_state, report = state, StepReport(dt=dt, message=f"CFL violation: {exc}")
+        traj.sweeps += report.iterations
+        traj.m_passes += report.m_passes
+        traj.krylov_applications += report.krylov_applications
         if not report.accepted:
             traj.n_rejections += 1
             dt *= 0.5
@@ -863,6 +878,7 @@ __all__ = [
     "HysteresisLoop",
     "run_scenario",
     "audit_values",
+    "state_values",
     "builtin_config",
     "irm_loop",
     "extract_loop",

@@ -51,6 +51,17 @@ class TestRun:
         assert manifest["version"]
         assert (out / "series.csv").exists()
 
+    def test_manifest_counts_the_solver_work(self, tmp_path):
+        # every trm step is 0D under temperature control: one sweep, no Krylov solve
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        solver = manifest["solver"]
+        assert manifest["rejections"] == 0
+        assert solver["sweeps"] == manifest["steps"]
+        assert solver["m_passes"] >= solver["sweeps"]
+        assert solver["krylov_applications"] == 0
+
     def test_experiment_report_written(self, tmp_path):
         out = tmp_path / "vrm"
         code = run_cli("run", "--config", "vrm", "--out", str(out),
@@ -240,6 +251,20 @@ class TestAudit:
     @pytest.mark.parametrize("name, value", [("r_tot_rel", 0.5), ("r_mech", 7.0)])
     def test_tampered_replayed_column(self, tmp_path, capsys, name, value):
         # every column that the audit replays is compared, not the ledger alone
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        index = json.loads((out / "pairs.json").read_text())[0]["index"]
+        path = out / "audit.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        rows[index][rows[0].index(name)] = repr(value)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run_cli("audit", str(out)) == 3
+        assert f"logged {name}={value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [("theta_min", -5.0), ("trace_ep_max", 1.0)])
+    def test_tampered_state_column(self, tmp_path, capsys, name, value):
+        # the columns the series row gives are checked against the `_b` state
         out = tmp_path / "run"
         assert run_short_trm(out) == 0
         index = json.loads((out / "pairs.json").read_text())[0]["index"]

@@ -468,6 +468,84 @@ class TestEarlyStop:
             assert np.array_equal(getattr(trial, name), at_check[name]), name
 
 
+def _passes_per_sweep(monkeypatch):
+    """Record the m block's Newton passes of each sweep; demag closes a sweep."""
+    events = []
+    solve_2x2, solve = stepper._solve_2x2, stepper.solve_demag
+    monkeypatch.setattr(stepper, "_solve_2x2", lambda *a: events.append("p") or solve_2x2(*a))
+    monkeypatch.setattr(stepper, "solve_demag", lambda *a: events.append("|") or solve(*a))
+
+    def take():
+        sweeps = [len(run) for run in "".join(events).split("|")[:-1]]
+        events.clear()
+        return sweeps
+
+    return take
+
+
+class TestInexactNewton:
+    @pytest.mark.parametrize("case", [_spatial_config, _dike_config], ids=["8x8", "dike16"])
+    def test_later_sweeps_take_one_pass(self, case, monkeypatch):
+        # from the second sweep on the m block stops at a tenth of the last
+        # sweep's change, which one Newton pass reaches; the gate still holds
+        take = _passes_per_sweep(monkeypatch)
+        cfg, state = case()
+        grid, loads = cfg.build_grid(), cfg.build_loads()
+        for _ in range(3):
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
+                              cfg.material, cfg.step_options(cfg.dt))
+            assert rep.accepted, rep.message
+            passes = take()
+            assert len(passes) == rep.iterations >= 2 and sum(passes) == rep.m_passes
+            assert passes[0] > 1 and passes[1:] == [1] * (rep.iterations - 1)
+            for name, (res, scale) in rep.residuals.items():
+                assert stepper._within_tolerance(res, scale), name
+
+    def test_dike_newton_passes(self):
+        cfg, state = _dike_config((32, 32))
+        grid, loads = cfg.build_grid(), cfg.build_loads()
+        for _ in range(3):
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
+                              cfg.material, cfg.step_options(cfg.dt))
+            assert rep.accepted, rep.message
+            assert rep.iterations <= 7 and rep.m_passes <= 10
+
+    def test_zero_forcing_is_the_tight_solve(self, monkeypatch):
+        # with the forcing term at 0 every sweep solves m to tol_m; the two
+        # runs end within the sweep's tolerance of each other
+        cfg, state = _dike_config()
+        grid, loads = cfg.build_grid(), cfg.build_loads()
+        finals, passes = [], []
+        for eta in (stepper._ETA_M, 0.0):
+            monkeypatch.setattr(stepper, "_ETA_M", eta)
+            s, n = state, 0
+            for _ in range(3):
+                s, rep = step(s, sample_loads(loads, s.t + cfg.dt, cfg.dt), grid,
+                              cfg.material, cfg.step_options(cfg.dt))
+                assert rep.accepted, rep.message
+                n += rep.m_passes
+            finals.append(s)
+            passes.append(n)
+        assert passes[0] < passes[1]
+        inexact, tight = finals
+        for name in ("v", "Ee", "Ep", "m", "u", "w"):
+            a, b = getattr(inexact, name), getattr(tight, name)
+            assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b))), name
+
+    def test_one_pass_step_is_unchanged(self, grid0, monkeypatch):
+        # a trm 0D step under temperature control takes one sweep, which has
+        # no last change: it solves m as tightly as with no forcing term
+        def cooling_step():
+            return TestZeroDimensional._trm_cooling_step(grid0, theta=lambda t: 0.4 - 0.01 * t)
+
+        new, rep = cooling_step()
+        monkeypatch.setattr(stepper, "_ETA_M", 0.0)
+        tight, rep_tight = cooling_step()
+        assert rep.accepted and rep.iterations == 1
+        assert rep.m_passes == rep_tight.m_passes
+        assert np.array_equal(new.m, tight.m)
+
+
 def _terms_case(name):
     """A short run whose steps exercise the record: theta control, drive, space."""
     if name == "spatial":
