@@ -103,13 +103,13 @@ def check_audit_bounds(traj) -> tuple[bool, str]:
         why = _step_bound_failure(rep)
         if why is not None:
             return False, f"{why} at step {i + 1} (t={rep.t:.6g})"
-    state = traj.final_state
-    if state is not None:
-        if float(np.min(state.w)) < 0.0:
+    if traj.final_state is not None:
+        # theta = w / c_v with c_v > 0, so theta_min < 0 exactly when min w < 0
+        final = state_values(traj.final_state, traj.config.material)
+        if final["theta_min"] < 0.0:
             return False, "negative enthalpy in final state"
-        trp = float(np.max(np.abs(np.trace(state.Ep, axis1=-2, axis2=-1))))
-        if trp > TRACE_EP_TOL:
-            return False, f"trace(Ep) = {trp:.3e} exceeds {TRACE_EP_TOL:g}"
+        if final["trace_ep_max"] > TRACE_EP_TOL:
+            return False, f"trace(Ep) = {final['trace_ep_max']:.3e} exceeds {TRACE_EP_TOL:g}"
     return True, "all audit bounds hold"
 
 

@@ -14,10 +14,12 @@ scheme runs the unregularized model (eps = 0), so omega is used as it is.
 
 Dissipation potential for the magnetization rate (radial in |mdot|):
 
-    zeta(theta; mdot) = h_c(theta)|mdot| + eps_reg |mdot|^r_exp + tau_c |mdot|^2
+    zeta(theta; mdot) = h_c(theta)|mdot| + eps_reg |mdot|^3 + tau_c |mdot|^2
 
 (strictly convex when tau_c or eps_reg is positive, so each field h_eff
-has one rate mdot)
+has one rate mdot).  The paper's existence proof needs a growth exponent
+r > 2 for the eps_reg term; the scheme fixes r = 3, where the rate has a
+closed form.
 
 The engine is dimension-agnostic; shipped scenarios are nondimensional.
 h_c is expressed in the same units as the driving field h_drv (A/m), so
@@ -54,7 +56,7 @@ class MaterialParams:
     hc_width: float = 0.02    # blocking transition width
     tau_c: float = 0.05       # viscous magnetization time constant
     eps_reg: float = 1e-6     # coercive regularization coefficient in zeta
-    r_exp: float = 3.0        # rate exponent in zeta
+    r_exp: float = 3.0        # rate exponent in zeta; 3 is the only value
     kappa: float = 0.0        # exchange coefficient
     varkappa: float = 0.0     # inelastic-rate gradient coefficient
     nu1: float = 1.0          # Stokes viscosity
@@ -70,9 +72,12 @@ class MaterialParams:
     buoyancy_coeff: float = 0.0      # b(theta) = coeff * (theta - ref)
     buoyancy_theta_ref: float = 1.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         pos = ("rho", "mu0", "nu1", "K_E", "G_E", "theta_c", "c_v", "K_cond",
-               "M_solid", "M_magma", "melt_width", "hc_width", "p")
+               "M_solid", "M_magma", "melt_width", "hc_width")
         for name in pos:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"MaterialParams.{name} must be > 0, got {getattr(self, name)}")
@@ -83,10 +88,10 @@ class MaterialParams:
                 raise ConfigError(f"MaterialParams.{name} must be >= 0, got {getattr(self, name)}")
         if self.M_solid < self.M_magma:
             raise ConfigError("M_solid must be >= M_magma")
-        if not self.r_exp > 2.0:
-            raise ConfigError(f"r_exp must be > 2, got {self.r_exp}")
-        if not self.r_exp < self.p:
-            raise ConfigError(f"r_exp must be < p, got r_exp={self.r_exp}, p={self.p}")
+        if self.r_exp != 3.0:
+            raise ConfigError(f"r_exp (the rate exponent of zeta) is fixed at 3, got {self.r_exp}")
+        if not self.p > 3.0:
+            raise ConfigError(f"p must be > r_exp = 3, got {self.p}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -102,9 +107,7 @@ class MaterialParams:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown material parameters: {sorted(unknown)}")
-        params = MaterialParams(**{k: float(v) for k, v in data.items()})
-        params.validate()
-        return params
+        return MaterialParams(**{k: float(v) for k, v in data.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +245,15 @@ def buoyancy_b(theta, params: MaterialParams):
 
 
 def zeta(theta, mdot_mag, params: MaterialParams):
-    """zeta(theta; |mdot|) = h_c|mdot| + eps_reg|mdot|^r_exp + tau_c|mdot|^2."""
+    """zeta(theta; |mdot|) = h_c|mdot| + eps_reg|mdot|^3 + tau_c|mdot|^2."""
     s = np.abs(np.asarray(mdot_mag, dtype=np.float64))
-    return h_c(theta, params) * s + params.eps_reg * s ** params.r_exp + params.tau_c * s ** 2
+    return h_c(theta, params) * s + params.eps_reg * s ** 3.0 + params.tau_c * s ** 2
 
 
 def zeta_prime(theta, mdot_mag, params: MaterialParams):
     """d zeta / d|mdot| for |mdot| > 0."""
     s = np.asarray(mdot_mag, dtype=np.float64)
-    out = h_c(theta, params) + params.r_exp * params.eps_reg * s ** (params.r_exp - 1.0)
+    out = h_c(theta, params) + 3.0 * params.eps_reg * s ** 2.0
     return out + 2.0 * params.tau_c * s
 
 
@@ -263,51 +266,30 @@ def zeta_diss(theta, r_vec: np.ndarray, params: MaterialParams):
     return np.where(s > 0.0, zeta_prime(theta, s, params) * s, 0.0)
 
 
-def _branch_root_bisect(target, lo, hi, f, iters: int = 200):
-    """Vectorized bisection for the monotone branch equation f(s) = target."""
-    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), np.shape(target)).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), np.shape(target)).copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        high = f(mid) > target
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return 0.5 * (lo + hi)
-
-
 def zeta_resolvent(theta, h_eff: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Solve h_eff in d zeta(theta; mdot) for mdot (pointwise, vectorized).
 
     By radial symmetry mdot is parallel to h_eff and its magnitude s solves
     zeta'(s) = |h_eff|, which has one root since zeta' increases strictly;
-    |h_eff| <= h_c gives sticking.
+    |h_eff| <= h_c gives sticking.  Above it s is the positive root of
+    3 eps_reg s^2 + 2 tau_c s = ex, ex = |h_eff| - h_c, rationalized: no
+    cancellation when 3 eps_reg ex << tau_c^2, and exactly ex / (2 tau_c)
+    at eps_reg = 0.
     """
     H = np.sqrt(_m2(h_eff))
     excess = H - h_c(theta, params)
     active = excess > 0.0
     s = np.zeros(np.shape(excess))
     if active.any():
-        ex = np.where(active, excess, 0.0)
-        eps, tc, re = params.eps_reg, params.tau_c, params.r_exp
+        eps, tc = params.eps_reg, params.tau_c
         if eps == 0.0 and tc == 0.0:
             raise ConstitutiveError(
                 "zeta has no minimizer above the sticking threshold "
                 "(eps_reg = tau_c = 0); the flow rule is ill-posed"
             )
-        if eps == 0.0:
-            s_ex = ex / (2.0 * tc)
-        elif tc == 0.0:
-            s_ex = (ex / (re * eps)) ** (1.0 / (re - 1.0))
-        elif re == 3.0:
-            # the root of 3 eps s^2 + 2 tc s = ex, rationalized: no
-            # cancellation when 3 eps ex << tc^2
-            s_ex = ex / (tc + np.sqrt(tc * tc + 3.0 * eps * ex))
-        else:
-            hi = np.maximum(ex / (2.0 * tc), (ex / (re * eps)) ** (1.0 / (re - 1.0))) + 1.0
-            s_ex = _branch_root_bisect(
-                ex, 0.0, hi, lambda s_: re * eps * s_ ** (re - 1.0) + 2.0 * tc * s_
-            )
-        s = np.where(active, s_ex, 0.0)
+        # sticking cells take ex = 1, so that tau_c = 0 divides no 0 by 0
+        ex = np.where(active, excess, 1.0)
+        s = np.where(active, ex / (tc + np.sqrt(tc * tc + 3.0 * eps * ex)), 0.0)
     unit = h_eff / np.maximum(H, 1e-300)[..., None]
     return s[..., None] * unit
 
@@ -323,8 +305,7 @@ def zeta_resolvent_jacobian(h_eff: np.ndarray, r: np.ndarray, params: MaterialPa
     s = np.sqrt(_m2(r))
     moving = s > 0.0
     s_on = np.where(moving, s, 1.0)
-    eps, tc, re = params.eps_reg, params.tau_c, params.r_exp
-    zpp = re * (re - 1.0) * eps * s_on ** (re - 2.0) + 2.0 * tc
+    zpp = 6.0 * params.eps_reg * s_on + 2.0 * params.tau_c
     ds = np.where(moving, 1.0 / np.maximum(zpp, 1e-300), 0.0)
     H_on = np.maximum(H, 1e-300)
     ratio = np.where(moving, s / H_on, 0.0)

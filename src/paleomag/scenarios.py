@@ -184,7 +184,6 @@ class ScenarioConfig:
     Ep0: tuple = ((0.0, 0.0), (0.0, 0.0))
 
     def validate(self) -> None:
-        self.material.validate()
         if not self.duration >= 0.0:
             raise ConfigError(f"duration must be >= 0, got {self.duration}")
         if not _DT_MIN <= self.dt:

@@ -10,7 +10,7 @@ import pytest
 from paleomag import cli, energetics
 from paleomag.cli import main
 from paleomag.grid import FieldState, make_grid, sample_loads
-from paleomag.scenarios import builtin_config
+from paleomag.scenarios import Trajectory, builtin_config
 from paleomag.snapshots import pair_record, read_snapshot, write_snapshot
 
 from conftest import rewrite_snapshot_header
@@ -85,6 +85,54 @@ class TestRun:
         report = json.loads((out / "manifest.json").read_text())["experiment_report"]
         assert report["drift_rate_measured"] == float(first["m_x"]) / float(first["t"])
 
+    def test_melt_experiment(self, tmp_path):
+        # the two relaxation fixtures recover the Maxwell viscosity ratio
+        out = tmp_path / "melt"
+        assert run_cli("run", "--config", "melt", "--out", str(out),
+                       "--set", "duration=1.0") == 0
+        report = json.loads((out / "manifest.json").read_text())["experiment_report"]
+        assert report["plateau_ratio"] == pytest.approx(report["expected_ratio"], rel=1e-9)
+        assert json.loads((out / "experiment" / "report.json").read_text()) == report
+
+    def test_irm_experiment_writes_the_loop(self, tmp_path):
+        out = tmp_path / "irm"
+        assert run_cli("run", "--config", "irm", "--out", str(out),
+                       "--set", "duration=0.5") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        with open(out / "experiment" / "loop.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["h_applied", "m_parallel"]
+        assert len(rows) - 1 == manifest["steps"] == 500
+        assert set(manifest["experiment_report"]) == {
+            "coercivity", "remanence", "loop_area", "cycle_dissipation", "closed"
+        }
+
+    def test_audit_bound_exits_3(self, tmp_path, monkeypatch):
+        # no residual is below a negative bound, so step 1 already breaks it
+        monkeypatch.setattr(cli, "ENERGY_TOL", -1.0)
+        out = tmp_path / "vrm"
+        assert run_cli("run", "--config", "vrm", "--out", str(out),
+                       "--set", "duration=0.01") == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["accepted"] is True
+        assert manifest["audit_pass"] is False
+        assert manifest["audit_detail"].startswith("energy residual")
+        assert " at step 1 (" in manifest["audit_detail"]
+        assert "experiment_report" not in manifest
+        assert not (out / "experiment").exists()
+
+    @pytest.mark.parametrize("w, ep_xx, verdict", [
+        (1.0, 0.0, (True, "all audit bounds hold")),
+        (-1.0, 0.0, (False, "negative enthalpy in final state")),
+        (1.0, 1e-9, (False, "trace(Ep) = 1.000e-09 exceeds 1e-10")),
+    ], ids=["clean", "negative_w", "trace_ep"])
+    def test_final_state_bounds(self, w, ep_xx, verdict):
+        state = FieldState.zeros(make_grid(0))
+        state.w[...] = w
+        state.Ep[..., 0, 0] = ep_xx
+        traj = Trajectory(config=builtin_config("vrm"), final_state=state)
+        assert cli.check_audit_bounds(traj) == verdict
+
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -109,7 +157,7 @@ class TestRun:
         "setting",
         ["relaxation=0", "eps=1.0", "eps=0.1", "tol_rel=-1", "max_iters=0",
          "demag_boundary=bogus", "cfl_max=-1", "tol_rel=1e-10", "dt_min=1e-6",
-         "dt_growth=1.0", "material.m_r=0.5"],
+         "dt_growth=1.0", "material.m_r=0.5", "material.r_exp=3.5"],
     )
     def test_invalid_solver_setting(self, tmp_path, setting):
         out = tmp_path / "o"

@@ -22,11 +22,16 @@ class TestMaterialParams:
     @pytest.mark.parametrize(
         "bad",
         [dict(rho=0.0), dict(G_E=-1.0), dict(M_solid=1.0, M_magma=2.0),
-         dict(r_exp=2.0), dict(r_exp=4.5, p=4.0)],
+         dict(r_exp=2.0), dict(r_exp=4.5, p=4.0), dict(r_exp=3.5), dict(p=3.0)],
     )
     def test_invalid(self, bad):
         with pytest.raises(ConfigError):
             material(**bad).validate()
+
+    def test_rate_exponent_is_checked_on_construction(self):
+        # zeta is written for r_exp = 3 only; no unchecked params reach step()
+        with pytest.raises(ConfigError, match="r_exp"):
+            con.MaterialParams(r_exp=3.5)
 
 
 class TestFreeEnergy:
@@ -152,7 +157,7 @@ def _resolvent_oracle(p, theta, H):
 
 class TestZeta:
     def test_zeta_value(self):
-        p = material(tau_c=0.5, eps_reg=0.1, r_exp=3.0, h_c_high=0.2, theta_b=2.0)
+        p = material(tau_c=0.5, eps_reg=0.1, h_c_high=0.2, theta_b=2.0)
         s = 0.7
         expect = 0.2 * s + 0.1 * s**3 + 0.5 * s**2
         assert con.zeta(0.5, s, p) == pytest.approx(expect, rel=1e-14)
@@ -167,10 +172,10 @@ class TestZeta:
         assert np.all(r == 0.0)
 
     @pytest.mark.parametrize("over", [
-        dict(tau_c=0.05, eps_reg=1e-6, r_exp=3.0),           # closed-form branch
-        dict(tau_c=0.05, eps_reg=1e-3, r_exp=3.5),           # bisection branch
-        dict(tau_c=0.0, eps_reg=1e-3, r_exp=3.0),            # pure power branch
-        dict(tau_c=0.05, eps_reg=0.0, r_exp=3.0),            # pure quadratic branch
+        dict(tau_c=0.05, eps_reg=1e-6),                      # quadratic-dominated
+        dict(tau_c=1e-4, eps_reg=1.0),                       # power-dominated
+        dict(tau_c=0.0, eps_reg=1e-3),                       # pure power
+        dict(tau_c=0.05, eps_reg=0.0),                       # pure quadratic
     ])
     def test_resolvent_matches_oracle(self, over):
         p = material(h_c_high=0.2, theta_b=2.0, **over)
@@ -225,8 +230,8 @@ def _central_jacobian(f, x, h=1e-6):
 
 class TestJacobians:
     @pytest.mark.parametrize("over, H", [
-        (dict(tau_c=0.05, eps_reg=1e-3, r_exp=3.0), 0.7),                 # quadratic, r_exp = 3
-        (dict(tau_c=0.05, eps_reg=1e-3, r_exp=3.5), 0.7),                 # bisection branch
+        (dict(tau_c=0.05, eps_reg=1e-3), 0.7),                            # quadratic-dominated
+        (dict(tau_c=1e-4, eps_reg=1.0), 0.7),                             # power-dominated
     ])
     def test_resolvent_jacobian_matches_central_differences(self, over, H):
         p = material(h_c_high=0.2, theta_b=2.0, **over)

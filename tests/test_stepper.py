@@ -660,6 +660,44 @@ class TestKrylovFailure:
         assert traj.final_state.t == pytest.approx(cfg.duration)
 
 
+class TestRejectionMessages:
+    def test_failed_heat_solve_rejects_the_step(self, monkeypatch):
+        # bicgstab fails on the heat system only (one unknown per cell, where
+        # momentum has two): the step ends after the first sweep's heat block
+        real = spla.bicgstab
+        cfg, state = _spatial_config()
+        n_cells = int(np.prod(cfg.cells))
+
+        def fail_heat(A, b, *args, **kwargs):
+            if b.size == n_cells:
+                return np.zeros_like(b), 1
+            return real(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "bicgstab", fail_heat)
+        loads = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
+        new, rep = step(state, loads, cfg.build_grid(), cfg.material, cfg.step_options(cfg.dt))
+        assert not rep.accepted
+        assert new is state
+        assert rep.iterations == 1
+        assert rep.message == "heat solve failed (bicgstab info=1)"
+
+    def test_converged_iterate_failing_the_gate_is_rejected(self, grid0, monkeypatch):
+        # a one-pass trm step converges at once; a gate that passes nothing
+        # rejects it and names every residual
+        monkeypatch.setattr(stepper, "_within_tolerance", lambda res, scale: False)
+        p = builtin_config("trm").material
+        prev = state_0d(grid0, p, theta=0.4, m=(con.equilibrium_m(0.4, 0.01, p), 0.0))
+        loads = sample(t=0.01, dt=0.01, theta=lambda t: 0.4 - 0.01 * t,
+                       h_ext=lambda t: np.array([0.01, 0.0]))
+        new, rep = step(prev, loads, grid0, p, StepOptions(dt=0.01))
+        assert not rep.accepted
+        assert new is prev
+        assert rep.iterations == 1
+        assert rep.message.startswith("converged iterate fails residual check: ")
+        for name in ("momentum", "strain", "ep_flow", "m_inclusion", "potential", "enthalpy"):
+            assert f"{name}=" in rep.message
+
+
 def _cold_config():
     """0D, free enthalpy, c_v = 1e-12, above the Curie temperature.
 
