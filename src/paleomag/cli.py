@@ -148,6 +148,7 @@ def cmd_run(args) -> int:
             "sweeps": traj.sweeps,
             "m_passes": traj.m_passes,
             "krylov_applications": traj.krylov_applications,
+            "lu_solves": traj.lu_solves,
         }
         ok, why = check_audit_bounds(traj)
         manifest["audit_pass"] = ok

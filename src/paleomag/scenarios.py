@@ -204,10 +204,14 @@ class ScenarioConfig:
         theta_s = make_scalar_schedule(self.theta_schedule)
         j_s = make_scalar_schedule(self.j_ext_schedule)
         make_vector_schedule(self.h_ext_schedule)
-        make_tensor_schedule(self.grad_v_schedule)
+        grad_v_s = make_tensor_schedule(self.grad_v_schedule)
         make_tensor_schedule(self.stress_dev_schedule)
         # spot-check sign constraints on the sampled schedules
         probes = np.linspace(0.0, self.duration, 17)
+        # 0D has no transport, so no dilution terms -w div v, -eta div v
+        trace = max(abs(np.trace(grad_v_s(t))) for t in probes) if grad_v_s else 0.0
+        if self.dim == 0 and trace != 0.0:
+            raise ConfigError(f"a 0D grad_v must be trace-free, got |trace(grad_v)| = {trace:g}")
         if j_s is not None and any(j_s(t) < 0.0 for t in probes):
             raise ConfigError("j_ext schedule must be nonnegative")
         if theta_s is not None and any(theta_s(t) < 0.0 for t in probes):
@@ -302,6 +306,7 @@ class Trajectory:
     sweeps: int = 0
     m_passes: int = 0
     krylov_applications: int = 0
+    lu_solves: int = 0
 
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self.series[name])
@@ -451,6 +456,7 @@ def run_scenario(
         traj.sweeps += report.iterations
         traj.m_passes += report.m_passes
         traj.krylov_applications += report.krylov_applications
+        traj.lu_solves += report.lu_solves
         if not report.accepted:
             traj.n_rejections += 1
             dt *= 0.5

@@ -19,6 +19,11 @@ of the inelastic rate, the hyperstress) are taken at the current iterate,
 so the converged sweep satisfies the fully implicit equations.  Under
 temperature control the sweep starts at the prescribed temperature.
 
+The spatial momentum and enthalpy blocks are linear in their own unknown.
+Each is solved exactly by one solve with the cached sparse LU of its
+operator at the step's tau, momentum in correction form:
+v = v_cur - A^{-1} res(v_cur), the rest of the balance held at v_cur.
+
 One sweep suffices, and the step takes exactly one, where no block is
 lagged: a 0D step under temperature control with no stress drive.  There
 v, L, Ee, R and Ep follow from the previous state and the loads alone, the
@@ -96,7 +101,8 @@ class StepReport:
     iterations: int = 0
     change: float = 0.0           # the last sweep's largest relative block change
     m_passes: int = 0             # Newton passes of the m block, over all sweeps
-    krylov_applications: int = 0  # operator applications of the Krylov solves
+    krylov_applications: int = 0  # operator applications of Krylov solves (none run)
+    lu_solves: int = 0            # momentum and heat block solves, one LU solve each
     residuals: dict = field(default_factory=dict)
     accepted: bool = False
     dt: float = 0.0
@@ -293,7 +299,7 @@ def step(
 ) -> tuple[FieldState, StepReport]:
     """Advance one fully implicit step; returns (new state, report).
 
-    On solver non-convergence, including a failed Krylov solve, the previous
+    On solver non-convergence, including a failed linear solve, the previous
     state is returned with report.accepted = False (the caller halves dt).
     CFL violations raise CflViolation; w < -_TOL_ABS raises ThermodynamicError.
     """
@@ -343,9 +349,9 @@ def step(
             v_new = state_prev.v + tau * loads_k.g * (1.0 - b_lag)
         else:
             v_new, failure = _momentum_solve(
-                state_prev.v, v, Ee, m, h_dem, b_lag, theta_k, loads_k, grid, params, opts,
-                report,
+                state_prev.v, v, Ee, m, h_dem, b_lag, theta_k, loads_k, grid, params, opts
             )
+            report.lu_solves += 1
             if failure:
                 report.message = f"momentum solve failed ({failure})"
                 return state_prev, report
@@ -442,9 +448,9 @@ def step(
         elif grid.dim == 0:
             w_new = state_prev.w + tau * (xi + adiab + j_src)
         else:
-            w_new, failure = _heat_solve(
-                state_prev.w, w, v_new, xi, adiab, j_src, grid, params, tau, report
-            )
+            w_new, failure = _heat_solve(state_prev.w, w, v_new, xi, adiab, j_src, grid,
+                                         params, tau)
+            report.lu_solves += 1
             if failure:
                 report.message = f"heat solve failed ({failure})"
                 return state_prev, report
@@ -532,34 +538,22 @@ def _xi_field(Ev, R, r, theta_prev, M_lag, grid: Grid, params: con.MaterialParam
     return xi
 
 
-def _bicgstab(apply_op, rhs: np.ndarray, x0: np.ndarray, lu, report=None) -> tuple:
-    """Matrix-free bicgstab solve of apply_op(x) = rhs from x0; (x, failure).
+def _lu_solve(lu, rhs: np.ndarray) -> tuple:
+    """x with lu x = rhs, shaped like rhs, and why the solve failed ("" on success).
 
-    ``lu`` (a SuperLU factorization of the operator) is the right
-    preconditioner: bicgstab still stops on the residual of apply_op, so an
-    inexact ``lu`` costs iterations, never accuracy.  ``failure`` is "" on
-    success, else why the solve failed.  An rhs or x0 whose 2-norm is not
-    finite (NaN, inf, or so large that the norm overflows) fails at once:
-    bicgstab's stopping test reads that norm, so it would only iterate to
-    its limit.  Each application of apply_op is counted in
-    ``report.krylov_applications`` when a StepReport is given.
+    ``lu`` is the exact factorization of the block's operator at the step's
+    own tau: the caches are keyed by everything the operator reads.  An rhs
+    whose 2-norm is not finite (NaN, inf, or so large that the norm
+    overflows) fails without a solve, and a non-finite solution fails too.
     """
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rhs), np.linalg.norm(x0)
-    if not np.all(np.isfinite(norms)):
-        return x0, "non-finite norm of the right-hand side or initial guess"
-    import scipy.sparse.linalg as spla
-
-    def counted(x):
-        if report is not None:
-            report.krylov_applications += 1
-        return apply_op(x)
-
-    n = rhs.size
-    op = spla.LinearOperator((n, n), matvec=counted, dtype=np.float64)
-    M = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
-    sol, info = spla.bicgstab(op, rhs.ravel(), x0=x0.ravel(), rtol=1e-12, atol=1e-14, M=M)
-    return sol.reshape(x0.shape), (f"bicgstab info={info}" if info != 0 else "")
+        norm = np.linalg.norm(rhs)
+    if not math.isfinite(norm):
+        return rhs, "non-finite norm of the right-hand side"
+    x = lu.solve(rhs.ravel()).reshape(rhs.shape)
+    if not np.all(np.isfinite(x)):
+        return x, "non-finite solution"
+    return x, ""
 
 
 # Composed central differences couple cells at most _REACH apart on each
@@ -633,7 +627,7 @@ def _heat_operator(grid: Grid, tau: float, K_cond: float, c_v: float):
     return apply_op
 
 
-# Keyed by everything the operator reads; a halved dt refactors once.
+# Keyed by everything the operator reads; a halved or regrown dt refactors once.
 @functools.lru_cache(maxsize=4)
 def _momentum_lu(grid: Grid, rho_tau: float, nu1: float):
     return _probe_lu(_momentum_operator(grid, rho_tau, nu1), grid.spatial_shape, (NCOMP,))
@@ -646,28 +640,23 @@ def _heat_lu(grid: Grid, tau: float, K_cond: float, c_v: float):
 
 def _momentum_solve(
     v_prev, v_cur, Ee, m, h_dem, b_lag, theta_k, loads_k: LoadsSample,
-    grid: Grid, params: con.MaterialParams, opts: StepOptions, report: StepReport,
+    grid: Grid, params: con.MaterialParams, opts: StepOptions,
 ):
     """Implicit Stokes-like solve with the remaining momentum terms lagged.
 
-    The operator A v = rho v / tau - div(nu1 E(v)) is implicit; the rest of
-    the balance enters through the right-hand side A v_cur - res(v_cur).
+    The operator A v = rho v / tau - div(nu1 E(v)) is implicit; with the rest
+    of the balance held at v_cur, v = v_cur - A^{-1} res(v_cur).
     """
     tau = opts.dt
     h_eff = _drive_field(m, theta_k, loads_k, grid, params) + h_dem
     res = _momentum_residual_field(
         v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
     )
-    rho_tau = params.rho / tau
-    apply_op = _momentum_operator(grid, rho_tau, params.nu1)
-    lu = _momentum_lu(grid, rho_tau, params.nu1)
-    return _bicgstab(apply_op, apply_op(v_cur) - res.ravel(), v_cur, lu, report)
+    dv, failure = _lu_solve(_momentum_lu(grid, params.rho / tau, params.nu1), res)
+    return v_cur - dv, failure
 
 
-def _heat_solve(
-    w_prev, w_cur, v_new, xi, adiab, j_src, grid: Grid,
-    params: con.MaterialParams, tau, report: StepReport,
-):
+def _heat_solve(w_prev, w_cur, v_new, xi, adiab, j_src, grid: Grid, params, tau):
     """Implicit conduction solve; advection and sources at the current sweep.
 
     The thermal law is linear (theta = w / c_v), so the Fourier term is
@@ -675,9 +664,7 @@ def _heat_solve(
     """
     adv = kin.advect_scalar(w_cur, v_new, grid)
     rhs = w_prev / tau - adv + xi + adiab + j_src
-    apply_op = _heat_operator(grid, tau, params.K_cond, params.c_v)
-    lu = _heat_lu(grid, tau, params.K_cond, params.c_v)
-    return _bicgstab(apply_op, rhs, w_cur, lu, report)
+    return _lu_solve(_heat_lu(grid, tau, params.K_cond, params.c_v), rhs)
 
 
 def _potential_residual(

@@ -10,10 +10,10 @@ import pytest
 from paleomag import cli, energetics
 from paleomag.cli import main
 from paleomag.grid import FieldState, make_grid, sample_loads
-from paleomag.scenarios import Trajectory, builtin_config
+from paleomag.scenarios import ScenarioConfig, Trajectory, builtin_config
 from paleomag.snapshots import pair_record, read_snapshot, write_snapshot
 
-from conftest import rewrite_snapshot_header
+from conftest import material, rewrite_snapshot_header
 
 
 def run_cli(*argv):
@@ -52,7 +52,7 @@ class TestRun:
         assert (out / "series.csv").exists()
 
     def test_manifest_counts_the_solver_work(self, tmp_path):
-        # every trm step is 0D under temperature control: one sweep, no Krylov solve
+        # every trm step is 0D under temperature control: one sweep, no linear solve
         out = tmp_path / "run"
         assert run_short_trm(out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -61,6 +61,23 @@ class TestRun:
         assert solver["sweeps"] == manifest["steps"]
         assert solver["m_passes"] >= solver["sweeps"]
         assert solver["krylov_applications"] == 0
+        assert solver["lu_solves"] == 0
+
+    def test_0d_dilatation_exits_2(self, tmp_path):
+        # a 0D point has no transport, so it cannot book the dilution terms
+        # -w div v and -eta div v that a homogeneous dilatation needs
+        config = ScenarioConfig(
+            name="dilatation", dim=0, duration=0.01, dt=0.01, material=material(),
+            theta0=0.5, output_every=0,
+            grad_v_schedule={"kind": "const", "value": [[1e-3, 0.0], [0.0, 1e-3]]},
+        )
+        path = tmp_path / "dilatation.json"
+        path.write_text(json.dumps(config.to_dict()))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "trace(grad_v)" in manifest["failure"]
+        assert not (out / "series.csv").exists()
 
     def test_experiment_report_written(self, tmp_path):
         out = tmp_path / "vrm"

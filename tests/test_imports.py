@@ -1,9 +1,10 @@
 """Import weight: the package loads no SciPy subpackage it does not need.
 
-``scipy.sparse.linalg`` is imported lazily by the Krylov solves, and the
-demag far field uses ``scipy.fft`` only, so importing the package and its
-CLI pulls in neither ``scipy.sparse`` nor ``scipy.signal``: each would add
-to the start-up time and resident memory of every run.
+``scipy.sparse.linalg`` is imported lazily by the LU factorization of the
+momentum and heat blocks, and demag uses ``scipy.fft`` only, so importing
+the package and its CLI pulls in neither ``scipy.sparse`` nor
+``scipy.signal``: each would add to the start-up time and resident memory
+of every run.
 """
 
 import os

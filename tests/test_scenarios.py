@@ -91,6 +91,17 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="nonnegative"):
             cfg.validate()
 
+    def test_0d_grad_v_must_be_trace_free(self):
+        dilatation = {"kind": "const", "value": [[1e-3, 0.0], [0.0, 1e-3]]}
+        shear = {"kind": "const", "value": [[1e-3, 2e-3], [0.0, -1e-3]]}
+        cfg = ScenarioConfig(name="d", dim=0, duration=0.01, dt=0.01, grad_v_schedule=dilatation)
+        with pytest.raises(ConfigError, match=r"trace\(grad_v\)\| = 0.002"):
+            cfg.validate()
+        ScenarioConfig(name="d", dim=0, duration=0.01, dt=0.01, grad_v_schedule=shear).validate()
+        # a spatial grid transports what the dilatation dilutes
+        ScenarioConfig(name="d", dim=1, extents=(1.0,), cells=(4,), duration=0.01, dt=0.01,
+                       grad_v_schedule=dilatation).validate()
+
     def test_builtins_validate(self):
         for name in SHIPPED_SCENARIOS:
             builtin_config(name).validate()

@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from paleomag import constitutive as con
 from paleomag import demag, energetics, scenarios, stepper
@@ -365,8 +364,9 @@ class TestSpatialAudit:
         new, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), grid,
                         cfg.material, cfg.step_options(cfg.dt))
         assert rep.accepted
-        # momentum and heat are solved in every sweep
-        assert rep.krylov_applications >= 2 * rep.iterations > 0
+        # momentum and heat are solved in every sweep, each by one LU solve
+        assert rep.lu_solves == 2 * rep.iterations > 0
+        assert rep.krylov_applications == 0
         assert rep.m_passes >= rep.iterations
 
 
@@ -435,6 +435,24 @@ class TestEarlyStop:
                               cfg.material, cfg.step_options(cfg.dt))
             assert rep.accepted, rep.message
             assert rep.iterations <= 7 and rep.m_passes <= 18
+
+    def test_dike_work_per_sweep(self):
+        # each sweep makes one momentum and one heat LU solve; the sweep and
+        # Newton-pass totals are pinned, with every residual in its gate
+        cfg, state = _dike_config()
+        grid, loads = cfg.build_grid(), cfg.build_loads()
+        sweeps = passes = 0
+        for _ in range(3):
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
+                              cfg.material, cfg.step_options(cfg.dt))
+            assert rep.accepted, rep.message
+            assert rep.lu_solves == 2 * rep.iterations
+            assert rep.krylov_applications == 0
+            for name, (res, scale) in rep.residuals.items():
+                assert stepper._within_tolerance(res, scale), name
+            sweeps += rep.iterations
+            passes += rep.m_passes
+        assert (sweeps, passes) == (21, 27)
 
     def test_failed_gate_sweeps_on(self, monkeypatch):
         # where the estimate passes but the gate fails, the sweep goes on
@@ -616,17 +634,17 @@ class TestInitialPotential:
 
 class TestKrylovFailure:
     def test_failed_solve_rejects_the_step(self, monkeypatch):
-        # a bicgstab breakdown halves dt instead of aborting the run
-        real = spla.bicgstab
+        # a failed linear solve halves dt instead of aborting the run
+        real = stepper._lu_solve
         calls = []
 
-        def fail_once(A, b, *args, **kwargs):
+        def fail_once(lu, rhs):
             calls.append(1)
             if len(calls) == 1:
-                return np.zeros_like(b), 1
-            return real(A, b, *args, **kwargs)
+                return rhs, "stub failure"
+            return real(lu, rhs)
 
-        monkeypatch.setattr(spla, "bicgstab", fail_once)
+        monkeypatch.setattr(stepper, "_lu_solve", fail_once)
         cfg, state = _spatial_config(duration=0.005)
         traj = run_scenario(cfg, initial_state=state)
         assert traj.n_rejections >= 1
@@ -649,8 +667,8 @@ class TestKrylovFailure:
         assert "change" in rep.message
 
     def test_overflowing_sweep_is_rejected(self):
-        # strong exchange at this dt overflows the m inner loop; the heat
-        # bicgstab then fails, and the step is retried at half dt
+        # strong exchange at this dt overflows the m inner loop; the step
+        # fails, and it is retried at half dt
         cfg, state = _spatial_config(material=material(kappa=0.05), theta0=1.0)
         state.m[...] = (0.5, 0.2)
         state.u[...] = solve_demag(state.m, cfg.build_grid(), cfg.material.mu0).u
@@ -662,24 +680,24 @@ class TestKrylovFailure:
 
 class TestRejectionMessages:
     def test_failed_heat_solve_rejects_the_step(self, monkeypatch):
-        # bicgstab fails on the heat system only (one unknown per cell, where
+        # the solve fails on the heat system only (one unknown per cell, where
         # momentum has two): the step ends after the first sweep's heat block
-        real = spla.bicgstab
+        real = stepper._lu_solve
         cfg, state = _spatial_config()
         n_cells = int(np.prod(cfg.cells))
 
-        def fail_heat(A, b, *args, **kwargs):
-            if b.size == n_cells:
-                return np.zeros_like(b), 1
-            return real(A, b, *args, **kwargs)
+        def fail_heat(lu, rhs):
+            if rhs.size == n_cells:
+                return rhs, "stub failure"
+            return real(lu, rhs)
 
-        monkeypatch.setattr(spla, "bicgstab", fail_heat)
+        monkeypatch.setattr(stepper, "_lu_solve", fail_heat)
         loads = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
         new, rep = step(state, loads, cfg.build_grid(), cfg.material, cfg.step_options(cfg.dt))
         assert not rep.accepted
         assert new is state
         assert rep.iterations == 1
-        assert rep.message == "heat solve failed (bicgstab info=1)"
+        assert rep.message == "heat solve failed (stub failure)"
 
     def test_converged_iterate_failing_the_gate_is_rejected(self, grid0, monkeypatch):
         # a one-pass trm step converges at once; a gate that passes nothing
