@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AuditError,
-    CflViolation,
     ConfigError,
     ConstitutiveError,
     NumericalError,
@@ -28,7 +27,6 @@ from .scenarios import ScenarioConfig, run_scenario
 __all__ = [
     "AuditError",
     "BalanceReport",
-    "CflViolation",
     "ConfigError",
     "ConstitutiveError",
     "EnergyLedger",

@@ -89,10 +89,13 @@ def _parse_set_args(pairs) -> list:
 
 
 def _step_bound_failure(rep):
-    """Which per-step bound (ENERGY_TOL, ENTROPY_TOL) an audited step breaks, or None."""
-    if abs(rep.r_tot_rel) > ENERGY_TOL:
+    """Which per-step bound (ENERGY_TOL, ENTROPY_TOL) an audited step breaks, or None.
+
+    Every bound here and in check_audit_bounds is written so that NaN breaks it.
+    """
+    if not abs(rep.r_tot_rel) <= ENERGY_TOL:
         return f"energy residual |r_tot|/scale = {abs(rep.r_tot_rel):.3e} > {ENERGY_TOL:g}"
-    if rep.entropy_margin_rel < ENTROPY_TOL:
+    if not rep.entropy_margin_rel >= ENTROPY_TOL:
         return f"entropy margin {rep.entropy_margin_rel:.3e} < {ENTROPY_TOL:g}"
     return None
 
@@ -106,9 +109,9 @@ def check_audit_bounds(traj) -> tuple[bool, str]:
     if traj.final_state is not None:
         # theta = w / c_v with c_v > 0, so theta_min < 0 exactly when min w < 0
         final = state_values(traj.final_state, traj.config.material)
-        if final["theta_min"] < 0.0:
+        if not final["theta_min"] >= 0.0:
             return False, "negative enthalpy in final state"
-        if final["trace_ep_max"] > TRACE_EP_TOL:
+        if not final["trace_ep_max"] <= TRACE_EP_TOL:
             return False, f"trace(Ep) = {final['trace_ep_max']:.3e} exceeds {TRACE_EP_TOL:g}"
     return True, "all audit bounds hold"
 
@@ -187,8 +190,8 @@ def cmd_audit(args) -> int:
     grid = config.build_grid()
     params = config.material
     snapshots = run_dir / "snapshots"
-    # the last pair's `_b` file, its state and (h_ext_k, ledger_new) of its audit
-    blob_b = new = carried = None
+    # the last pair's `_b` file, its state and the ledger its audit booked
+    blob_b = new = ledger = None
     for n, meta in enumerate(pairs):
         try:
             i, t = meta["index"], float(meta["t"])
@@ -200,25 +203,22 @@ def cmd_audit(args) -> int:
             return 2
         path_a = snapshots / f"pair_{tag}_a.bin"
         path_b = snapshots / f"pair_{tag}_b.bin"
-        ledger_prev = None
         try:
             blob_a = path_a.read_bytes()
             if blob_a == blob_b:
                 # with output_every = 1 this pair's input state is the last
                 # pair's output state, byte for byte: decode it and book its
-                # ledger once, under the rule run_scenario carries it by
-                prev = new
-                if np.array_equal(carried[0], loads_s.h_ext_prev):
-                    ledger_prev = carried[1]
+                # ledger once
+                prev, ledger_prev = new, ledger
             else:
-                prev = _read_pair_state(path_a, blob_a, grid)
+                prev, ledger_prev = _read_pair_state(path_a, blob_a, grid), None
             blob_b = path_b.read_bytes()
             new = _read_pair_state(path_b, blob_b, grid)
         except (OSError, PaleomagError) as exc:
             print(f"error: corrupt snapshot pair {tag}: {exc}", file=sys.stderr)
             return 2
         rep = audit_step(prev, new, loads_s, meta["dt"], grid, params, ledger_prev)
-        carried = (loads_s.h_ext_k, rep.ledger_new)
+        ledger = rep.ledger_new
         why = _step_bound_failure(rep)
         if why is not None:
             print(f"audit failure at t={rep.t:.6g}: {why}", file=sys.stderr)
@@ -234,7 +234,7 @@ def cmd_audit(args) -> int:
             except (IndexError, TypeError, ValueError):
                 print(f"error: audit.csv row {i} has no valid {name} entry", file=sys.stderr)
                 return 2
-            if abs(stored_val - value) > 1e-9 * max(1.0, abs(value)):
+            if not abs(stored_val - value) <= 1e-9 * max(1.0, abs(value)):
                 print(
                     f"audit failure: logged {name}={stored_val!r} at t={t:.6g} "
                     f"disagrees with snapshot value {value!r}",

@@ -78,6 +78,9 @@ class MaterialParams:
         self.validate()
 
     def validate(self) -> None:
+        for name, value in dataclasses.asdict(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"MaterialParams.{name} must be finite, got {value}")
         pos = ("rho", "mu0", "nu1", "K_E", "G_E", "theta_c", "c_v", "K_cond",
                "M_solid", "M_magma", "melt_width", "hc_width")
         for name in pos:

@@ -15,11 +15,12 @@ measure only the scheme's intrinsic discretization defects:
   against the heat they generate, leaving an O(|dm|^2) remainder per step.
 * ``entropy_margin``: discrete Clausius-Duhem surplus, >= 0 up to roundoff.
 
-Sign conventions.  The Zeeman ledger entry follows the classical
-textbook orientation ``+ mu0 int h . m``; the conserving total-energy
-balance pairs the *negative* of that entry with the supply power
-``- mu0 dh/dt . m`` (both residuals are reported; only the conserving one
-telescopes).
+Sign conventions.  A state's ledger holds no applied field: the audit
+pairs each state with the field of its own time, h_ext_prev with the input
+state and h_ext_k with the new one, in the Zeeman entry ``+ mu0 int h . m``
+(the classical textbook orientation).  The conserving total-energy balance
+pairs the *negative* of that entry with the supply power ``- mu0 dh/dt . m``
+(both residuals are reported; only the conserving one telescopes).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import constitutive as con
 from . import kinematics as kin
 from .errors import AuditError
-from .grid import NCOMP, FieldState, Grid, LoadsSample
+from .grid import FieldState, Grid, LoadsSample
 from .demag import h_dem_from_u
 from .stepper import StepTerms, step_terms
 
@@ -46,25 +47,18 @@ class EnergyLedger:
              (elastic + magnetic internal energy, temperature part removed)
     demag:   -(mu0/2) int_Omega m . h_dem, h_dem = -grad_c u (the field
              energy of the infinite-lattice potential, >= 0; see demag)
-    zeeman:  + mu0 int h_ext . m      (classical orientation; see module doc)
     heat:    int w                     (thermal internal energy)
     entropy: int eta(m, theta)
+
+    The Zeeman energy pairs the state with an applied field, so the audit
+    forms it (see the module doc); the ledger is the state's alone.
     """
 
     kinetic: float
     stored: float
     demag: float
-    zeeman: float
     heat: float
     entropy: float
-
-    def total(self) -> float:
-        """Internal + field + Zeeman energy, classical Zeeman orientation."""
-        return self.kinetic + self.stored + self.demag + self.zeeman + self.heat
-
-    def total_conserving(self) -> float:
-        """The orientation under which the discrete first law telescopes."""
-        return self.kinetic + self.stored + self.demag - self.zeeman + self.heat
 
 
 @dataclass
@@ -83,6 +77,7 @@ class BalanceReport:
     scale: float
     ledger_prev: EnergyLedger
     ledger_new: EnergyLedger
+    zeeman: float                 # + mu0 int h_ext_k . m of the new state
     xi_total: float
     adiab_total: float
     transfer_total: float
@@ -114,27 +109,17 @@ def _nonnegative(xi: np.ndarray) -> np.ndarray:
     return xi
 
 
-def energy_ledger(
-    state: FieldState,
-    grid: Grid,
-    params: con.MaterialParams,
-    h_ext: Optional[np.ndarray] = None,
-) -> EnergyLedger:
+def energy_ledger(state: FieldState, grid: Grid, params: con.MaterialParams) -> EnergyLedger:
     """Evaluate the energy ledger of a single state."""
-    if h_ext is None:
-        h_ext = np.zeros(NCOMP)
     theta = con.thermal_law_for(params).theta_of_w(state.w)
     kinetic = 0.5 * params.rho * grid.integrate(np.sum(state.v * state.v, axis=-1))
     stored = grid.integrate(
         con.phi_mech(state.Ee, state.m, params) + con.omega(state.m, 0.0, params)
     ) + exchange_energy(state.m, grid, params)
     demag = demag_energy(state.m, state.u, grid, params.mu0)
-    zeeman = params.mu0 * grid.integrate(np.sum(np.asarray(h_ext) * state.m, axis=-1))
     heat = grid.integrate(state.w)
     entropy = grid.integrate(con.entropy_density(state.m, theta, params))
-    return EnergyLedger(
-        kinetic=kinetic, stored=stored, demag=demag, zeeman=zeeman, heat=heat, entropy=entropy
-    )
+    return EnergyLedger(kinetic=kinetic, stored=stored, demag=demag, heat=heat, entropy=entropy)
 
 
 def audit_step(
@@ -149,13 +134,11 @@ def audit_step(
 ) -> BalanceReport:
     """Audit the discrete balances of the step state_prev -> state_new.
 
-    ``ledger_prev``, when given, must be the ledger of state_prev under
-    loads_k.h_ext_prev -- ``energy_ledger(state_prev, grid, params,
-    loads_k.h_ext_prev)``, bit for bit, such as the previous step's
-    ``ledger_new`` when its h_ext_k equals this step's h_ext_prev.
-    ``terms``, when given, must be ``step_terms(state_new, state_prev,
-    loads_k, grid, params, dt)``, such as the step's StepReport.terms.
-    Each is computed here when None.
+    ``ledger_prev``, when given, must be ``energy_ledger(state_prev, grid,
+    params)``, such as the previous step's ``ledger_new``.  ``terms``, when
+    given, must be ``step_terms(state_new, state_prev, loads_k, grid,
+    params, dt)``, such as the step's StepReport.terms.  Each is computed
+    here when None.
     """
     tau = float(dt)
     if terms is None:
@@ -187,27 +170,30 @@ def audit_step(
         q_ctrl_total = grid.integrate(terms.heat_res)
         ctrl_entropy = grid.integrate(terms.heat_res / np.asarray(theta_new))
 
-    # ledgers and residuals
+    # ledgers, each state's Zeeman energy under its own field, and residuals
     if ledger_prev is None:
-        ledger_prev = energy_ledger(state_prev, grid, params, loads_k.h_ext_prev)
-    ledger_new = energy_ledger(state_new, grid, params, loads_k.h_ext_k)
+        ledger_prev = energy_ledger(state_prev, grid, params)
+    ledger_new = energy_ledger(state_new, grid, params)
+    zeeman_prev = params.mu0 * grid.integrate(np.sum(loads_k.h_ext_prev * state_prev.m, axis=-1))
+    zeeman_new = params.mu0 * grid.integrate(np.sum(loads_k.h_ext_k * m_new, axis=-1))
+    # totals summed as kinetic + stored + demag -/+ zeeman + heat
+    e_prev = ledger_prev.kinetic + ledger_prev.stored + ledger_prev.demag
+    e_new = ledger_new.kinetic + ledger_new.stored + ledger_new.demag
+    total_prev = e_prev - zeeman_prev + ledger_prev.heat
+    total_new = e_new - zeeman_new + ledger_new.heat
 
     supplied = tau * (p_grav + terms.p_drive + p_ext_mag + boundary_heat + q_ctrl_total)
-    r_tot = (ledger_new.total_conserving() - ledger_prev.total_conserving()) - supplied
+    r_tot = (total_new - total_prev) - supplied
     supplied_printed = tau * (
         p_grav + terms.p_drive + p_ext_mag_printed + boundary_heat + q_ctrl_total
     )
-    r_tot_printed = (ledger_new.total() - ledger_prev.total()) - supplied_printed
+    r_tot_printed = (
+        (e_new + zeeman_new + ledger_new.heat) - (e_prev + zeeman_prev + ledger_prev.heat)
+    ) - supplied_printed
 
     # mechanical identity: heat removed, dissipation and transfer added back
-    mech_new = (
-        ledger_new.kinetic + ledger_new.stored + ledger_new.demag - ledger_new.zeeman
-        - grid.integrate(con.omega(m_new, 0.0, params))
-    )
-    mech_prev = (
-        ledger_prev.kinetic + ledger_prev.stored + ledger_prev.demag - ledger_prev.zeeman
-        - grid.integrate(con.omega(state_prev.m, 0.0, params))
-    )
+    mech_new = e_new - zeeman_new - grid.integrate(con.omega(m_new, 0.0, params))
+    mech_prev = e_prev - zeeman_prev - grid.integrate(con.omega(state_prev.m, 0.0, params))
     r_mech = (
         mech_new - mech_prev
         + tau * (xi_total + transfer_total)
@@ -219,8 +205,8 @@ def audit_step(
     entropy_margin = (ledger_new.entropy - ledger_prev.entropy) - tau * entropy_flux
 
     scale = max(
-        abs(ledger_new.total_conserving()),
-        abs(ledger_prev.total_conserving()),
+        abs(total_new),
+        abs(total_prev),
         abs(supplied),
         tau * xi_total,
         1e-30,
@@ -239,6 +225,7 @@ def audit_step(
         scale=scale,
         ledger_prev=ledger_prev,
         ledger_new=ledger_new,
+        zeeman=zeeman_new,
         xi_total=xi_total,
         adiab_total=adiab_total,
         transfer_total=transfer_total,

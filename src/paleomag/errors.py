@@ -21,13 +21,20 @@ class NumericalError(PaleomagError):
     """Linear/nonlinear solver failure with no recovery."""
 
 
-class CflViolation(PaleomagError):
-    """Advective CFL bound exceeded for the attempted dt."""
-
-
 class ThermodynamicError(PaleomagError):
     """A thermodynamic invariant (w >= 0, theta >= 0) was violated."""
 
 
 class AuditError(PaleomagError):
     """An energy-balance or entropy audit bound was violated."""
+
+
+__all__ = [
+    "PaleomagError",
+    "ConfigError",
+    "ScenarioError",
+    "ConstitutiveError",
+    "NumericalError",
+    "ThermodynamicError",
+    "AuditError",
+]

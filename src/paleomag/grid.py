@@ -111,8 +111,8 @@ def make_grid(
         raise ConfigError(
             f"need {dim} extents and cell counts, got {extents} / {cells}"
         )
-    if any(L <= 0.0 for L in extents):
-        raise ConfigError(f"extents must be positive, got {extents}")
+    if not all(0.0 < L < np.inf for L in extents):
+        raise ConfigError(f"extents must be finite and positive, got {extents}")
     if any(n < 1 for n in cells):
         raise ConfigError(f"cell counts must be >= 1, got {cells}")
     return Grid(dim=dim, extents=extents, cells=cells)
@@ -173,13 +173,14 @@ class FieldState:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
+        # written so that NaN fails each check
         asym = np.max(np.abs(self.Ee - np.swapaxes(self.Ee, -1, -2)))
-        if asym > 1e-12:
+        if not asym <= 1e-12:
             raise ConfigError(f"Ee asymmetry {asym:.3e} exceeds 1e-12")
         trp = np.max(np.abs(np.trace(self.Ep, axis1=-2, axis2=-1)))
-        if trp > 1e-10:
+        if not trp <= 1e-10:
             raise ConfigError(f"trace(Ep) {trp:.3e} exceeds 1e-10")
-        if np.min(self.w) < 0.0:
+        if not np.min(self.w) >= 0.0:
             raise ConfigError(f"w has negative values (min {np.min(self.w):.3e})")
 
 

@@ -38,12 +38,11 @@ from . import constitutive as con
 from . import kinematics as kin
 from .demag import BOUNDARY, solve_demag
 from .energetics import BalanceReport, audit_step
-from .errors import CflViolation, ConfigError, ScenarioError
+from .errors import ConfigError, ScenarioError
 from .grid import NCOMP, FieldState, Grid, Loads, make_grid, sample_loads
 from .snapshots import pair_record, write_snapshot
 from .stepper import (
-    _CFL_MAX, _MAX_SWEEPS, _TOL_ABS, _TOL_REL, StepOptions, StepReport, _max_abs,
-    _within_tolerance, step,
+    _CFL_MAX, _MAX_SWEEPS, _TOL_ABS, _TOL_REL, StepOptions, _max_abs, _within_tolerance, step,
 )
 
 # ---------------------------------------------------------------------------
@@ -184,18 +183,21 @@ class ScenarioConfig:
     Ep0: tuple = ((0.0, 0.0), (0.0, 0.0))
 
     def validate(self) -> None:
-        if not self.duration >= 0.0:
-            raise ConfigError(f"duration must be >= 0, got {self.duration}")
-        if not _DT_MIN <= self.dt:
-            raise ConfigError(f"dt must be >= {_DT_MIN:g}, got {self.dt}")
-        if self.theta0 < 0.0:
-            raise ConfigError(f"theta0 must be >= 0, got {self.theta0}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ConfigError(f"duration must be finite and >= 0, got {self.duration}")
+        if not _DT_MIN <= self.dt < math.inf:
+            raise ConfigError(f"dt must be finite and >= {_DT_MIN:g}, got {self.dt}")
+        if not 0.0 <= self.theta0 < math.inf:
+            raise ConfigError(f"theta0 must be finite and >= 0, got {self.theta0}")
         if self.grad_v_schedule is not None and self.stress_dev_schedule is not None:
             raise ConfigError("grad_v and stress_dev drives are mutually exclusive")
         for key, rank in (("g", 1), ("m0", 1), ("v0", 1), ("Ee0", 2), ("Ep0", 2)):
             value, shape = getattr(self, key), (NCOMP,) * rank
-            if np.asarray(value, dtype=np.float64).shape != shape:
+            array = np.asarray(value, dtype=np.float64)
+            if array.shape != shape:
                 raise ConfigError(f"{key} must have shape {shape}, got {value!r}")
+            if not np.isfinite(array).all():
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.demag_boundary != BOUNDARY:
             raise ConfigError(f"demag_boundary must be {BOUNDARY!r}, got {self.demag_boundary!r}")
         if type(self.output_every) is not int or self.output_every < 0:
@@ -204,21 +206,20 @@ class ScenarioConfig:
             raise ConfigError(f"experiment must be null or one of {sorted(EXPERIMENTS)}, "
                               f"got {self.experiment!r}")
         make_grid(self.dim, self.extents, self.cells)
-        # build every schedule once so bad specs fail at config time
-        theta_s = make_scalar_schedule(self.theta_schedule)
-        j_s = make_scalar_schedule(self.j_ext_schedule)
-        make_vector_schedule(self.h_ext_schedule)
-        grad_v_s = make_tensor_schedule(self.grad_v_schedule)
-        make_tensor_schedule(self.stress_dev_schedule)
+        # build the loads so bad schedule specs fail at config time, and
         # spot-check sign constraints on the sampled schedules
+        loads = self.build_loads()
         probes = np.linspace(0.0, self.duration, 17)
+        for name, sampler in vars(loads).items():
+            if callable(sampler) and not all(np.isfinite(sampler(t)).all() for t in probes):
+                raise ConfigError(f"{name}_schedule must be finite on [0, {self.duration:g}]")
         # 0D has no transport, so no dilution terms -w div v, -eta div v
-        trace = max(abs(np.trace(grad_v_s(t))) for t in probes) if grad_v_s else 0.0
+        trace = max(abs(np.trace(loads.grad_v(t))) for t in probes) if loads.grad_v else 0.0
         if self.dim == 0 and trace != 0.0:
             raise ConfigError(f"a 0D grad_v must be trace-free, got |trace(grad_v)| = {trace:g}")
-        if j_s is not None and any(j_s(t) < 0.0 for t in probes):
+        if loads.j_ext is not None and any(loads.j_ext(t) < 0.0 for t in probes):
             raise ConfigError("j_ext schedule must be nonnegative")
-        if theta_s is not None and any(theta_s(t) < 0.0 for t in probes):
+        if loads.theta is not None and any(loads.theta(t) < 0.0 for t in probes):
             raise ConfigError("theta schedule must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -376,7 +377,7 @@ def audit_values(rep: BalanceReport) -> dict:
         "kinetic": rep.ledger_new.kinetic,
         "stored": rep.ledger_new.stored,
         "demag": rep.ledger_new.demag,
-        "zeeman": rep.ledger_new.zeeman,
+        "zeeman": rep.zeeman,
         "heat": rep.ledger_new.heat,
         "entropy": rep.ledger_new.entropy,
         "r_mech": rep.r_mech,
@@ -438,19 +439,14 @@ def run_scenario(
         write_snapshot(out / "snapshots" / "initial.bin", state, grid)
 
     audit_rows = []
-    # (h_ext_k, ledger_new) of the last accepted step: the ledger of `state`
-    carried = None
-    dt = min(config.dt, config.duration) if config.duration > 0.0 else config.dt
+    ledger = None  # the ledger of `state`, once an accepted step has booked it
+    dt = config.dt
     step_index = 0
     t_end = t0 + config.duration
     while state.t < t_end - 1e-12 * max(1.0, abs(t_end)):
         dt = min(dt, t_end - state.t)
         loads_s = sample_loads(loads, state.t + dt, dt)
-        opts = config.step_options(dt)
-        try:
-            new_state, report = step(state, loads_s, grid, params, opts)
-        except CflViolation as exc:
-            new_state, report = state, StepReport(dt=dt, message=f"CFL violation: {exc}")
+        new_state, report = step(state, loads_s, grid, params, config.step_options(dt))
         traj.sweeps += report.iterations
         traj.m_passes += report.m_passes
         traj.lu_solves += report.lu_solves
@@ -465,12 +461,8 @@ def run_scenario(
             continue
 
         step_index += 1
-        ledger_prev = None
-        if carried is not None and np.array_equal(carried[0], loads_s.h_ext_prev):
-            ledger_prev = carried[1]
-        rep = audit_step(state, new_state, loads_s, dt, grid, params, ledger_prev,
-                         terms=report.terms)
-        carried = (loads_s.h_ext_k, rep.ledger_new)
+        rep = audit_step(state, new_state, loads_s, dt, grid, params, ledger, terms=report.terms)
+        ledger = rep.ledger_new
         traj.reports.append(rep)
         row = _series_row(new_state, report, loads_s, grid, params, dt)
         audit_rows.append(dict(audit_values(rep), theta_min=row["theta_min"],

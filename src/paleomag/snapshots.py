@@ -75,7 +75,7 @@ def read_snapshot(path, blob: Optional[bytes] = None) -> tuple[FieldState, Grid]
         raise ConfigError(f"{path}: snapshot header has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: corrupt snapshot header: {exc}") from exc
-    arrays = {}
+    arrays, start = {}, offset
     for name, shape in specs:
         if not all(isinstance(n, int) and n >= 0 for n in shape):
             raise ConfigError(f"{path}: field {name} has a malformed shape {list(shape)}")
@@ -93,6 +93,11 @@ def read_snapshot(path, blob: Optional[bytes] = None) -> tuple[FieldState, Grid]
         state = FieldState(t=t, **{k: arrays[k] for k in _FIELDS})
     except KeyError as exc:
         raise ConfigError(f"{path}: snapshot has no field {exc}") from exc
+    # one check over the payload's bytes; only a failure looks field by field
+    payload = np.frombuffer(blob, "<f8", (offset - start) // 8, start)
+    if not (math.isfinite(t) and np.isfinite(payload).all()):
+        bad = next((k for k, a in arrays.items() if not np.isfinite(a).all()), "time")
+        raise ConfigError(f"{path}: snapshot {bad} holds a non-finite value")
     state.validate(grid)
     return state, grid
 

@@ -73,7 +73,7 @@ import numpy as np
 from . import constitutive as con
 from . import kinematics as kin
 from .demag import h_dem_from_u, poisson_residual, solve_demag
-from .errors import CflViolation, NumericalError, ThermodynamicError
+from .errors import NumericalError, ThermodynamicError
 from .grid import EYE, NCOMP, FieldState, Grid, LoadsSample
 
 
@@ -184,14 +184,13 @@ def _max_abs(x) -> float:
     return float(abs(x).max())
 
 
-def _check_cfl(v: np.ndarray, grid: Grid, dt: float) -> None:
+def _cfl_failure(v: np.ndarray, grid: Grid, dt: float) -> str:
+    """Which axis breaks the CFL bound |v| dt/h <= _CFL_MAX ("" where none does)."""
     for a in range(grid.dim):
-        h = grid.spacing[a]
-        vmax = _max_abs(v[..., a])
-        if vmax * dt / h > _CFL_MAX:
-            raise CflViolation(
-                f"axis {a}: |v| dt/h = {vmax * dt / h:.3f} exceeds {_CFL_MAX}"
-            )
+        courant = _max_abs(v[..., a]) * dt / grid.spacing[a]
+        if courant > _CFL_MAX:
+            return f"axis {a}: |v| dt/h = {courant:.3f} exceeds {_CFL_MAX}"
+    return ""
 
 
 def _hyperstress_force(Ev: np.ndarray, grid: Grid, params: con.MaterialParams) -> np.ndarray:
@@ -307,9 +306,10 @@ def step(
 ) -> tuple[FieldState, StepReport]:
     """Advance one fully implicit step; returns (new state, report).
 
-    On solver non-convergence, including a failed linear solve, the previous
-    state is returned with report.accepted = False (the caller halves dt).
-    CFL violations raise CflViolation; w < -_TOL_ABS raises ThermodynamicError.
+    On solver non-convergence, a failed linear solve or a CFL violation, the
+    previous state is returned with report.accepted = False and the reason in
+    report.message (the caller halves dt).  w < -_TOL_ABS raises
+    ThermodynamicError.
     """
     opts.validate()
     thermal = con.thermal_law_for(params)
@@ -361,8 +361,10 @@ def step(
             if failure:
                 report.message = f"momentum solve failed ({failure})"
                 return state_prev, report
-        if grid.dim >= 1:
-            _check_cfl(v_new, grid, tau)
+        failure = _cfl_failure(v_new, grid, tau)
+        if failure:
+            report.message = f"CFL violation: {failure} (sweep {report.iterations})"
+            return state_prev, report
         L, _ = _velocity_gradient(v_new, Ee, loads_k, grid, params)
         Ev = kin.sym(L)
         Wsp = kin.skw(L)

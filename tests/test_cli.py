@@ -222,6 +222,31 @@ class TestRun:
         assert key in manifest["failure"]
         assert not (out / "pairs.json").exists()
 
+    @pytest.mark.parametrize(
+        "settings, key",
+        [(["duration=Infinity"], "duration"), (["material.kappa=NaN"], "kappa"),
+         (["m0=[NaN,0]"], "m0"), (["g=[NaN,0]"], "g"),
+         (["theta_schedule=null", "theta0=Infinity"], "theta0"),
+         (["material.buoyancy_coeff=NaN"], "buoyancy_coeff"),
+         (['h_ext_schedule={"kind":"const","value":[NaN,0]}'], "h_ext_schedule"),
+         (['theta_schedule={"kind":"linear","start":1.0,"end":NaN,"t1":1.0}'],
+          "theta_schedule"),
+         (["dim=1", "extents=[NaN]", "cells=[4]"], "extents")],
+        ids=["duration", "kappa", "m0", "g", "theta0", "buoyancy_coeff", "h_ext", "theta",
+             "extents"],
+    )
+    def test_non_finite_value(self, tmp_path, settings, key):
+        # NaN passes every sign check and Infinity every lower bound, so each
+        # number must be finite before the run starts
+        out = tmp_path / "o"
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        code = run_cli("run", "--config", "vrm", "--out", str(out),
+                       "--set", "duration=0.01", *sets)
+        assert code == 2
+        failure = json.loads((out / "manifest.json").read_text())["failure"]
+        assert key in failure and "must be finite" in failure
+        assert not (out / "config.json").exists()
+
     def test_bad_set_syntax(self, tmp_path):
         assert run_cli("run", "--config", "trm", "--out", str(tmp_path / "o"),
                        "--set", "duration") == 2
@@ -299,6 +324,52 @@ class TestAudit:
         blob[off:off + 8] = struct.pack("<d", 0.75)
         pair.write_bytes(bytes(blob))
         assert run_cli("audit", str(out)) == 3
+
+    @pytest.mark.parametrize("side, name", [
+        ("b", "v"), ("b", "Ee"), ("b", "Ep"), ("b", "m"), ("b", "u"), ("b", "w"), ("a", "Ep"),
+    ])
+    def test_non_finite_snapshot(self, tmp_path, capsys, side, name):
+        # a NaN passes the state's symmetry, trace and w >= 0 checks and
+        # every bound; the decode refuses it, as any corrupt snapshot
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        pair = sorted((out / "snapshots").glob(f"pair_*_{side}.bin"))[0]
+        blob = bytearray(pair.read_bytes())
+        (hlen,) = struct.unpack("<Q", bytes(blob[8:16]))
+        off = 16 + hlen
+        for spec in json.loads(blob[16:16 + hlen])["fields"]:
+            if spec["name"] == name:
+                break
+            off += 8 * int(np.prod(spec["shape"]))
+        blob[off:off + 8] = struct.pack("<d", float("nan"))
+        pair.write_bytes(bytes(blob))
+        assert run_cli("audit", str(out)) == 2
+        assert f"snapshot {name} holds a non-finite value" in capsys.readouterr().err
+
+    def test_non_finite_snapshot_time(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        pair = sorted((out / "snapshots").glob("pair_*_b.bin"))[0]
+        rewrite_snapshot_header(pair, lambda h: h.update(time=float("nan")))
+        assert run_cli("audit", str(out)) == 2
+        assert "snapshot time holds a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["stored", "r_tot_rel", "theta_min", None])
+    def test_nan_in_audit_csv(self, tmp_path, capsys, name):
+        # NaN compares False with everything, so the column check must fail
+        # on it: one nan entry, or (None) every value of the file
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        path = out / "audit.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        cols = range(len(rows[0])) if name is None else [rows[0].index(name)]
+        for row in rows[1:]:
+            for col in cols:
+                row[col] = "nan"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run_cli("audit", str(out)) == 3
+        assert "=nan at t=" in capsys.readouterr().err
 
     def test_tampered_audit_row(self, tmp_path, capsys):
         # pair `index` i is checked against row i of audit.csv

@@ -44,11 +44,23 @@ class TestEnergyLedger:
         assert led.stored == pytest.approx(0.5 * 0.4**4 - 0.16, rel=1e-12)
 
     def test_zeeman_orientation(self, grid0):
-        p = material()
-        s = state_0d(grid0, p, m=(0.5, 0.0))
-        led = energy_ledger(s, grid0, p, h_ext=np.array([0.2, 0.0]))
-        assert led.zeeman == pytest.approx(0.1)
-        assert led.total() - led.total_conserving() == pytest.approx(2 * led.zeeman)
+        # the audit pairs each state with its own field, + mu0 int h . m; the
+        # printed (classical) total differs from the conserving one by twice
+        # the Zeeman energy of each state, and its supply by twice p_ext_mag
+        p = material(mu0=2.0)
+        prev = state_0d(grid0, p, m=(0.5, 0.0))
+        dt = 0.1
+        loads = sample_loads(Loads(h_ext=lambda t: np.array([0.2 + t, -0.1]),
+                                   theta=lambda t: 0.5), dt, dt)
+        new, rep = run_and_audit(prev, loads, grid0, p, dt)
+        m_new = new.m.reshape(2)
+        assert np.any(m_new != prev.m.reshape(2))
+        assert rep.zeeman == pytest.approx(2.0 * ((0.2 + dt) * m_new[0] - 0.1 * m_new[1]))
+        zeeman_prev = 2.0 * 0.2 * 0.5
+        assert rep.r_tot_printed - rep.r_tot == pytest.approx(
+            2.0 * (rep.zeeman - zeeman_prev) + 2.0 * dt * rep.p_ext_mag, rel=1e-12
+        )
+        assert rep.p_ext_mag == pytest.approx(-2.0 * 0.5, rel=1e-12)
 
     def test_demag_energy_zero_for_flat_u(self):
         grid = make_grid(2, (1.0, 1.0), (8, 8))

@@ -1,6 +1,7 @@
 """Implicit stepper: per-block behavior, residual gate, rejection paths."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from paleomag import demag, energetics, scenarios, stepper
 from paleomag import kinematics as kin
 from paleomag.cli import ENTROPY_TOL, main
 from paleomag.demag import solve_demag
-from paleomag.errors import (
-    CflViolation, ConfigError, NumericalError, ScenarioError, ThermodynamicError,
-)
+from paleomag.errors import ConfigError, NumericalError, ScenarioError, ThermodynamicError
 from paleomag.grid import FieldState, Loads, make_grid, sample_loads
 from paleomag.scenarios import ScenarioConfig, builtin_config, run_scenario
 from paleomag.stepper import (
@@ -249,15 +248,21 @@ class TestCorotSolve:
 
 
 class TestSpatial:
-    def test_cfl_violation_raises(self):
+    def test_cfl_violation_rejects_the_step(self):
+        # the momentum block's solved velocity breaks the bound in the first
+        # sweep: the step is rejected there, like a failed solve, and says why
         grid = make_grid(1, (1.0,), (16,))
         p = material()
         prev = FieldState.zeros(grid)
         prev.w[...] = con.thermal_law_for(p).w_of_theta(0.5)
         prev.v[..., 0] = 5.0
         loads = sample(dt=0.1, theta=lambda t: 0.5)
-        with pytest.raises(CflViolation):
-            step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
+        new, rep = step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
+        assert not rep.accepted
+        assert new is prev
+        assert re.fullmatch(r"CFL violation: axis 0: \|v\| dt/h = \d+\.\d{3} exceeds 0\.9 "
+                            r"\(sweep 1\)", rep.message)
+        assert (rep.iterations, rep.lu_solves) == (1, 1)
 
     def test_cfl_violation_with_prescribed_grad_v(self):
         # the velocity is not solved and no heat solve runs, yet the CFL
@@ -268,8 +273,36 @@ class TestSpatial:
         prev.w[...] = con.thermal_law_for(p).w_of_theta(0.5)
         prev.v[..., 0] = 5.0
         loads = sample(dt=0.1, theta=lambda t: 0.5, grad_v=lambda t: np.zeros((2, 2)))
-        with pytest.raises(CflViolation):
-            step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
+        new, rep = step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
+        assert not rep.accepted
+        assert new is prev
+        assert rep.message == "CFL violation: axis 0: |v| dt/h = 4.000 exceeds 0.9 (sweep 1)"
+        assert rep.lu_solves == 0
+
+    def test_cfl_rejection_counts_the_attempt(self, monkeypatch):
+        # the first attempt breaks CFL after its momentum solve; the run
+        # halves dt, and the rejected attempt's work is counted with the rest
+        reports = []
+
+        def spy_step(*args):
+            new, rep = step(*args)
+            reports.append(rep)
+            return new, rep
+
+        monkeypatch.setattr(scenarios, "step", spy_step)
+        cfg = ScenarioConfig(
+            name="cfl", dim=1, extents=(1.0,), cells=(16,), material=material(),
+            duration=0.1, dt=0.1, output_every=0, v0=(1.0, 0.0),
+            theta_schedule={"kind": "const", "value": 0.5},
+        )
+        traj = run_scenario(cfg)
+        first = reports[0]
+        assert not first.accepted and first.message.startswith("CFL violation: axis 0")
+        assert first.lu_solves > 0
+        assert traj.n_rejections == sum(not r.accepted for r in reports) >= 1
+        assert traj.sweeps == sum(r.iterations for r in reports)
+        assert traj.m_passes == sum(r.m_passes for r in reports)
+        assert traj.lu_solves == sum(r.lu_solves for r in reports)
 
     def test_cfl_rejection_below_dt_min_names_the_axis(self):
         # |v| dt / h = 1e9 * 1e-9 * 16 = 16 even at the smallest dt: the run
