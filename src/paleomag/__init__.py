@@ -20,7 +20,7 @@ from .errors import (
 )
 from .grid import FieldState, Grid, Loads, LoadsSample, make_grid, sample_loads
 from .constitutive import MaterialParams, ThermalLaw
-from .stepper import StepOptions, StepReport, step
+from .stepper import StepReport, step
 from .energetics import EnergyLedger, BalanceReport, audit_step, energy_ledger
 from .scenarios import ScenarioConfig, run_scenario
 
@@ -38,7 +38,6 @@ __all__ = [
     "NumericalError",
     "ScenarioConfig",
     "ScenarioError",
-    "StepOptions",
     "StepReport",
     "ThermalLaw",
     "ThermodynamicError",

@@ -197,7 +197,7 @@ def cmd_audit(args) -> int:
             i, t = meta["index"], float(meta["t"])
             tag = f"{i:08d}"
             loads_s = pair_loads(meta)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, PaleomagError) as exc:
             print(f"error: malformed pairs.json entry {n} (counted from 0): "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 2

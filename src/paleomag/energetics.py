@@ -1,9 +1,10 @@
 """Per-step energy-balance and entropy audits.
 
 The audit is pure: it reads the discrete rates of a step from the record
-``stepper.step_terms`` builds from the two states bracketing it (plus the
-load sample).  A run builds that record once per step, for the residual
-check and the audit; ``paleomag audit`` rebuilds it from the snapshots.
+``stepper.step_terms(state_prev, state_new, loads_k, dt, grid, params)``
+builds from the two states bracketing it and the step's load sample.  A
+run builds that record once per step, for the residual check and the
+audit; ``paleomag audit`` rebuilds it from the snapshots.
 So for a converged step the balances telescope exactly and the residuals
 measure only the scheme's intrinsic discretization defects:
 
@@ -136,13 +137,13 @@ def audit_step(
 
     ``ledger_prev``, when given, must be ``energy_ledger(state_prev, grid,
     params)``, such as the previous step's ``ledger_new``.  ``terms``, when
-    given, must be ``step_terms(state_new, state_prev, loads_k, grid,
-    params, dt)``, such as the step's StepReport.terms.  Each is computed
-    here when None.
+    given, must be ``step_terms(state_prev, state_new, loads_k, dt, grid,
+    params)``, such as the step's StepReport.terms.  Each is computed here
+    when None.
     """
     tau = float(dt)
     if terms is None:
-        terms = step_terms(state_new, state_prev, loads_k, grid, params, tau)
+        terms = step_terms(state_prev, state_new, loads_k, tau, grid, params)
     theta_new = terms.theta_new
     m_new = state_new.m
 
@@ -158,7 +159,7 @@ def audit_step(
         np.sum(loads_k.g * v_mid, axis=-1) * (1.0 - np.asarray(terms.b_lag))
     )
     p_ext_mag = -params.mu0 * grid.integrate(
-        np.sum(loads_k.dh_ext_dt_k * state_prev.m, axis=-1)
+        np.sum((loads_k.h_ext_k - loads_k.h_ext_prev) / tau * state_prev.m, axis=-1)
     )
     p_ext_mag_printed = -p_ext_mag
     boundary_heat = loads_k.j_ext_k * grid.boundary_area

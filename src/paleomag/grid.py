@@ -15,6 +15,7 @@ Conventions used across the whole package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -211,73 +212,63 @@ class Loads:
 
 @dataclass
 class LoadsSample:
-    """Per-step load values: h at t_k and t_{k-1}, finite-difference rate."""
+    """Per-step load values: h at t_k and t_{k-1}, and the rest at t_k."""
 
     g: np.ndarray
     h_ext_k: np.ndarray
     h_ext_prev: np.ndarray
-    dh_ext_dt_k: np.ndarray
     j_ext_k: float
     grad_v_k: Optional[np.ndarray] = None
     stress_dev_k: Optional[np.ndarray] = None
     theta_k: Optional[float] = None
 
-    @staticmethod
-    def over_step(dt: float, h_ext_k, h_ext_prev, **values) -> "LoadsSample":
-        """The sample of a step of length dt; dh/dt is the backward difference."""
-        return LoadsSample(
-            h_ext_k=h_ext_k, h_ext_prev=h_ext_prev, dh_ext_dt_k=(h_ext_k - h_ext_prev) / dt,
-            **values,
-        )
+    def validate(self, t: float, dt: float) -> None:
+        """Refuse the sample of the step of length dt ending at t where a step cannot take it.
 
-
-def _as_vec(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (NCOMP,):
-        raise ScenarioError(f"expected a {NCOMP}-vector, got shape {arr.shape}")
-    return arr
+        t and dt must be finite and dt > 0; each load must have its shape
+        and finite values, j_ext >= 0 and theta >= 0.  A failure raises
+        ScenarioError; a value that is not a number raises TypeError.
+        """
+        if not (math.isfinite(t) and math.isfinite(dt) and dt > 0.0):
+            raise ScenarioError(f"invalid sampling time t={t}, dt={dt}")
+        vector, tensor = (NCOMP,), (NCOMP, NCOMP)
+        for name, shape in (("g", vector), ("h_ext_k", vector), ("h_ext_prev", vector),
+                            ("j_ext_k", ()), ("grad_v_k", tensor), ("stress_dev_k", tensor),
+                            ("theta_k", ())):
+            value = getattr(self, name)
+            if value is None and name in ("grad_v_k", "stress_dev_k", "theta_k"):
+                continue
+            arr = np.asarray(value)
+            if arr.shape != shape or not np.isfinite(arr).all():
+                raise ScenarioError(
+                    f"load {name} at t={t} must be finite with shape {shape}, got {value!r}"
+                )
+        if self.j_ext_k < 0.0:
+            raise ScenarioError(
+                f"j_ext(t={t}) = {self.j_ext_k} violates the positivity assumption j_ext >= 0"
+            )
+        if self.theta_k is not None and self.theta_k < 0.0:
+            raise ScenarioError(f"theta control negative at t={t}: {self.theta_k}")
 
 
 def sample_loads(loads: Loads, t: float, dt: float) -> LoadsSample:
-    """Evaluate all load samplers for the step ending at time t."""
-    if not np.isfinite(t) or not np.isfinite(dt) or dt <= 0.0:
-        raise ScenarioError(f"invalid sampling time t={t}, dt={dt}")
-    if loads.h_ext is not None:
-        h_k = _as_vec(loads.h_ext(t))
-        h_prev = _as_vec(loads.h_ext(t - dt))
-    else:
-        h_k = np.zeros(NCOMP)
-        h_prev = np.zeros(NCOMP)
-    if not np.all(np.isfinite(h_k)) or not np.all(np.isfinite(h_prev)):
-        raise ScenarioError(f"h_ext sampler undefined near t={t}")
-    j_k = float(loads.j_ext(t)) if loads.j_ext is not None else 0.0
-    if not np.isfinite(j_k):
-        raise ScenarioError(f"j_ext sampler undefined at t={t}")
-    if j_k < 0.0:
-        raise ScenarioError(f"j_ext(t={t}) = {j_k} violates the positivity assumption j_ext >= 0")
-    grad_v_k = None
-    if loads.grad_v is not None:
-        grad_v_k = np.asarray(loads.grad_v(t), dtype=np.float64)
-        if grad_v_k.shape != (NCOMP, NCOMP):
-            raise ScenarioError(f"grad_v sampler must return a {NCOMP}x{NCOMP} tensor")
-    stress_k = None
-    if loads.stress_dev is not None:
-        stress_k = np.asarray(loads.stress_dev(t), dtype=np.float64)
-        if stress_k.shape != (NCOMP, NCOMP):
-            raise ScenarioError(f"stress_dev sampler must return a {NCOMP}x{NCOMP} tensor")
-    theta_k = None
-    if loads.theta is not None:
-        theta_k = float(loads.theta(t))
-        if not np.isfinite(theta_k) or theta_k < 0.0:
-            raise ScenarioError(f"theta control undefined or negative at t={t}")
-    return LoadsSample.over_step(
-        dt, h_k, h_prev,
+    """Evaluate all load samplers for the step ending at time t, and validate the sample."""
+
+    def tensor(sampler):
+        return None if sampler is None else np.asarray(sampler(t), dtype=np.float64)
+
+    h_ext = loads.h_ext if loads.h_ext is not None else (lambda _: np.zeros(NCOMP))
+    sample = LoadsSample(
         g=np.asarray(loads.g, dtype=np.float64),
-        j_ext_k=j_k,
-        grad_v_k=grad_v_k,
-        stress_dev_k=stress_k,
-        theta_k=theta_k,
+        h_ext_k=np.asarray(h_ext(t), dtype=np.float64),
+        h_ext_prev=np.asarray(h_ext(t - dt), dtype=np.float64),
+        j_ext_k=float(loads.j_ext(t)) if loads.j_ext is not None else 0.0,
+        grad_v_k=tensor(loads.grad_v),
+        stress_dev_k=tensor(loads.stress_dev),
+        theta_k=float(loads.theta(t)) if loads.theta is not None else None,
     )
+    sample.validate(t, dt)
+    return sample
 
 
 __all__ = [

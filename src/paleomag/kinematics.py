@@ -97,14 +97,6 @@ def _second_diff(f: np.ndarray, grid: Grid, axis: int, mode: str) -> np.ndarray:
 # gradients / divergences / Laplacians
 
 
-def grad_scalar(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Cell-centered gradient, shape f.shape + (NCOMP,); absent axes are zero."""
-    out = np.zeros(f.shape + (NCOMP,))
-    for a in range(grid.dim):
-        out[..., a] = _central_diff(f, grid, a, "even")
-    return out
-
-
 def grad_vector(vf: np.ndarray, grid: Grid, kind: str = "even") -> np.ndarray:
     """Gradient G[..., i, j] = d_j v_i of a vector field.
 
@@ -120,7 +112,11 @@ def grad_vector(vf: np.ndarray, grid: Grid, kind: str = "even") -> np.ndarray:
 
 
 def grad_tensor(A: np.ndarray, grid: Grid) -> np.ndarray:
-    """Gradient G[..., i, j, a] = d_a A_ij of a tensor field."""
+    """Gradient G[..., i, j, a] = d_a A_ij of a tensor field.
+
+    The trailing axis is added to a field of any rank, so a scalar field
+    gets its gradient, shape f.shape + (NCOMP,).
+    """
     out = np.zeros(A.shape + (NCOMP,))
     for a in range(grid.dim):
         out[..., a] = _central_diff(A, grid, a, "even")
@@ -206,7 +202,6 @@ __all__ = [
     "matvec",
     "matmat",
     "ddot",
-    "grad_scalar",
     "grad_vector",
     "grad_tensor",
     "div_tensor",

@@ -42,7 +42,7 @@ from .errors import ConfigError, ScenarioError
 from .grid import NCOMP, FieldState, Grid, Loads, make_grid, sample_loads
 from .snapshots import pair_record, write_snapshot
 from .stepper import (
-    _CFL_MAX, _MAX_SWEEPS, _TOL_ABS, _TOL_REL, StepOptions, _max_abs, _within_tolerance, step,
+    _CFL_MAX, _MAX_SWEEPS, _TOL_ABS, _TOL_REL, _max_abs, _within_tolerance, step,
 )
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,6 @@ class ScenarioConfig:
             theta=make_scalar_schedule(self.theta_schedule),
         )
 
-    def step_options(self, dt: float) -> StepOptions:
-        return StepOptions(dt=dt, demag=self.demag)
-
     def initial_state(self, grid: Grid, thermal: con.ThermalLaw) -> FieldState:
         state = FieldState.zeros(grid)
         theta0 = self.theta0
@@ -279,7 +276,7 @@ class ScenarioConfig:
         state.v[...] = np.asarray(self.v0, dtype=np.float64)
         state.Ee[...] = np.asarray(self.Ee0, dtype=np.float64)
         state.Ep[...] = np.asarray(self.Ep0, dtype=np.float64)
-        if self.demag and grid.dim >= 1:
+        if self.demag:
             # u solved at t = 0, so step 1 does not book the demag energy as a jump
             state.u[...] = solve_demag(state.m, grid).u
         state.validate(grid)
@@ -446,7 +443,7 @@ def run_scenario(
     while state.t < t_end - 1e-12 * max(1.0, abs(t_end)):
         dt = min(dt, t_end - state.t)
         loads_s = sample_loads(loads, state.t + dt, dt)
-        new_state, report = step(state, loads_s, grid, params, config.step_options(dt))
+        new_state, report = step(state, loads_s, dt, grid, params, config.demag)
         traj.sweeps += report.iterations
         traj.m_passes += report.m_passes
         traj.lu_solves += report.lu_solves

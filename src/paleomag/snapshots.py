@@ -123,21 +123,26 @@ def pair_record(index: int, t: float, dt: float, loads: LoadsSample) -> dict:
 
 
 def pair_loads(record: dict) -> LoadsSample:
-    """The LoadsSample of a pairs.json entry (inverse of pair_record)."""
+    """The LoadsSample of a pairs.json entry (inverse of pair_record).
+
+    The sample is validated as sample_loads validates it, at the entry's t
+    and dt.
+    """
 
     def tensor(T):
         return None if T is None else np.asarray(T)
 
-    return LoadsSample.over_step(
-        record["dt"],
-        np.asarray(record["h_ext_k"]),
-        np.asarray(record["h_ext_prev"]),
+    sample = LoadsSample(
         g=np.asarray(record["g"]),
+        h_ext_k=np.asarray(record["h_ext_k"]),
+        h_ext_prev=np.asarray(record["h_ext_prev"]),
         j_ext_k=record["j_ext_k"],
         grad_v_k=tensor(record["grad_v_k"]),
         stress_dev_k=tensor(record["stress_dev_k"]),
         theta_k=record["theta_k"],
     )
+    sample.validate(record["t"], record["dt"])
+    return sample
 
 
 __all__ = ["write_snapshot", "read_snapshot", "pair_record", "pair_loads", "MAGIC"]

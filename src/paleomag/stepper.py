@@ -43,12 +43,16 @@ test of CVODE's nonlinear solve (Hindmarsh et al. 2005, ACM TOMS 31:363).
 - The m block's Newton passes stop once the update dm is below the block's
   tolerance tol_m, or once dm < dm_prev and dm^2 / (dm_prev - dm) < tol_m;
   at Newton's quadratic rate the estimate is conservative.
-- The sweep stops once no block changes by more than _TOL_REL relative.
-  Where change < change_prev, change^2 / (change_prev - change) < _TOL_REL
-  and min w >= -_TOL_ABS, it forms the state of the iterate and its
-  residuals, and stops there if every residual is within its gate.  If one
-  is not, it sweeps on from the iterate as it stands, so this stop never
-  rejects a step that the first one accepts.  The estimate alone is not
+- The sweep leaves through one gate.  A sweep has converged once no block
+  changes by more than _TOL_REL relative; a one-pass step's change is 0.
+  A converged iterate with min w < -_TOL_ABS raises ThermodynamicError.
+  The sweep forms the state of its iterate and its residuals when it has
+  converged, or when change < change_prev, change^2 / (change_prev -
+  change) < _TOL_REL and min w >= -_TOL_ABS.  If every residual is within
+  its gate, the step returns that state.  If one is not, a converged
+  iterate rejects the step, and an estimated one sweeps on as it stands,
+  so the estimate never rejects a step that convergence accepts.  After
+  _MAX_SWEEPS sweeps the step is rejected.  The estimate alone is not
   enough: the m_inclusion residual grows like dm / tau as dt shrinks.
 
 From the second sweep on the m block is solved inexactly: its Newton passes
@@ -75,22 +79,6 @@ from . import kinematics as kin
 from .demag import h_dem_from_u, poisson_residual, solve_demag
 from .errors import NumericalError, ThermodynamicError
 from .grid import EYE, NCOMP, FieldState, Grid, LoadsSample
-
-
-@dataclass
-class StepOptions:
-    """The settings of one implicit step.
-
-    The sweep's limits and tolerances are the module constants
-    _MAX_SWEEPS, _TOL_REL, _TOL_ABS and _CFL_MAX, the same for every step.
-    """
-
-    dt: float
-    demag: bool = True
-
-    def validate(self) -> None:
-        if not self.dt > 0.0:
-            raise NumericalError(f"dt must be positive, got {self.dt}")
 
 
 @dataclass
@@ -300,20 +288,27 @@ def _momentum_residual_field(
 def step(
     state_prev: FieldState,
     loads_k: LoadsSample,
+    dt: float,
     grid: Grid,
     params: con.MaterialParams,
-    opts: StepOptions,
+    demag: bool = False,
 ) -> tuple[FieldState, StepReport]:
-    """Advance one fully implicit step; returns (new state, report).
+    """Advance state_prev by one fully implicit step of length dt; returns (new state, report).
 
-    On solver non-convergence, a failed linear solve or a CFL violation, the
-    previous state is returned with report.accepted = False and the reason in
-    report.message (the caller halves dt).  w < -_TOL_ABS raises
-    ThermodynamicError.
+    ``demag`` solves the demag potential u of each iterate's m; without it u
+    and h_dem are zero.  The sweep limits and tolerances are the module
+    constants _MAX_SWEEPS, _TOL_REL, _TOL_ABS and _CFL_MAX.  The step stops
+    by the one rule of the module docstring: the residual gate accepts, or
+    the step is rejected.  On rejection (no convergence, a converged iterate
+    that fails the gate, a failed linear solve or a CFL violation) the
+    previous state is returned with report.accepted = False and the reason
+    in report.message (the caller halves dt).  A converged w < -_TOL_ABS
+    raises ThermodynamicError, and a dt that is not > 0 NumericalError.
     """
-    opts.validate()
+    if not dt > 0.0:
+        raise NumericalError(f"dt must be positive, got {dt}")
     thermal = con.thermal_law_for(params)
-    tau = opts.dt
+    tau = dt
 
     theta_prev, M_lag, b_lag, hc_lag = _lagged(state_prev, params)
 
@@ -335,7 +330,7 @@ def step(
     # the lagged field: u of a step's input state is the demag potential
     # of its m (run_scenario gates a supplied state on it)
     h_dem = np.zeros_like(m)
-    if opts.demag and grid.dim >= 1:
+    if demag:
         h_dem = h_dem_from_u(state_prev.u, grid)
     j_src = boundary_source(loads_k.j_ext_k, grid)
 
@@ -355,7 +350,7 @@ def step(
             v_new = state_prev.v + tau * loads_k.g * (1.0 - b_lag)
         else:
             v_new, failure = _momentum_solve(
-                state_prev.v, v, Ee, m, h_dem, b_lag, theta_k, loads_k, grid, params, opts
+                state_prev.v, v, Ee, m, h_dem, b_lag, theta_k, loads_k, grid, params, tau
             )
             report.lu_solves += 1
             if failure:
@@ -438,7 +433,7 @@ def step(
         m_new = m_it
 
         # --- demag block -----------------------------------------------------
-        if opts.demag and grid.dim >= 1:
+        if demag:
             sol = solve_demag(m_new, grid)
             u_new, h_dem = sol.u, sol.h_dem
         else:
@@ -446,22 +441,23 @@ def step(
             h_dem = np.zeros_like(m_new)
 
         # --- enthalpy block ---------------------------------------------------
-        xi = _xi_field(Ev, R_new, r, hc_lag, M_lag, grid, params)
-        r_conv = (m_new - state_prev.m) / tau + (
-            kin.upwind_advect(m_new, v_new, grid) if grid.dim >= 1 else 0.0
-        )
-        adiab = _adiabatic_coupling(theta_k, m_new, r_conv, kin.tensor_trace(L), params)
         if w_ctrl is not None:
             w_new = w_ctrl.copy()
-        elif grid.dim == 0:
-            w_new = state_prev.w + tau * (xi + adiab + j_src)
         else:
-            w_new, failure = _heat_solve(state_prev.w, w, v_new, xi, adiab, j_src, grid,
-                                         params, tau)
-            report.lu_solves += 1
-            if failure:
-                report.message = f"heat solve failed ({failure})"
-                return state_prev, report
+            xi = _xi_field(Ev, R_new, r, hc_lag, M_lag, grid, params)
+            r_conv = (m_new - state_prev.m) / tau + (
+                kin.upwind_advect(m_new, v_new, grid) if grid.dim >= 1 else 0.0
+            )
+            adiab = _adiabatic_coupling(theta_k, m_new, r_conv, kin.tensor_trace(L), params)
+            if grid.dim == 0:
+                w_new = state_prev.w + tau * (xi + adiab + j_src)
+            else:
+                w_new, failure = _heat_solve(state_prev.w, w, v_new, xi, adiab, j_src, grid,
+                                             params, tau)
+                report.lu_solves += 1
+                if failure:
+                    report.message = f"heat solve failed ({failure})"
+                    return state_prev, report
         theta_new = thermal.theta_of_w(np.maximum(w_new, 0.0))
 
         # --- convergence ------------------------------------------------------
@@ -474,39 +470,35 @@ def step(
         report.change = change
         v, Ee, R, Ep, m, u, w = v_new, Ee_new, R_new, Ep_new, m_new, u_new, w_new
         theta_k = theta_new
-        if change < _TOL_REL:
-            break
-        # at the contraction rate q = change / change_prev the iterate's
-        # error is about q change / (1 - q); once that is below the
-        # tolerance, stop here if the gate passes, else sweep on
-        if (
+        converged = change < _TOL_REL
+        if converged and float(np.min(w)) < -_TOL_ABS:
+            raise ThermodynamicError(f"enthalpy became negative: min w = {float(np.min(w)):.3e}")
+        # the one gate, for a converged iterate or one whose error at the
+        # contraction rate q = change / change_prev, about q change / (1 - q),
+        # is below the tolerance; where it fails, a converged iterate rejects
+        # the step and an estimated one sweeps on
+        if converged or (
             change < change_prev
             and change * change < _TOL_REL * (change_prev - change)
             and float(np.min(w)) >= -_TOL_ABS
         ):
-            state_new = _gate(state_prev, (v, Ee, Ep, m, u, w), loads_k, grid, params, opts,
-                              report)
+            state_new = _gate(state_prev, (v, Ee, Ep, m, u, w), loads_k, tau, grid, params,
+                              demag, report)
             if report.accepted:
                 return state_new, report
+            if converged:
+                report.message = "converged iterate fails residual check: " + ", ".join(
+                    f"{k}={res:.2e}/{scale:.2e}" for k, (res, scale) in report.residuals.items()
+                )
+                return state_prev, report
         change_prev = change
-    else:
-        report.message = f"no convergence after {report.iterations} sweeps (change {change:.3e})"
-        return state_prev, report
-
-    if float(np.min(w)) < -_TOL_ABS:
-        raise ThermodynamicError(f"enthalpy became negative: min w = {float(np.min(w)):.3e}")
-    state_new = _gate(state_prev, (v, Ee, Ep, m, u, w), loads_k, grid, params, opts, report)
-    if not report.accepted:
-        report.message = "converged iterate fails residual check: " + ", ".join(
-            f"{k}={res:.2e}/{scale:.2e}" for k, (res, scale) in report.residuals.items()
-        )
-        return state_prev, report
-    return state_new, report
+    report.message = f"no convergence after {report.iterations} sweeps (change {change:.3e})"
+    return state_prev, report
 
 
 def _gate(
-    state_prev: FieldState, iterate: tuple, loads_k: LoadsSample, grid: Grid,
-    params: con.MaterialParams, opts: StepOptions, report: StepReport,
+    state_prev: FieldState, iterate: tuple, loads_k: LoadsSample, dt: float, grid: Grid,
+    params: con.MaterialParams, demag: bool, report: StepReport,
 ) -> FieldState:
     """The state of the sweep iterate (v, Ee, Ep, m, u, w), checked by the residual gate.
 
@@ -522,10 +514,11 @@ def _gate(
         m=m,
         u=u,
         w=np.maximum(w, 0.0),
-        t=state_prev.t + opts.dt,
+        t=state_prev.t + dt,
     )
-    report.terms = step_terms(state_new, state_prev, loads_k, grid, params, opts.dt)
-    report.residuals = residuals(state_new, state_prev, loads_k, grid, params, opts, report.terms)
+    report.terms = step_terms(state_prev, state_new, loads_k, dt, grid, params)
+    report.residuals = residuals(state_prev, state_new, loads_k, dt, grid, params, demag,
+                                 report.terms)
     report.accepted = all(
         _within_tolerance(res, scale) for res, scale in report.residuals.values()
     )
@@ -648,14 +641,13 @@ def _heat_lu(grid: Grid, tau: float, K_cond: float, c_v: float):
 
 def _momentum_solve(
     v_prev, v_cur, Ee, m, h_dem, b_lag, theta_k, loads_k: LoadsSample,
-    grid: Grid, params: con.MaterialParams, opts: StepOptions,
+    grid: Grid, params: con.MaterialParams, tau: float,
 ):
     """Implicit Stokes-like solve with the remaining momentum terms lagged.
 
     The operator A v = rho v / tau - div(nu1 E(v)) is implicit; with the rest
     of the balance held at v_cur, v = v_cur - A^{-1} res(v_cur).
     """
-    tau = opts.dt
     h_eff = _h_eff(m, theta_k, h_dem, loads_k, grid, params)
     res = _momentum_residual_field(
         v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
@@ -676,14 +668,14 @@ def _heat_solve(w_prev, w_cur, v_new, xi, adiab, j_src, grid: Grid, params, tau)
 
 
 def _potential_residual(
-    u: np.ndarray, m: np.ndarray, grid: Grid, opts: StepOptions
+    u: np.ndarray, m: np.ndarray, grid: Grid, demag: bool
 ) -> tuple[float, float]:
     """(residual, scale) of the 5-point Poisson equation L u = div_c(chi m) on Omega.
 
     The scale is the largest diagonal term of the stencil.  Without demag
     the equation is u = 0.
     """
-    if opts.demag and grid.dim >= 1:
+    if demag:
         diag = sum(2.0 / (h * h) for h in grid.spacing)
         return poisson_residual(u, m, grid), max(1.0, diag * _max_abs(u))
     return _max_abs(u), 1.0
@@ -718,8 +710,8 @@ class StepTerms:
 
 
 def step_terms(
-    state_new: FieldState, state_prev: FieldState, loads_k: LoadsSample, grid: Grid,
-    params: con.MaterialParams, tau: float,
+    state_prev: FieldState, state_new: FieldState, loads_k: LoadsSample, dt: float,
+    grid: Grid, params: con.MaterialParams,
 ) -> StepTerms:
     """The terms of the step state_prev -> state_new, as the stepper defines them."""
     _, M_lag, b_lag, hc_lag = _lagged(state_prev, params)
@@ -727,15 +719,15 @@ def step_terms(
     v, m, w = state_new.v, state_new.m, state_new.w
     L, driven = _velocity_gradient(v, state_new.Ee, loads_k, grid, params)
     Ev = kin.sym(L)
-    R = (state_new.Ep - state_prev.Ep) / tau + kin.bzj_tensor(v, L, state_new.Ep, grid)
-    r = (m - state_prev.m) / tau + kin.bzj_vector(v, L, m, grid)
+    R = (state_new.Ep - state_prev.Ep) / dt + kin.bzj_tensor(v, L, state_new.Ep, grid)
+    r = (m - state_prev.m) / dt + kin.bzj_vector(v, L, m, grid)
     r_conv = r + kin.matvec(kin.skw(L), m)
     xi = _xi_field(Ev, R, r, hc_lag, M_lag, grid, params)
     adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params)
     j_src = boundary_source(loads_k.j_ext_k, grid)
     adv_w = kin.advect_scalar(w, v, grid) if grid.dim >= 1 else 0.0
     cond = params.K_cond * kin.laplacian(np.asarray(theta_new), grid) if grid.dim >= 1 else 0.0
-    heat_res = (w - state_prev.w) / tau + adv_w - cond - xi - adiab - j_src
+    heat_res = (w - state_prev.w) / dt + adv_w - cond - xi - adiab - j_src
     h_dem = h_dem_from_u(state_new.u, grid)
     h_eff = _h_eff(m, theta_new, h_dem, loads_k, grid, params)
     p_drive = (grid.integrate(kin.ddot(_stress(state_new.Ee, m, Ev, h_eff, grid, params), L))
@@ -747,17 +739,17 @@ def step_terms(
 
 
 def residuals(
-    state_trial: FieldState, state_prev: FieldState, loads_k: LoadsSample, grid: Grid,
-    params: con.MaterialParams, opts: StepOptions, terms: StepTerms,
+    state_prev: FieldState, state_new: FieldState, loads_k: LoadsSample, dt: float,
+    grid: Grid, params: con.MaterialParams, demag: bool, terms: StepTerms,
 ) -> dict:
-    """Max-norm residuals of the six discrete equations, with scales.
+    """Max-norm residuals of the six discrete equations of the step, with scales.
 
-    ``terms`` is step_terms of the same step at opts.dt.
+    ``terms`` is step_terms of the same step.  ``demag`` is the step's flag.
     Returns {name: (residual, scale)}; each residual vanishes iff the
     corresponding discrete equation holds exactly on the grid.
     """
-    tau = opts.dt
-    v, Ee, m = state_trial.v, state_trial.Ee, state_trial.m
+    tau = dt
+    v, Ee, m = state_new.v, state_new.Ee, state_new.m
     M_lag, R, r, h_dem, h_eff = terms.M_lag, terms.R, terms.r, terms.h_dem, terms.h_eff
 
     # (b) strain split
@@ -784,15 +776,15 @@ def residuals(
     scale_d = max(1.0, float(H.max()))
 
     # (e) demag potential
-    res_e, scale_e = _potential_residual(state_trial.u, m, grid, opts)
+    res_e, scale_e = _potential_residual(state_new.u, m, grid, demag)
 
     # (f) enthalpy
     if loads_k.theta_k is not None:
-        res_f = _max_abs(state_trial.w - con.thermal_law_for(params).w_of_theta(loads_k.theta_k))
-        scale_f = max(1.0, _max_abs(state_trial.w))
+        res_f = _max_abs(state_new.w - con.thermal_law_for(params).w_of_theta(loads_k.theta_k))
+        scale_f = max(1.0, _max_abs(state_new.w))
     else:
         res_f = _max_abs(terms.heat_res)
-        scale_f = max(1.0, _max_abs(state_trial.w)) / tau
+        scale_f = max(1.0, _max_abs(state_new.w)) / tau
 
     # (a) momentum
     res_a, scale_a = 0.0, 1.0  # kinematics prescribed; momentum not solved
@@ -814,7 +806,6 @@ def residuals(
 
 
 __all__ = [
-    "StepOptions",
     "StepReport",
     "StepTerms",
     "step",

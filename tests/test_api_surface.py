@@ -1,4 +1,4 @@
-"""Every public name of the engine has a caller.
+"""Every public name of the engine has a caller, and the step functions share one order.
 
 Each module of ``paleomag`` lists its public names in ``__all__``.  A name
 counts as used when it is read somewhere in the package or the tests: as a
@@ -68,3 +68,18 @@ def _unread_parameters(path: Path) -> list:
 def test_every_parameter_is_read(path):
     unread = _unread_parameters(path)
     assert not unread, f"{path.stem}: parameters never read: {unread}"
+
+
+@pytest.mark.parametrize("module, name", [
+    ("stepper", "step"), ("stepper", "step_terms"), ("stepper", "residuals"),
+    ("energetics", "audit_step"),
+])
+def test_step_functions_share_one_argument_order(module, name):
+    # a step maps state_prev and its loads over dt, on grid with params, to state_new
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    params = [a.arg for a in fn.args.args]
+    lead = ["state_prev", "loads_k", "dt", "grid", "params"]
+    if name != "step":
+        lead.insert(1, "state_new")
+    assert params[:len(lead)] == lead

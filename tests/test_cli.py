@@ -454,6 +454,27 @@ class TestAudit:
         assert run_cli("audit", str(out)) == 2
         assert "malformed pairs.json entry 3 " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("dt", float("nan")), ("dt", -0.01), ("dt", 0.0), ("t", float("nan")),
+        ("h_ext_k", [float("inf"), 0.0]), ("g", [float("nan"), 0.0]),
+        ("j_ext_k", float("nan")), ("j_ext_k", -1.0),
+        ("theta_k", float("nan")), ("theta_k", -0.5), ("grad_v_k", [[0.0]]),
+    ], ids=["dt-nan", "dt-negative", "dt-zero", "t-nan", "h_ext_k-inf", "g-nan",
+            "j_ext_k-nan", "j_ext_k-negative", "theta_k-nan", "theta_k-negative",
+            "grad_v_k-shape"])
+    def test_malformed_pairs_value(self, tmp_path, capsys, key, value):
+        # a load that sample_loads refuses at run time is a malformed entry,
+        # not a physics failure
+        out = tmp_path / "run"
+        assert run_cli("run", "--config", "vrm", "--out", str(out), "--set", "duration=0.05",
+                       "--set", "experiment=null", "--set", "output_every=2") == 0
+        path = out / "pairs.json"
+        pairs = json.loads(path.read_text())
+        pairs[1][key] = value
+        path.write_text(json.dumps(pairs))
+        assert run_cli("audit", str(out)) == 2
+        assert "malformed pairs.json entry 1 " in capsys.readouterr().err
+
     @pytest.mark.parametrize("pairs", [[], {}, 5])
     def test_pairs_json_without_a_list(self, tmp_path, capsys, pairs):
         out = tmp_path / "run"

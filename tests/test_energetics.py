@@ -6,7 +6,7 @@ import pytest
 from paleomag import constitutive as con
 from paleomag.energetics import audit_step, demag_energy, energy_ledger
 from paleomag.grid import FieldState, Loads, make_grid, sample_loads
-from paleomag.stepper import StepOptions, _xi_field, step
+from paleomag.stepper import _xi_field, step
 
 from conftest import material
 
@@ -21,7 +21,7 @@ def state_0d(grid, params, theta=0.5, m=(0.0, 0.0), Ee=None):
 
 
 def run_and_audit(prev, loads, grid, params, dt):
-    new, rep = step(prev, loads, grid, params, StepOptions(dt=dt))
+    new, rep = step(prev, loads, dt, grid, params)
     assert rep.accepted
     return new, audit_step(prev, new, loads, dt, grid, params)
 
@@ -121,6 +121,15 @@ class TestAuditStep:
         assert abs(rep.r_tot) < 1e-14
         # entropy margin >= 0: influx at the implicit temperature
         assert rep.entropy_margin >= -1e-14
+
+    def test_field_rate_is_the_backward_difference(self, grid0):
+        # p_ext_mag = -mu0 int (h_k - h_prev)/dt . m_prev, with dh/dt = (1, -2)
+        p = material(mu0=2.0)
+        prev = state_0d(grid0, p, m=(0.3, 0.2))
+        loads = sample_loads(Loads(h_ext=lambda t: np.array([t, -2.0 * t]),
+                                   theta=lambda t: 0.5), t=2.0, dt=0.5)
+        new, rep = run_and_audit(prev, loads, grid0, p, 0.5)
+        assert rep.p_ext_mag == pytest.approx(-2.0 * (1.0 * 0.3 - 2.0 * 0.2), rel=1e-12)
 
     def test_constant_field_no_external_power(self, grid0):
         p = material()

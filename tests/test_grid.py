@@ -119,7 +119,6 @@ class TestSampleLoads:
         s = sample_loads(loads, t=2.0, dt=0.5)
         assert s.h_ext_k[0] == pytest.approx(2.0)
         assert s.h_ext_prev[0] == pytest.approx(1.5)
-        assert s.dh_ext_dt_k[0] == pytest.approx(1.0)
 
     def test_negative_j_rejected(self):
         with pytest.raises(ScenarioError, match="positivity"):

@@ -35,7 +35,7 @@ class TestAlgebra:
 class TestOperators:
     def test_dim0_derivatives_vanish(self, grid0, rng):
         f = np.asarray(rng.normal())
-        assert np.all(kin.grad_scalar(f, grid0) == 0.0)
+        assert np.all(kin.grad_tensor(f, grid0) == 0.0)
         assert np.all(kin.laplacian(f, grid0) == 0.0)
         v = rng.normal(size=(2,))
         assert np.all(kin.upwind_advect(f, v, grid0) == 0.0)
@@ -43,7 +43,7 @@ class TestOperators:
     def test_grad_scalar_linear_interior(self):
         g = make_grid(1, (1.0,), (32,))
         (x,) = g.cell_centers()
-        grad = kin.grad_scalar(3.0 * x, g)
+        grad = kin.grad_tensor(3.0 * x, g)
         np.testing.assert_allclose(grad[1:-1, 0], 3.0, atol=1e-12)
         assert np.all(grad[..., 1] == 0.0)
 

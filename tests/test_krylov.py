@@ -88,9 +88,9 @@ class TestPreconditioner:
         real_solve, real_step = stepper._lu_solve, scenarios.step
         taus, solves = [], []
 
-        def tracked_step(state, loads_k, grid, params, opts):
-            taus.append(opts.dt)
-            return real_step(state, loads_k, grid, params, opts)
+        def tracked_step(state, loads_k, dt, grid, params, demag):
+            taus.append(dt)
+            return real_step(state, loads_k, dt, grid, params, demag)
 
         def fail_once(lu, rhs):
             if not solves:

@@ -152,11 +152,11 @@ class TestRunScenario:
         real_step = scenarios.step
         calls = []
 
-        def reject_once(state, loads_s, grid, params, opts):
-            calls.append(opts.dt)
+        def reject_once(state, loads_s, dt, grid, params, demag):
+            calls.append(dt)
             if len(calls) == 1:
-                return state, StepReport(dt=opts.dt, message="forced rejection")
-            return real_step(state, loads_s, grid, params, opts)
+                return state, StepReport(dt=dt, message="forced rejection")
+            return real_step(state, loads_s, dt, grid, params, demag)
 
         monkeypatch.setattr(scenarios, "step", reject_once)
         cfg = builtin_config("vrm")

@@ -187,7 +187,6 @@ def test_pair_record_roundtrip_bit_exact():
     )
     sample = sample_loads(loads, 0.3, 0.01)
     back = pair_loads(json.loads(json.dumps(pair_record(7, 0.3, 0.01, sample))))
-    for name in ("g", "h_ext_k", "h_ext_prev", "dh_ext_dt_k", "j_ext_k", "stress_dev_k",
-                 "theta_k"):
+    for name in ("g", "h_ext_k", "h_ext_prev", "j_ext_k", "stress_dev_k", "theta_k"):
         np.testing.assert_array_equal(getattr(back, name), getattr(sample, name))
     assert back.grad_v_k is None

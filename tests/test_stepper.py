@@ -15,7 +15,6 @@ from paleomag.errors import ConfigError, NumericalError, ScenarioError, Thermody
 from paleomag.grid import FieldState, Loads, make_grid, sample_loads
 from paleomag.scenarios import ScenarioConfig, builtin_config, run_scenario
 from paleomag.stepper import (
-    StepOptions,
     _corot_solve,
     boundary_source,
     residuals,
@@ -42,16 +41,17 @@ def state_0d(grid, params, theta=0.5, m=(0.0, 0.0), Ee=None):
 
 class TestStepOptions:
     @pytest.mark.parametrize(
-        "bad",
-        [dict(dt=0.0), dict(dt=float("nan"))],
+        "dt",
+        [0.0, float("nan")],
         # stable ids: bad1 and bad2 were eps, now a retired config key;
         # bad3..bad5 were the sweep limits, now module constants; bad6 was
         # the demag boundary, which ScenarioConfig checks
         ids=["bad0", "bad6"],
     )
-    def test_invalid(self, bad):
-        with pytest.raises(NumericalError):
-            StepOptions(**bad).validate()
+    def test_invalid(self, grid0, dt):
+        prev = state_0d(grid0, material())
+        with pytest.raises(NumericalError, match="dt must be positive"):
+            step(prev, sample(theta=lambda t: 0.5), dt, grid0, material())
 
     def test_unknown_demag_boundary_names_the_choices(self):
         with pytest.raises(ConfigError, match="must be 'farfield', got 'bogus'"):
@@ -72,7 +72,7 @@ class TestZeroDimensional:
         p = material(h_c_high=1.0, theta_b=2.0)
         prev = state_0d(grid0, p, theta=0.5, m=(0.1, 0.05))
         loads = sample(theta=lambda t: 0.5)
-        new, rep = step(prev, loads, grid0, p, StepOptions(dt=0.1))
+        new, rep = step(prev, loads, 0.1, grid0, p)
         assert rep.accepted
         assert np.array_equal(new.m, prev.m)
         assert np.array_equal(new.Ee, prev.Ee)
@@ -84,7 +84,7 @@ class TestZeroDimensional:
         prev = state_0d(grid0, p, theta=0.5, Ee=Ee0)
         dt = 0.01
         loads = sample(dt=dt, theta=lambda t: 0.5, grad_v=lambda t: np.zeros((2, 2)))
-        new, rep = step(prev, loads, grid0, p, StepOptions(dt=dt))
+        new, rep = step(prev, loads, dt, grid0, p)
         assert rep.accepted
         lam = 2.0 * p.G_E / 1.0
         np.testing.assert_allclose(new.Ee, Ee0 / (1.0 + lam * dt), rtol=1e-9)
@@ -99,7 +99,7 @@ class TestZeroDimensional:
         w, dt = 0.5, 0.05
         W = w * np.array([[0.0, -1.0], [1.0, 0.0]])
         loads = sample(dt=dt, theta=lambda t: 0.5, grad_v=lambda t: W)
-        new, rep = step(prev, loads, grid0, p, StepOptions(dt=dt))
+        new, rep = step(prev, loads, dt, grid0, p)
         assert rep.accepted
         expect = np.linalg.solve(np.eye(2) / dt - W, m0 / dt)
         np.testing.assert_allclose(new.m, expect, rtol=1e-12)
@@ -114,7 +114,7 @@ class TestZeroDimensional:
         dt = 0.05
         loads = sample_loads(Loads(g=np.array([0.0, -2.0]),
                                    theta=lambda t: 0.5), 0.05, dt)
-        new, rep = step(prev, loads, grid0, p, StepOptions(dt=dt))
+        new, rep = step(prev, loads, dt, grid0, p)
         assert rep.accepted
         np.testing.assert_allclose(new.v, [0.0, -2.0 * dt], atol=1e-14)
 
@@ -123,7 +123,7 @@ class TestZeroDimensional:
         prev = state_0d(grid0, p, theta=0.5, Ee=np.diag([1e-3, -1e-3]))
         loads = sample(dt=50.0, grad_v=lambda t: np.zeros((2, 2)))
         monkeypatch.setattr("paleomag.stepper._MAX_SWEEPS", 1)
-        new, rep = step(prev, loads, grid0, p, StepOptions(dt=50.0))
+        new, rep = step(prev, loads, 50.0, grid0, p)
         assert not rep.accepted
         assert new is prev
         assert "convergence" in rep.message or "residual" in rep.message
@@ -132,7 +132,7 @@ class TestZeroDimensional:
         p = material()
         prev = state_0d(grid0, p, theta=0.5, m=(np.nan, 0.1))
         with np.errstate(invalid="ignore"):
-            new, rep = step(prev, sample(theta=lambda t: 0.5), grid0, p, StepOptions(dt=0.1))
+            new, rep = step(prev, sample(theta=lambda t: 0.5), 0.1, grid0, p)
         assert not rep.accepted
         assert new is prev
         assert rep.iterations == rep.m_passes == 1
@@ -141,7 +141,7 @@ class TestZeroDimensional:
     def test_residual_names(self, grid0):
         p = material()
         prev = state_0d(grid0, p, theta=0.5)
-        new, rep = step(prev, sample(theta=lambda t: 0.5), grid0, p, StepOptions(dt=0.1))
+        new, rep = step(prev, sample(theta=lambda t: 0.5), 0.1, grid0, p)
         assert set(rep.residuals) == {
             "momentum", "strain", "ep_flow", "m_inclusion", "potential", "enthalpy"
         }
@@ -156,7 +156,7 @@ class TestZeroDimensional:
         prev = state_0d(grid0, p, theta=0.4, m=(con.equilibrium_m(0.4, 0.01, p), 0.0))
         loads = sample(t=dt, dt=dt, theta=lambda t: 0.4 - 0.01 * t,
                        h_ext=lambda t: np.array([0.01, 0.0]))
-        new, rep = step(prev, loads, grid0, p, StepOptions(dt=dt))
+        new, rep = step(prev, loads, dt, grid0, p)
         assert rep.accepted
         assert not np.array_equal(new.m, prev.m)
         assert float(new.w) == float(con.thermal_law_for(p).w_of_theta(0.4 - 0.01 * dt))
@@ -171,7 +171,7 @@ class TestZeroDimensional:
         prev = state_0d(grid0, p, theta=0.4, m=(con.equilibrium_m(0.4, 0.01, p), 0.0),
                         Ee=np.diag([1e-3, -1e-3]))
         loads = sample(t=dt, dt=dt, h_ext=lambda t: np.array([0.01, 0.0]), **loads_kwargs)
-        return step(prev, loads, grid0, p, StepOptions(dt=dt))
+        return step(prev, loads, dt, grid0, p)
 
     @pytest.mark.parametrize("grad_v", [None, np.array([[0.0, 0.3], [0.1, 0.0]])],
                              ids=["undriven", "grad_v"])
@@ -198,7 +198,7 @@ class TestZeroDimensional:
         p = material(M_solid=1.0, M_magma=1.0)
         prev = state_0d(grid0, p, theta=0.5, Ee=np.diag([1e-2, -1e-2]))
         loads = sample(dt=0.01, grad_v=lambda t: np.zeros((2, 2)))
-        new, rep = step(prev, loads, grid0, p, StepOptions(dt=0.01))
+        new, rep = step(prev, loads, 0.01, grid0, p)
         assert rep.accepted
         assert float(new.w) > float(prev.w)
 
@@ -257,7 +257,7 @@ class TestSpatial:
         prev.w[...] = con.thermal_law_for(p).w_of_theta(0.5)
         prev.v[..., 0] = 5.0
         loads = sample(dt=0.1, theta=lambda t: 0.5)
-        new, rep = step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
+        new, rep = step(prev, loads, 0.1, grid, p, demag=False)
         assert not rep.accepted
         assert new is prev
         assert re.fullmatch(r"CFL violation: axis 0: \|v\| dt/h = \d+\.\d{3} exceeds 0\.9 "
@@ -273,7 +273,7 @@ class TestSpatial:
         prev.w[...] = con.thermal_law_for(p).w_of_theta(0.5)
         prev.v[..., 0] = 5.0
         loads = sample(dt=0.1, theta=lambda t: 0.5, grad_v=lambda t: np.zeros((2, 2)))
-        new, rep = step(prev, loads, grid, p, StepOptions(dt=0.1, demag=False))
+        new, rep = step(prev, loads, 0.1, grid, p, demag=False)
         assert not rep.accepted
         assert new is prev
         assert rep.message == "CFL violation: axis 0: |v| dt/h = 4.000 exceeds 0.9 (sweep 1)"
@@ -323,8 +323,7 @@ class TestSpatial:
         x, y = grid.cell_centers()
         prev.w[...] = thermal.w_of_theta(0.6 + 0.05 * np.sin(2 * np.pi * x)[:, None])
         prev.m[..., 0] = 0.2
-        new, rep = step(prev, sample(dt=0.01), grid, p,
-                        StepOptions(dt=0.01, demag=True))
+        new, rep = step(prev, sample(dt=0.01), 0.01, grid, p, demag=True)
         assert rep.accepted
         assert new.t == pytest.approx(0.01)
         new.validate(grid)
@@ -362,8 +361,8 @@ class TestSpatialAudit:
         monkeypatch.setattr(stepper, "poisson_residual", lambda *a: checks.append(a) or check(*a))
         monkeypatch.setattr(demag, "poisson_residual", lambda *a: reads.append(a) or check(*a))
         grid = cfg.build_grid()
-        new, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), grid,
-                        cfg.material, cfg.step_options(cfg.dt))
+        new, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), cfg.dt, grid,
+                        cfg.material, cfg.demag)
         assert rep.accepted
         assert len(solves) == rep.iterations and reads == []
         assert len(checks) == 1 and checks[0][0] is new.u
@@ -384,8 +383,8 @@ class TestSpatialAudit:
         grid = cfg.build_grid()
         loads = cfg.build_loads()
         for _ in range(3):
-            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
-                              cfg.material, cfg.step_options(cfg.dt))
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), cfg.dt,
+                              grid, cfg.material, cfg.demag)
             assert rep.accepted, rep.message
             for name, (res, scale) in rep.residuals.items():
                 assert stepper._within_tolerance(res, scale), name
@@ -393,8 +392,8 @@ class TestSpatialAudit:
     def test_step_counts_lu_solves(self):
         cfg, state = _spatial_config()
         grid = cfg.build_grid()
-        new, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), grid,
-                        cfg.material, cfg.step_options(cfg.dt))
+        new, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), cfg.dt, grid,
+                        cfg.material, cfg.demag)
         assert rep.accepted
         # momentum and heat are solved in every sweep, each by one LU solve
         assert rep.lu_solves == 2 * rep.iterations > 0
@@ -429,7 +428,7 @@ class TestDemagDefect:
         grid, loads, mu0 = cfg.build_grid(), cfg.build_loads(), cfg.material.mu0
         for _ in range(3):
             loads_k = sample_loads(loads, state.t + cfg.dt, cfg.dt)
-            new, rep = step(state, loads_k, grid, cfg.material, cfg.step_options(cfg.dt))
+            new, rep = step(state, loads_k, cfg.dt, grid, cfg.material, cfg.demag)
             assert rep.accepted
             audit = energetics.audit_step(state, new, loads_k, cfg.dt, grid, cfg.material,
                                           terms=rep.terms)
@@ -451,8 +450,8 @@ class TestEarlyStop:
         cfg, state = case()
         grid, loads = cfg.build_grid(), cfg.build_loads()
         for _ in range(3):
-            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
-                              cfg.material, cfg.step_options(cfg.dt))
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), cfg.dt,
+                              grid, cfg.material, cfg.demag)
             assert rep.accepted, rep.message
             assert rep.change >= stepper._TOL_REL
             for name, (res, scale) in rep.residuals.items():
@@ -462,8 +461,8 @@ class TestEarlyStop:
         cfg, state = _dike_config((32, 32))
         grid, loads = cfg.build_grid(), cfg.build_loads()
         for _ in range(3):
-            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
-                              cfg.material, cfg.step_options(cfg.dt))
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), cfg.dt,
+                              grid, cfg.material, cfg.demag)
             assert rep.accepted, rep.message
             assert rep.iterations <= 7 and rep.m_passes <= 18
 
@@ -474,8 +473,8 @@ class TestEarlyStop:
         grid, loads = cfg.build_grid(), cfg.build_loads()
         sweeps = passes = 0
         for _ in range(3):
-            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
-                              cfg.material, cfg.step_options(cfg.dt))
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), cfg.dt,
+                              grid, cfg.material, cfg.demag)
             assert rep.accepted, rep.message
             assert rep.lu_solves == 2 * rep.iterations
             for name, (res, scale) in rep.residuals.items():
@@ -490,22 +489,21 @@ class TestEarlyStop:
         cfg, state = _spatial_config()
         grid, params = cfg.build_grid(), cfg.material
         loads_k = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
-        opts = cfg.step_options(cfg.dt)
-        early, rep_early = step(state, loads_k, grid, params, opts)
+        early, rep_early = step(state, loads_k, cfg.dt, grid, params, cfg.demag)
         assert rep_early.change >= stepper._TOL_REL
         fields = ("v", "Ee", "Ep", "m", "u", "w")
         checked = []
         real = stepper.residuals
 
-        def fail_first(trial, *args):
-            res = real(trial, *args)
+        def fail_first(prev, trial, *args):
+            res = real(prev, trial, *args)
             checked.append((trial, {name: getattr(trial, name).copy() for name in fields}))
             if len(checked) == 1:
                 res["m_inclusion"] = (1.0, res["m_inclusion"][1])
             return res
 
         monkeypatch.setattr(stepper, "residuals", fail_first)
-        new, rep = step(state, loads_k, grid, params, opts)
+        new, rep = step(state, loads_k, cfg.dt, grid, params, cfg.demag)
         assert rep.accepted, rep.message
         assert len(checked) == 2 and checked[1][0] is new
         assert rep.iterations == rep_early.iterations + 1
@@ -540,8 +538,8 @@ class TestInexactNewton:
         cfg, state = case()
         grid, loads = cfg.build_grid(), cfg.build_loads()
         for _ in range(3):
-            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
-                              cfg.material, cfg.step_options(cfg.dt))
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), cfg.dt,
+                              grid, cfg.material, cfg.demag)
             assert rep.accepted, rep.message
             passes = take()
             assert len(passes) == rep.iterations >= 2 and sum(passes) == rep.m_passes
@@ -553,8 +551,8 @@ class TestInexactNewton:
         cfg, state = _dike_config((32, 32))
         grid, loads = cfg.build_grid(), cfg.build_loads()
         for _ in range(3):
-            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), grid,
-                              cfg.material, cfg.step_options(cfg.dt))
+            state, rep = step(state, sample_loads(loads, state.t + cfg.dt, cfg.dt), cfg.dt,
+                              grid, cfg.material, cfg.demag)
             assert rep.accepted, rep.message
             assert rep.iterations <= 7 and rep.m_passes <= 10
 
@@ -568,8 +566,8 @@ class TestInexactNewton:
             monkeypatch.setattr(stepper, "_ETA_M", eta)
             s, n = state, 0
             for _ in range(3):
-                s, rep = step(s, sample_loads(loads, s.t + cfg.dt, cfg.dt), grid,
-                              cfg.material, cfg.step_options(cfg.dt))
+                s, rep = step(s, sample_loads(loads, s.t + cfg.dt, cfg.dt), cfg.dt,
+                              grid, cfg.material, cfg.demag)
                 assert rep.accepted, rep.message
                 n += rep.m_passes
             finals.append(s)
@@ -635,15 +633,15 @@ class TestStepTerms:
         traj = run_scenario(cfg, initial_state=state)
         accepted = [s for s in steps if s[2].accepted]
         assert len(accepted) == len(audits) == traj.n_steps > 0
-        for ((prev, loads_k, grid, params, opts), new, rep), (args, kwargs) in zip(
+        for ((prev, loads_k, dt, grid, params, demag), new, rep), (args, kwargs) in zip(
             accepted, audits
         ):
             assert kwargs["terms"] is rep.terms is not None
             # args[:6] leaves out the carried ledger too: everything is rebuilt
             assert len(args) == 7
             assert energetics.audit_step(*args, **kwargs) == energetics.audit_step(*args[:6])
-            terms = step_terms(new, prev, loads_k, grid, params, opts.dt)
-            assert residuals(new, prev, loads_k, grid, params, opts, terms) == rep.residuals
+            terms = step_terms(prev, new, loads_k, dt, grid, params)
+            assert residuals(prev, new, loads_k, dt, grid, params, demag, terms) == rep.residuals
 
 
 class TestWorkPerStep:
@@ -704,7 +702,7 @@ class TestKrylovFailure:
         state.u[...] = solve_demag(state.m, grid, cfg.material.mu0).u
         loads = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            new, rep = step(state, loads, grid, cfg.material, cfg.step_options(cfg.dt))
+            new, rep = step(state, loads, cfg.dt, grid, cfg.material, cfg.demag)
         assert not rep.accepted
         assert new is state
         assert rep.iterations == 1
@@ -738,7 +736,7 @@ class TestRejectionMessages:
 
         monkeypatch.setattr(stepper, "_lu_solve", fail_heat)
         loads = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
-        new, rep = step(state, loads, cfg.build_grid(), cfg.material, cfg.step_options(cfg.dt))
+        new, rep = step(state, loads, cfg.dt, cfg.build_grid(), cfg.material, cfg.demag)
         assert not rep.accepted
         assert new is state
         assert rep.iterations == 1
@@ -752,7 +750,7 @@ class TestRejectionMessages:
         prev = state_0d(grid0, p, theta=0.4, m=(con.equilibrium_m(0.4, 0.01, p), 0.0))
         loads = sample(t=0.01, dt=0.01, theta=lambda t: 0.4 - 0.01 * t,
                        h_ext=lambda t: np.array([0.01, 0.0]))
-        new, rep = step(prev, loads, grid0, p, StepOptions(dt=0.01))
+        new, rep = step(prev, loads, 0.01, grid0, p)
         assert not rep.accepted
         assert new is prev
         assert rep.iterations == 1
@@ -783,7 +781,7 @@ class TestNegativeEnthalpy:
         prev = cfg.initial_state(grid, con.thermal_law_for(cfg.material))
         loads = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
         with pytest.raises(ThermodynamicError, match="enthalpy became negative"):
-            step(prev, loads, grid, cfg.material, cfg.step_options(cfg.dt))
+            step(prev, loads, cfg.dt, grid, cfg.material, cfg.demag)
 
     def test_run_exits_3(self, tmp_path):
         path = tmp_path / "cold.json"
