@@ -13,6 +13,7 @@ import datetime
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,7 @@ def cmd_run(args) -> int:
         _write_manifest(out_dir, manifest)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    t_start = time.perf_counter()
     try:
         traj = run_scenario(config, out_dir=out_dir)
         manifest["accepted"] = True
@@ -160,6 +162,7 @@ def cmd_run(args) -> int:
             manifest["experiment_report"] = EXPERIMENTS[config.experiment](
                 traj, out_dir=out_dir / "experiment"
             )
+        manifest["wall_s"] = time.perf_counter() - t_start
         manifest["end_time"] = _utcnow()
         _write_manifest(out_dir, manifest)
         if not ok:
@@ -169,6 +172,7 @@ def cmd_run(args) -> int:
         return 0
     except PaleomagError as exc:
         manifest["failure"] = str(exc)
+        manifest["wall_s"] = time.perf_counter() - t_start
         manifest["end_time"] = _utcnow()
         _write_manifest(out_dir, manifest)
         print(f"run failure: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ from scipy.special import expit
 
 from .errors import ConfigError, ConstitutiveError, ThermodynamicError
 from .grid import EYE
-from .kinematics import dev, tensor_trace
+from .kinematics import dev, sum_matrix, tensor_trace
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def phi_mech(Ee: np.ndarray, m: np.ndarray, params: MaterialParams) -> np.ndarra
     dv = dev(Ee)
     return (
         0.5 * params.K_E * tr * tr
-        + params.G_E * np.sum(dv * dv, axis=(-2, -1))
+        + params.G_E * sum_matrix(dv * dv)
         + 0.5 * params.b0 * _m2(m) ** 2
     )
 

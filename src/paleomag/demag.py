@@ -69,7 +69,8 @@ def _shifted(dim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...],
 
 def _div_central(m: np.ndarray, grid: Grid) -> np.ndarray:
     """div_c(chi_Omega m) on Omega and its halo, from m framed by two zero cells."""
-    mp = np.pad(m, [(2, 2)] * grid.dim + [(0, 0)])
+    mp = np.zeros(tuple(n + 4 for n in grid.spatial_shape) + (NCOMP,))
+    mp[(slice(2, -2),) * grid.dim] = m
     div = np.zeros(grid.halo_cells)
     for a, h in enumerate(grid.spacing):
         plus, _, minus = _shifted(grid.dim, a)

@@ -94,14 +94,14 @@ def demag_energy(m: np.ndarray, u: np.ndarray, grid: Grid, mu0: float) -> float:
     """The demag field energy -(mu0/2) int_Omega m . h_dem of the potential u of m."""
     if grid.dim == 0 or not np.any(u):
         return 0.0
-    return -0.5 * mu0 * grid.integrate(np.sum(m * h_dem_from_u(u, grid), axis=-1))
+    return -0.5 * mu0 * grid.integrate(kin.sum_vector(m * h_dem_from_u(u, grid)))
 
 
 def exchange_energy(m: np.ndarray, grid: Grid, params: con.MaterialParams) -> float:
     if params.kappa == 0.0 or grid.dim == 0:
         return 0.0
     gm = kin.grad_vector(m, grid)
-    return 0.5 * params.kappa * params.mu0 * grid.integrate(np.sum(gm * gm, axis=(-2, -1)))
+    return 0.5 * params.kappa * params.mu0 * grid.integrate(kin.sum_matrix(gm * gm))
 
 
 def _nonnegative(xi: np.ndarray) -> np.ndarray:
@@ -113,7 +113,7 @@ def _nonnegative(xi: np.ndarray) -> np.ndarray:
 def energy_ledger(state: FieldState, grid: Grid, params: con.MaterialParams) -> EnergyLedger:
     """Evaluate the energy ledger of a single state."""
     theta = con.thermal_law_for(params).theta_of_w(state.w)
-    kinetic = 0.5 * params.rho * grid.integrate(np.sum(state.v * state.v, axis=-1))
+    kinetic = 0.5 * params.rho * grid.integrate(kin.sum_vector(state.v * state.v))
     stored = grid.integrate(
         con.phi_mech(state.Ee, state.m, params) + con.omega(state.m, 0.0, params)
     ) + exchange_energy(state.m, grid, params)
@@ -150,16 +150,16 @@ def audit_step(
     xi_total = grid.integrate(_nonnegative(terms.xi))
     adiab_total = grid.integrate(terms.adiab)
     # thermomagnetic transfer in the mechanical identity
-    transfer = np.sum(con.omega_m(m_new, theta_new, params) * terms.r, axis=-1)
+    transfer = kin.sum_vector(con.omega_m(m_new, theta_new, params) * terms.r)
     transfer_total = grid.integrate(transfer)
 
     # external powers
     v_mid = 0.5 * (state_new.v + state_prev.v)
     p_grav = params.rho * grid.integrate(
-        np.sum(loads_k.g * v_mid, axis=-1) * (1.0 - np.asarray(terms.b_lag))
+        kin.sum_vector(loads_k.g * v_mid) * (1.0 - np.asarray(terms.b_lag))
     )
     p_ext_mag = -params.mu0 * grid.integrate(
-        np.sum((loads_k.h_ext_k - loads_k.h_ext_prev) / tau * state_prev.m, axis=-1)
+        kin.sum_vector((loads_k.h_ext_k - loads_k.h_ext_prev) / tau * state_prev.m)
     )
     p_ext_mag_printed = -p_ext_mag
     boundary_heat = loads_k.j_ext_k * grid.boundary_area
@@ -175,8 +175,8 @@ def audit_step(
     if ledger_prev is None:
         ledger_prev = energy_ledger(state_prev, grid, params)
     ledger_new = energy_ledger(state_new, grid, params)
-    zeeman_prev = params.mu0 * grid.integrate(np.sum(loads_k.h_ext_prev * state_prev.m, axis=-1))
-    zeeman_new = params.mu0 * grid.integrate(np.sum(loads_k.h_ext_k * m_new, axis=-1))
+    zeeman_prev = params.mu0 * grid.integrate(kin.sum_vector(loads_k.h_ext_prev * state_prev.m))
+    zeeman_new = params.mu0 * grid.integrate(kin.sum_vector(loads_k.h_ext_k * m_new))
     # totals summed as kinetic + stored + demag -/+ zeeman + heat
     e_prev = ledger_prev.kinetic + ledger_prev.stored + ledger_prev.demag
     e_new = ledger_new.kinetic + ledger_new.stored + ledger_new.demag

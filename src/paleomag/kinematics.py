@@ -49,12 +49,40 @@ def matvec(T: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.einsum("...ik,...kj->...ij", A, B)
+    """A B per cell as two broadcast terms, with the bits of einsum "...ik,...kj->...ij"."""
+    return A[..., :, 0, None] * B[..., None, 0, :] + A[..., :, 1, None] * B[..., None, 1, :] + 0.0
 
 
 def ddot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Double contraction A:B summed over the two trailing axes."""
     return np.einsum("...ij,...ij->...", A, B)
+
+
+# Sums over the component axes, written term by term.  Each adds its terms
+# in the order np.sum does over the same axes, and np.sum's reduction
+# starts from +0.0, which the trailing + 0.0 repeats (a sum of -0.0 terms is
+# +0.0), so each returns np.sum's bits.  On these length-2 axes np.sum's
+# per-call set-up costs more than the additions.
+
+
+def sum_vector(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-1) of 2-vectors."""
+    return x[..., 0] + x[..., 1] + 0.0
+
+
+def sum_matrix(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=(-2, -1)) of 2x2 matrices, in row-major order."""
+    return x[..., 0, 0] + x[..., 0, 1] + x[..., 1, 0] + x[..., 1, 1] + 0.0
+
+
+def sum_rank3(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=(-3, -2, -1)) of 2x2x2 arrays, pairwise as np.sum adds 8 terms.
+
+    With the terms 0..7 in row-major order: ((0+1)+(2+3)) + ((4+5)+(6+7)).
+    """
+    pairs = x[..., 0] + x[..., 1]
+    quads = pairs[..., 0] + pairs[..., 1]
+    return quads[..., 0] + quads[..., 1] + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +172,24 @@ def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def upwind_advect(f: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Non-conservative first-order upwind (v.grad)f for any trailing rank."""
+    """Non-conservative first-order upwind (v.grad)f for any trailing rank.
+
+    Per axis, d holds (f[i+1] - f[i]) / h between the cells and 0 at both
+    walls (even ghosts), so d[i] is the backward and d[i+1] the forward
+    difference of cell i; v > 0 takes the backward one.
+    """
     out = np.zeros_like(f)
     ncomp_axes = f.ndim - grid.dim
     for a in range(grid.dim):
         h = grid.spacing[a]
         va = v[..., a].reshape(v.shape[:-1] + (1,) * ncomp_axes)
-        p = _pad1(f, a, "even")
-        backward = (f - _take(p, a, slice(None, -2))) / h
-        forward = (_take(p, a, slice(2, None)) - f) / h
-        out += np.maximum(va, 0.0) * backward + np.minimum(va, 0.0) * forward
+        shape = list(f.shape)
+        shape[a] += 1
+        d = np.zeros(shape)
+        inner = _take(d, a, slice(1, -1))
+        np.subtract(_take(f, a, slice(1, None)), _take(f, a, slice(None, -1)), out=inner)
+        inner /= h
+        out += va * np.where(va > 0.0, _take(d, a, slice(None, -1)), _take(d, a, slice(1, None)))
     return out
 
 
@@ -202,6 +238,9 @@ __all__ = [
     "matvec",
     "matmat",
     "ddot",
+    "sum_vector",
+    "sum_matrix",
+    "sum_rank3",
     "grad_vector",
     "grad_tensor",
     "div_tensor",

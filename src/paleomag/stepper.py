@@ -186,7 +186,7 @@ def _hyperstress_force(Ev: np.ndarray, grid: Grid, params: con.MaterialParams) -
     if params.nu2 == 0.0 or grid.dim == 0:
         return np.zeros(Ev.shape[:-1])
     GE = kin.grad_tensor(Ev, grid)
-    norm = np.sqrt(np.sum(GE * GE, axis=(-3, -2, -1)))
+    norm = np.sqrt(kin.sum_rank3(GE * GE))
     H = params.nu2 * (norm ** (params.p - 2.0))[..., None, None, None] * GE
     T = np.zeros(Ev.shape)
     for a in range(grid.dim):
@@ -211,8 +211,8 @@ def stress_structural(
     outer_h_m = h_eff[..., :, None] * m[..., None, :]
     S = -params.mu0 * kin.skw(outer_h_m)
     if params.kappa != 0.0:
-        gm = np.einsum("...ki,...kj->...ij", grad_m, grad_m)
-        trg = np.einsum("...kk->...", gm)
+        gm = kin.matmat(np.swapaxes(grad_m, -1, -2), grad_m)
+        trg = kin.tensor_trace(gm)
         S = S + params.kappa * params.mu0 * (gm - 0.5 * trg[..., None, None] * EYE)
     return S
 
@@ -257,7 +257,7 @@ def _adiabatic_coupling(theta, m, r_conv, divv, params):
     """theta omega_hat'_m(m) . r_conv + (theta omega_hat(m) + phi(theta)) div v."""
     phi = con.thermal_law_for(params).phi(theta)
     return (
-        theta * np.sum(con.omega_hat_m(m, params) * r_conv, axis=-1)
+        theta * kin.sum_vector(con.omega_hat_m(m, params) * r_conv)
         + (theta * con.omega_hat(m, params) + phi) * divv
     )
 
@@ -343,6 +343,9 @@ def step(
 
     for it in range(_MAX_SWEEPS):
         report.iterations = it + 1
+        # the effective field of the sweep's m, which the momentum block and
+        # the m block's first Newton pass both read
+        h_eff = _h_eff(m, theta_k, h_dem, loads_k, grid, params)
         # --- kinematic block -------------------------------------------------
         if driven:
             v_new = v
@@ -350,7 +353,7 @@ def step(
             v_new = state_prev.v + tau * loads_k.g * (1.0 - b_lag)
         else:
             v_new, failure = _momentum_solve(
-                state_prev.v, v, Ee, m, h_dem, b_lag, theta_k, loads_k, grid, params, tau
+                state_prev.v, v, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
             )
             report.lu_solves += 1
             if failure:
@@ -395,7 +398,6 @@ def step(
         eta_m = _ETA_M * change_prev
         for _ in range(_M_PASSES):
             report.m_passes += 1
-            h_eff = _h_eff(m_it, theta_k, h_dem, loads_k, grid, params)
             r = con.zeta_resolvent(hc_lag, h_eff, params)
             adv_m = kin.upwind_advect(m_it, v_new, grid) if grid.dim >= 1 else 0.0
             DrDh = con.zeta_resolvent_jacobian(h_eff, r, params) @ con.h_anisotropy_jacobian(
@@ -424,6 +426,7 @@ def step(
             ):
                 break
             dm_prev = dm
+            h_eff = _h_eff(m_it, theta_k, h_dem, loads_k, grid, params)
         else:
             report.message = (
                 f"magnetization block did not converge in {_M_PASSES} passes "
@@ -527,15 +530,15 @@ def _gate(
 
 def _xi_field(Ev, R, r, hc_lag, M_lag, grid: Grid, params: con.MaterialParams):
     """Dissipation heat source xi(E(v), R, mdot) >= 0 with M and h_c lagged at theta^{k-1}."""
-    xi = params.nu1 * np.sum(Ev * Ev, axis=(-2, -1))
-    xi = xi + M_lag * np.sum(R * R, axis=(-2, -1))
+    xi = params.nu1 * kin.sum_matrix(Ev * Ev)
+    xi = xi + M_lag * kin.sum_matrix(R * R)
     xi = xi + params.mu0 * con.zeta_diss(hc_lag, r, params)
     if params.nu2 != 0.0 and grid.dim >= 1:
         GE = kin.grad_tensor(Ev, grid)
-        xi = xi + params.nu2 * np.sum(GE * GE, axis=(-3, -2, -1)) ** (params.p / 2.0)
+        xi = xi + params.nu2 * kin.sum_rank3(GE * GE) ** (params.p / 2.0)
     if params.varkappa != 0.0 and grid.dim >= 1:
         GR = kin.grad_tensor(R, grid)
-        xi = xi + params.varkappa * np.sum(GR * GR, axis=(-3, -2, -1))
+        xi = xi + params.varkappa * kin.sum_rank3(GR * GR)
     return xi
 
 
@@ -640,15 +643,15 @@ def _heat_lu(grid: Grid, tau: float, K_cond: float, c_v: float):
 
 
 def _momentum_solve(
-    v_prev, v_cur, Ee, m, h_dem, b_lag, theta_k, loads_k: LoadsSample,
+    v_prev, v_cur, Ee, m, h_eff, h_dem, b_lag, loads_k: LoadsSample,
     grid: Grid, params: con.MaterialParams, tau: float,
 ):
     """Implicit Stokes-like solve with the remaining momentum terms lagged.
 
     The operator A v = rho v / tau - div(nu1 E(v)) is implicit; with the rest
-    of the balance held at v_cur, v = v_cur - A^{-1} res(v_cur).
+    of the balance held at v_cur, v = v_cur - A^{-1} res(v_cur).  h_eff is
+    the effective field of m.
     """
-    h_eff = _h_eff(m, theta_k, h_dem, loads_k, grid, params)
     res = _momentum_residual_field(
         v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
     )

@@ -63,6 +63,12 @@ class TestRun:
         assert solver["krylov_applications"] == 0
         assert solver["lu_solves"] == 0
 
+    def test_manifest_records_the_wall_time(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        wall_s = json.loads((out / "manifest.json").read_text())["wall_s"]
+        assert isinstance(wall_s, float) and np.isfinite(wall_s) and wall_s > 0.0
+
     def test_0d_dilatation_exits_2(self, tmp_path):
         # a 0D point has no transport, so it cannot book the dilution terms
         # -w div v and -eta div v that a homogeneous dilatation needs

@@ -32,6 +32,83 @@ class TestAlgebra:
         np.testing.assert_allclose(kin.ddot(A, B), np.sum(A * B, axis=(-2, -1)))
 
 
+# 0D, 1D with n = 1 and n = 7, 2D at 5x4 and 32x32
+_SHAPES = [(), (1,), (7,), (5, 4), (32, 32)]
+_GRIDS = [
+    make_grid(0),
+    make_grid(1, (1.0,), (1,)),
+    make_grid(1, (1.0,), (7,)),
+    make_grid(2, (1.0, 0.8), (5, 4)),
+    make_grid(2, (1.0, 1.0), (32, 32)),
+]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def _draws(rng, shape):
+    """Fields of this shape: normal values mixed with exact 0.0 and -0.0, then all -0.0."""
+    for _ in range(6):
+        x = np.asarray(rng.normal(size=shape) * rng.choice([1.0, 1e-300, 1e16], size=shape))
+        kind = rng.integers(0, 3, size=shape)
+        x[kind == 1] = 0.0
+        x[kind == 2] = -0.0
+        yield x
+    yield np.full(shape, -0.0)
+
+
+def _upwind_max_min(f, v, grid):
+    """(v.grad)f from two padded differences weighted by max(v, 0) and min(v, 0)."""
+    out = np.zeros_like(f)
+    for a in range(grid.dim):
+        h = grid.spacing[a]
+        va = v[..., a].reshape(v.shape[:-1] + (1,) * (f.ndim - grid.dim))
+        p = np.pad(f, [(1, 1) if i == a else (0, 0) for i in range(f.ndim)], mode="edge")
+        lo = tuple(slice(None, -2) if i == a else slice(None) for i in range(f.ndim))
+        hi = tuple(slice(2, None) if i == a else slice(None) for i in range(f.ndim))
+        out += np.maximum(va, 0.0) * ((f - p[lo]) / h) + np.minimum(va, 0.0) * ((p[hi] - f) / h)
+    return out
+
+
+class TestBitForBit:
+    """The term-by-term kernels return the bits of the NumPy calls they replaced."""
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    @pytest.mark.parametrize("helper, axes", [
+        (kin.sum_vector, (-1,)),
+        (kin.sum_matrix, (-2, -1)),
+        (kin.sum_rank3, (-3, -2, -1)),
+    ])
+    def test_component_sums_are_np_sum(self, rng, shape, helper, axes):
+        for x in _draws(rng, shape + (2,) * len(axes)):
+            _assert_same_bits(helper(x), np.sum(x, axis=axes))
+            _assert_same_bits(helper(x * x[::-1]), np.sum(x * x[::-1], axis=axes))
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_matmat_is_einsum(self, rng, shape):
+        for A, B in zip(_draws(rng, shape + (2, 2)), _draws(rng, shape + (2, 2))):
+            _assert_same_bits(kin.matmat(A, B), np.einsum("...ik,...kj->...ij", A, B))
+            # the transposed product of stress_structural
+            _assert_same_bits(kin.matmat(np.swapaxes(A, -1, -2), A),
+                              np.einsum("...ki,...kj->...ij", A, A))
+
+    @pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: "x".join(map(str, g.spatial_shape)) or "0d")
+    @pytest.mark.parametrize("comps", [(), (2,), (2, 2)])
+    def test_upwind_advect_is_the_max_min_formula(self, rng, grid, comps):
+        shape = grid.spatial_shape
+        for f in _draws(rng, shape + comps):
+            # each velocity component 0, -0, positive or negative
+            v = rng.choice([0.0, -0.0, 0.7, -1.3], size=shape + (2,)) * rng.uniform(
+                0.5, 2.0, size=shape + (2,))
+            _assert_same_bits(kin.upwind_advect(f, v, grid), _upwind_max_min(f, v, grid))
+
+
 class TestOperators:
     def test_dim0_derivatives_vanish(self, grid0, rng):
         f = np.asarray(rng.normal())

@@ -658,6 +658,20 @@ class TestWorkPerStep:
         assert (traj.n_steps, traj.n_rejections) == (50, 0)
         assert len(calls) <= 2 * traj.n_steps
 
+    def test_spatial_sweep_forms_h_eff_once_per_newton_pass(self, monkeypatch):
+        # the momentum block's h_eff is the field of the m block's first
+        # Newton pass: each pass forms one, and so does each record the
+        # residual gate checks
+        cfg, state = _spatial_config()
+        fields, records = [], []
+        h_anisotropy, terms = con.h_anisotropy, stepper.step_terms
+        monkeypatch.setattr(con, "h_anisotropy", lambda *a: fields.append(a) or h_anisotropy(*a))
+        monkeypatch.setattr(stepper, "step_terms", lambda *a: records.append(a) or terms(*a))
+        _, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), cfg.dt,
+                      cfg.build_grid(), cfg.material, cfg.demag)
+        assert rep.accepted and rep.iterations > 1 and rep.lu_solves > 0
+        assert len(fields) == rep.m_passes + len(records)
+
 
 class TestInitialPotential:
     def test_config_built_run_balances_from_step_one(self):
