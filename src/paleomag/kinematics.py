@@ -88,15 +88,18 @@ def sum_rank3(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # ghost-cell padding and stencils
 
-def _pad1(f: np.ndarray, axis: int, mode: str) -> np.ndarray:
+def _pad1(f: np.ndarray, axis: int, mode: str | np.ndarray) -> np.ndarray:
     """Pad one ghost layer on both ends of a spatial axis.
 
     mode 'even': ghost = edge value (zero normal derivative at the wall);
-    mode 'odd' : ghost = -edge value (zero value at the wall face).
+    mode 'odd' : ghost = -edge value (zero value at the wall face);
+    an array of signs: ghost = sign * edge value, per trailing component.
     """
     lo = _take(f, axis, slice(0, 1))
     hi = _take(f, axis, slice(-1, None))
-    if mode == "odd":
+    if isinstance(mode, np.ndarray):
+        lo, hi = mode * lo, mode * hi
+    elif mode == "odd":
         lo, hi = -lo, -hi
     return np.concatenate((lo, f, hi), axis=axis)
 
@@ -107,7 +110,7 @@ def _take(f: np.ndarray, axis: int, sl: slice) -> np.ndarray:
     return f[tuple(idx)]
 
 
-def _central_diff(f: np.ndarray, grid: Grid, axis: int, mode: str) -> np.ndarray:
+def _central_diff(f: np.ndarray, grid: Grid, axis: int, mode: str | np.ndarray) -> np.ndarray:
     h = grid.spacing[axis]
     p = _pad1(f, axis, mode)
     return (_take(p, axis, slice(2, None)) - _take(p, axis, slice(None, -2))) / (2.0 * h)
@@ -128,8 +131,9 @@ def _second_diff(f: np.ndarray, grid: Grid, axis: int, mode: str) -> np.ndarray:
 def grad_vector(vf: np.ndarray, grid: Grid, kind: str = "even") -> np.ndarray:
     """Gradient G[..., i, j] = d_j v_i of a vector field.
 
-    kind 'velocity' uses free-slip wall ghosts: the wall-normal component
-    is odd (v.n = 0), tangential components even (traction-free).
+    kind 'velocity' uses free-slip wall ghosts: across the axis-a walls v_a
+    is odd (v.n = 0) and the other component even (traction-free), the
+    wall rule under which div_tensor is its exact negative adjoint.
     """
     out = np.zeros(vf.shape[:-1] + (NCOMP, NCOMP))
     for a in range(grid.dim):
@@ -152,10 +156,17 @@ def grad_tensor(A: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def div_tensor(S: np.ndarray, grid: Grid) -> np.ndarray:
-    """Row-wise divergence (div S)_i = d_a S_ia."""
+    """Row-wise divergence (div S)_i = d_a S_ia.
+
+    Wall rule: across the axis-a walls S_aa takes even ghosts and S_ia,
+    i != a, odd ones (no shear traction at a free-slip wall).  A central
+    difference with ghost sign s is minus the transpose of one with sign -s,
+    so this mirror of grad_vector(kind='velocity') makes the two exact
+    negative adjoints: sum v . div S = -sum S : grad v for every v and S.
+    """
     out = np.zeros(S.shape[:-1])
     for a in range(grid.dim):
-        out += _central_diff(S[..., a], grid, a, "even")
+        out += _central_diff(S[..., a], grid, a, 2.0 * EYE[a] - 1.0)
     return out
 
 

@@ -182,7 +182,12 @@ def _cfl_failure(v: np.ndarray, grid: Grid, dt: float) -> str:
 
 
 def _hyperstress_force(Ev: np.ndarray, grid: Grid, params: con.MaterialParams) -> np.ndarray:
-    """div div H with H = nu2 |grad E(v)|^(p-2) grad E(v) (zero when nu2 = 0)."""
+    """div div H with H = nu2 |grad E(v)|^(p-2) grad E(v) (zero when nu2 = 0).
+
+    The inner divergence takes odd ghosts, the negative adjoint of the even
+    ones of grad_tensor, so sum v . div div H = sum H : grad E(v), the
+    hyperstress term of xi.
+    """
     if params.nu2 == 0.0 or grid.dim == 0:
         return np.zeros(Ev.shape[:-1])
     GE = kin.grad_tensor(Ev, grid)
@@ -190,7 +195,7 @@ def _hyperstress_force(Ev: np.ndarray, grid: Grid, params: con.MaterialParams) -
     H = params.nu2 * (norm ** (params.p - 2.0))[..., None, None, None] * GE
     T = np.zeros(Ev.shape)
     for a in range(grid.dim):
-        T += kin._central_diff(H[..., a], grid, a, "even")
+        T += kin._central_diff(H[..., a], grid, a, "odd")
     return kin.div_tensor(T, grid)
 
 

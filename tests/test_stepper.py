@@ -644,6 +644,23 @@ class TestStepTerms:
             assert residuals(prev, new, loads_k, dt, grid, params, demag, terms) == rep.residuals
 
 
+class TestHyperstressPairing:
+    @pytest.mark.parametrize("cells", [(16, 16), (7, 5)])
+    def test_force_pairs_with_the_dissipation(self, rng, cells):
+        # int v . div div H = int H : grad E(v) = nu2 int |grad E(v)|^p, the
+        # hyperstress term of xi: the inner divergence is the adjoint of
+        # grad_tensor, the outer one of the velocity gradient
+        grid = make_grid(2, (1.0, 0.8), cells)
+        p = material(nu2=0.3)
+        for _ in range(3):
+            v = rng.normal(size=cells + (2,))
+            Ev = kin.sym(kin.grad_vector(v, grid, kind="velocity"))
+            GE = kin.grad_tensor(Ev, grid)
+            dissipation = grid.integrate(p.nu2 * kin.sum_rank3(GE * GE) ** (p.p / 2.0))
+            work = grid.integrate(kin.sum_vector(v * stepper._hyperstress_force(Ev, grid, p)))
+            assert abs(work - dissipation) <= 1e-13 * dissipation
+
+
 class TestWorkPerStep:
     @pytest.mark.parametrize("name, law", [("trm", "h_c"), ("melt", "h_anisotropy")])
     def test_lagged_laws_and_h_eff_are_evaluated_once(self, name, law, monkeypatch):
