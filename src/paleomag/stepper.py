@@ -22,9 +22,10 @@ so the converged sweep satisfies the fully implicit equations.  Under
 temperature control the sweep starts at the prescribed temperature.
 
 The spatial momentum and enthalpy blocks are linear in their own unknown.
-Each is solved exactly by one solve with the cached sparse LU of its
-operator at the step's tau, momentum in correction form:
-v = v_cur - A^{-1} res(v_cur), the rest of the balance held at v_cur.
+Under the wall rule of kin.div_tensor, fast trigonometric transforms
+diagonalize both (Swarztrauber 1977, SIAM Rev. 19:490), so each is solved
+exactly by one transform solve at the step's tau, momentum in correction
+form: v = v_cur - A^{-1} res(v_cur), the rest of the balance held at v_cur.
 
 One sweep suffices, and the step takes exactly one, where no block is
 lagged: a 0D step under temperature control with no stress drive.  There
@@ -68,11 +69,11 @@ the step converges to the same tolerances.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from . import constitutive as con
 from . import kinematics as kin
@@ -91,7 +92,7 @@ class StepReport:
     iterations: int = 0
     change: float = 0.0           # the last sweep's largest relative block change
     m_passes: int = 0             # Newton passes of the m block, over all sweeps
-    lu_solves: int = 0            # momentum and heat block solves, one LU solve each
+    lu_solves: int = 0            # momentum and heat block solves, one transform solve each
     residuals: dict = field(default_factory=dict)
     accepted: bool = False
     dt: float = 0.0
@@ -184,9 +185,8 @@ def _cfl_failure(v: np.ndarray, grid: Grid, dt: float) -> str:
 def _hyperstress_force(Ev: np.ndarray, grid: Grid, params: con.MaterialParams) -> np.ndarray:
     """div div H with H = nu2 |grad E(v)|^(p-2) grad E(v) (zero when nu2 = 0).
 
-    The inner divergence takes odd ghosts, the negative adjoint of the even
-    ones of grad_tensor, so sum v . div div H = sum H : grad E(v), the
-    hyperstress term of xi.
+    The inner divergence's odd ghosts make it the negative adjoint of
+    grad_tensor, so sum v . div div H = sum H : grad E(v), xi's nu2 term.
     """
     if params.nu2 == 0.0 or grid.dim == 0:
         return np.zeros(Ev.shape[:-1])
@@ -547,104 +547,72 @@ def _xi_field(Ev, R, r, hc_lag, M_lag, grid: Grid, params: con.MaterialParams):
     return xi
 
 
-def _lu_solve(lu, rhs: np.ndarray) -> tuple:
-    """x with lu x = rhs, shaped like rhs, and why the solve failed ("" on success).
+def _checked_solve(solve, rhs: np.ndarray, *args) -> tuple:
+    """solve(rhs, *args), shaped like rhs, and why the solve failed ("" on success).
 
-    ``lu`` is the exact factorization of the block's operator at the step's
-    own tau: the caches are keyed by everything the operator reads.  An rhs
-    whose 2-norm is not finite (NaN, inf, or so large that the norm
+    An rhs whose 2-norm is not finite (NaN, inf, or so large that the norm
     overflows) fails without a solve, and a non-finite solution fails too.
     """
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(rhs)
     if not math.isfinite(norm):
         return rhs, "non-finite norm of the right-hand side"
-    x = lu.solve(rhs.ravel()).reshape(rhs.shape)
+    x = solve(rhs, *args)
     if not np.all(np.isfinite(x)):
         return x, "non-finite solution"
     return x, ""
 
 
-# Composed central differences couple cells at most _REACH apart on each
-# axis; ghost reflection only brings a source closer to its target.
-_REACH = 2
-_COLOURS = 2 * _REACH + 1
+# (forward, inverse) type-II transforms, keyed by sine (True) or cosine
+_TRANSFORMS = {False: (scipy.fft.dct, scipy.fft.idct), True: (scipy.fft.dst, scipy.fft.idst)}
 
 
-def _probe_matrix(apply_op, spatial_shape: tuple, comps: tuple):
-    """CSC matrix of the linear stencil operator apply_op on fields of this shape.
+def _trig(x: np.ndarray, sine: tuple, inverse: bool = False) -> np.ndarray:
+    """Orthonormal DST-II (where sine[a]) or DCT-II along each spatial axis a, or the inverse."""
+    for axis, is_sine in enumerate(sine):
+        x = _TRANSFORMS[is_sine][inverse](x, type=2, axis=axis, norm="ortho")
+    return x
 
-    The matrix is probed from apply_op itself: cells are coloured by index
-    mod _COLOURS on each axis, and one application per colour and input
-    component recovers every column exactly, since a row meets at most one
-    cell of each colour within reach.
+
+def _momentum_inverse(rhs: np.ndarray, grid: Grid, rho_tau: float, nu1: float) -> np.ndarray:
+    """v with rho_tau v - div(nu1 E(v)) = rhs, E(v) = sym grad_vector(v, kind='velocity').
+
+    Under the wall rule v_i is a sum of DST-II modes along its own axis i
+    and DCT-II modes across it.  A central difference maps mode p of one
+    kind to mode p of the other times s = sin(pi p / n) / h, so each
+    wavenumber pair p is one 2x2 solve of c I + (nu1/2) s s^T with
+    c = rho_tau + nu1 |s|^2 / 2, by Sherman-Morrison.  DST-II index j is
+    p = j + 1 and DCT-II index j is p = j; at p_a = 0 or n_a one component
+    has no mode, and s_a = 0 (to rounding at n_a) leaves the other alone.
     """
-    import scipy.sparse as sp
-
-    shape = spatial_shape + comps
-    n = int(np.prod(shape))
-    ncomp = int(np.prod(comps))
-    cell = np.indices(spatial_shape)
-    rows = np.arange(n).reshape(shape)
-    entries = []
-    for colour in np.ndindex((_COLOURS,) * len(spatial_shape)):
-        painted = np.all([i % _COLOURS == c for c, i in zip(colour, cell)], axis=0)
-        if not np.any(painted):
-            continue
-        # the one painted cell within reach of each cell; where it falls
-        # outside the grid, no painted cell is in reach and the row reads 0
-        src = [i - _REACH + (c - i + _REACH) % _COLOURS for c, i in zip(colour, cell)]
-        src_cell = np.ravel_multi_index(src, spatial_shape, mode="clip")
-        first_col = (src_cell * ncomp).reshape(spatial_shape + (1,) * len(comps))
-        for k in range(ncomp):
-            e = np.zeros((painted.size, ncomp))
-            e[painted.ravel(), k] = 1.0
-            out = apply_op(e.ravel()).reshape(shape)
-            keep = out != 0.0
-            entries.append((rows[keep], np.broadcast_to(first_col + k, shape)[keep], out[keep]))
-    r, c, v = (np.concatenate(parts) for parts in zip(*entries))
-    return sp.csc_matrix((v, (r, c)), shape=(n, n))
+    s = np.meshgrid(*(np.sin(np.pi * np.arange(n + 1) / n) / h
+                      for n, h in zip(grid.cells, grid.spacing)), indexing="ij", sparse=True)
+    sines = [tuple(a == i for a in range(grid.dim)) for i in range(NCOMP)]
+    slots = [tuple(slice(1, None) if odd else slice(-1) for odd in sine) for sine in sines]
+    coef = np.zeros(tuple(n + 1 for n in grid.cells) + (NCOMP,))
+    for i in range(NCOMP):
+        coef[slots[i] + (i,)] = _trig(rhs[..., i], sines[i])
+    half_s2 = 0.5 * nu1 * sum(sa * sa for sa in s)
+    c = rho_tau + half_s2
+    g = 0.5 * nu1 * sum(sa * coef[..., a] for a, sa in enumerate(s)) / (c + half_s2)
+    for a, sa in enumerate(s):
+        coef[..., a] -= sa * g
+    v = np.empty_like(rhs)
+    for i in range(NCOMP):
+        v[..., i] = _trig(coef[slots[i] + (i,)] / c[slots[i]], sines[i], inverse=True)
+    return v
 
 
-def _probe_lu(apply_op, spatial_shape: tuple, comps: tuple):
-    """Sparse LU of the probed operator, in the lowest-fill column ordering."""
-    import scipy.sparse.linalg as spla
+def _heat_inverse(rhs: np.ndarray, grid: Grid, tau: float, diffusivity: float) -> np.ndarray:
+    """w with w / tau - diffusivity Delta w = rhs, Delta the Neumann 5-point Laplacian.
 
-    return spla.splu(_probe_matrix(apply_op, spatial_shape, comps), permc_spec="MMD_AT_PLUS_A")
-
-
-def _momentum_operator(grid: Grid, rho_tau: float, nu1: float):
-    """x -> rho v / tau - div(nu1 E(v)), the implicit part of the momentum balance."""
-
-    def apply_op(x):
-        vv = np.asarray(x, dtype=np.float64).reshape(grid.spatial_shape + (NCOMP,))
-        Ev = kin.sym(kin.grad_vector(vv, grid, kind="velocity"))
-        return (rho_tau * vv - kin.div_tensor(nu1 * Ev, grid)).ravel()
-
-    return apply_op
-
-
-def _heat_operator(grid: Grid, tau: float, K_cond: float, c_v: float):
-    """x -> w / tau - K Delta theta(w), the implicit part of the enthalpy balance."""
-    thermal = con.ThermalLaw(c_v)
-
-    def apply_op(x):
-        ww = np.asarray(x, dtype=np.float64).reshape(grid.spatial_shape)
-        cond = K_cond * kin.laplacian(thermal.theta_of_w(ww), grid)
-        return (ww / tau - cond).ravel()
-
-    return apply_op
-
-
-# Keyed by everything the operator reads; a halved or regrown dt refactors once.
-@functools.lru_cache(maxsize=4)
-def _momentum_lu(grid: Grid, rho_tau: float, nu1: float):
-    return _probe_lu(_momentum_operator(grid, rho_tau, nu1), grid.spatial_shape, (NCOMP,))
-
-
-@functools.lru_cache(maxsize=4)
-def _heat_lu(grid: Grid, tau: float, K_cond: float, c_v: float):
-    return _probe_lu(_heat_operator(grid, tau, K_cond, c_v), grid.spatial_shape, ())
+    The DCT-II diagonalizes Delta: mode k on an axis of n cells of width h
+    has the eigenvalue -(2 sin(pi k / 2n) / h)^2.
+    """
+    k2 = np.meshgrid(*((2.0 * np.sin(0.5 * np.pi * np.arange(n) / n) / h) ** 2
+                       for n, h in zip(grid.cells, grid.spacing)), indexing="ij", sparse=True)
+    cosine = (False,) * grid.dim
+    return _trig(_trig(rhs, cosine) / (1.0 / tau + diffusivity * sum(k2)), cosine, inverse=True)
 
 
 def _momentum_solve(
@@ -660,7 +628,7 @@ def _momentum_solve(
     res = _momentum_residual_field(
         v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
     )
-    dv, failure = _lu_solve(_momentum_lu(grid, params.rho / tau, params.nu1), res)
+    dv, failure = _checked_solve(_momentum_inverse, res, grid, params.rho / tau, params.nu1)
     return v_cur - dv, failure
 
 
@@ -672,7 +640,7 @@ def _heat_solve(w_prev, w_cur, v_new, xi, adiab, j_src, grid: Grid, params, tau)
     """
     adv = kin.advect_scalar(w_cur, v_new, grid)
     rhs = w_prev / tau - adv + xi + adiab + j_src
-    return _lu_solve(_heat_lu(grid, tau, params.K_cond, params.c_v), rhs)
+    return _checked_solve(_heat_inverse, rhs, grid, tau, params.K_cond / params.c_v)
 
 
 def _potential_residual(

@@ -1,14 +1,18 @@
-"""Exact LU solves of the implicit momentum and heat blocks.
+"""Fast-transform solves of the implicit momentum and heat blocks.
 
-Each block is solved with the sparse LU of a matrix probed from the
-matrix-free operator and cached per tau.  These tests hold the operator
-itself, and SciPy's unpreconditioned bicgstab on it, as the oracles.
+Under the adjoint wall rule both block operators are diagonalized by
+real trigonometric transforms: heat by the DCT-II, momentum by the DST-II
+along each velocity component's own axis and the DCT-II across it, with
+one closed-form 2x2 solve per wavenumber pair.  The oracles are the block
+operators written here from ``kin.grad_vector``, ``kin.div_tensor`` and
+``kin.laplacian``, and SciPy's unpreconditioned bicgstab on them.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from paleomag import kinematics as kin
 from paleomag import scenarios, stepper
 from paleomag.grid import NCOMP, make_grid
 from paleomag.scenarios import run_scenario
@@ -27,81 +31,98 @@ GRIDS = [
 ]
 
 
-def _operators(grid, tau=0.005):
-    """(apply_op, lu, field shape) of the momentum and the heat block."""
+def momentum_operator(x, grid, rho_tau, nu1):
+    """rho v / tau - div(nu1 E(v)), E(v) = sym grad v under free-slip ghosts."""
+    Ev = kin.sym(kin.grad_vector(x, grid, kind="velocity"))
+    return rho_tau * x - kin.div_tensor(nu1 * Ev, grid)
+
+
+def heat_operator(x, grid, tau, K_cond, c_v):
+    """w / tau - K Delta(w / c_v), the linear thermal law theta = w / c_v."""
+    return x / tau - K_cond * kin.laplacian(x / c_v, grid)
+
+
+def _blocks(grid, tau=0.005):
+    """(solve, oracle, field shape) of the momentum and the heat block."""
     rho_tau, nu1, K_cond, c_v = 1.3 / tau, 0.7, 1.1, 100.0
     return [
-        (stepper._momentum_operator(grid, rho_tau, nu1),
-         stepper._momentum_lu(grid, rho_tau, nu1), grid.spatial_shape + (NCOMP,)),
-        (stepper._heat_operator(grid, tau, K_cond, c_v),
-         stepper._heat_lu(grid, tau, K_cond, c_v), grid.spatial_shape),
+        (lambda b: stepper._momentum_inverse(b, grid, rho_tau, nu1),
+         lambda x: momentum_operator(x, grid, rho_tau, nu1), grid.spatial_shape + (NCOMP,)),
+        (lambda b: stepper._heat_inverse(b, grid, tau, K_cond / c_v),
+         lambda x: heat_operator(x, grid, tau, K_cond, c_v), grid.spatial_shape),
     ]
 
 
-class Counting:
-    """A factorization that counts its solves."""
-
-    def __init__(self, lu):
-        self.lu, self.calls = lu, 0
-
-    def solve(self, b):
-        self.calls += 1
-        return self.lu.solve(b)
+def _max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
 class TestProbe:
-    def test_probed_matrix_is_the_operator(self, grid, rng):
-        ops = [
-            (stepper._momentum_operator(grid, 260.0, 0.7), (NCOMP,)),
-            (stepper._heat_operator(grid, 0.005, 1.1, 100.0), ()),
-        ]
-        for apply_op, comps in ops:
-            A = stepper._probe_matrix(apply_op, grid.spatial_shape, comps)
-            for _ in range(3):
-                x = rng.standard_normal(A.shape[0])
-                expect = apply_op(x)
-                assert np.max(np.abs(A @ x - expect)) <= 1e-14 * np.max(np.abs(expect))
+    def test_probed_matrix_is_the_operator(self, grid):
+        # the solve applied to every unit vector, then the oracle, gives the
+        # unit vector back: the solve is the exact inverse, column by column
+        for solve, oracle, shape in _blocks(grid):
+            n = int(np.prod(shape))
+            for k in range(n):
+                e = np.zeros(n)
+                e[k] = 1.0
+                e = e.reshape(shape)
+                assert np.max(np.abs(oracle(solve(e)) - e)) <= 1e-13, k
 
     def test_preconditioned_solve_matches_plain_bicgstab(self, grid, rng):
-        # the LU solve is the whole solve; plain bicgstab is the oracle
-        for apply_op, lu, shape in _operators(grid):
+        # the transform solve is the whole solve; plain bicgstab on the
+        # oracle operator is the reference
+        for solve, oracle, shape in _blocks(grid):
             n = int(np.prod(shape))
             rhs = rng.standard_normal(shape)
             x0 = rng.standard_normal(shape)
-            op = spla.LinearOperator((n, n), matvec=apply_op, dtype=np.float64)
+            op = spla.LinearOperator(
+                (n, n), matvec=lambda y: oracle(y.reshape(shape)).ravel(), dtype=np.float64
+            )
             plain, info = spla.bicgstab(op, rhs.ravel(), x0=x0.ravel(), rtol=1e-12, atol=1e-14)
             assert info == 0
-            x, failure = stepper._lu_solve(lu, rhs)
+            x, failure = stepper._checked_solve(solve, rhs)
             assert failure == ""
             assert x.shape == shape
-            assert np.max(np.abs(x.ravel() - plain)) <= 1e-11 * np.max(np.abs(plain))
-            assert np.max(np.abs(apply_op(x) - rhs.ravel())) <= 1e-12 * np.linalg.norm(rhs)
+            assert _max_rel(x.ravel(), plain) <= 1e-11
+            assert _max_rel(oracle(x), rhs) <= 1e-13
+
+
+class Counting:
+    """A function that counts its calls."""
+
+    def __init__(self, solve):
+        self.solve, self.calls = solve, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.solve(*args, **kwargs)
 
 
 class TestPreconditioner:
-    """The cached LU factorizations, keyed by everything their operator reads."""
+    """The checked solve: one transform solve per block, each at its step's tau."""
 
-    def test_each_dt_solves_with_its_own_factorization(self, monkeypatch):
+    def test_each_dt_solves_at_its_own_tau(self, monkeypatch):
         # one forced failure: the step is retried at half dt, then dt regrows
         # by 1.2 per step; every solve must be exact at its own step's tau
-        real_solve, real_step = stepper._lu_solve, scenarios.step
+        real_solve, real_step = stepper._checked_solve, scenarios.step
         taus, solves = [], []
 
         def tracked_step(state, loads_k, dt, grid, params, demag):
             taus.append(dt)
             return real_step(state, loads_k, dt, grid, params, demag)
 
-        def fail_once(lu, rhs):
+        def fail_once(solve, rhs, *args):
             if not solves:
                 solves.append(None)
                 return rhs, "stub failure"
-            x, failure = real_solve(lu, rhs)
+            x, failure = real_solve(solve, rhs, *args)
             solves.append((taus[-1], rhs, x))
             return x, failure
 
         monkeypatch.setattr(scenarios, "step", tracked_step)
-        monkeypatch.setattr(stepper, "_lu_solve", fail_once)
+        monkeypatch.setattr(stepper, "_checked_solve", fail_once)
         cfg, state = _spatial_config(duration=0.01)
         traj = run_scenario(cfg, initial_state=state)
         assert traj.n_rejections == 1
@@ -113,66 +134,37 @@ class TestPreconditioner:
         solved = set()
         for tau, rhs, x in solves[1:]:
             if rhs.size == NCOMP * n_cells:
-                apply_op = stepper._momentum_operator(grid, p.rho / tau, p.nu1)
+                ax = momentum_operator(x, grid, p.rho / tau, p.nu1)
             else:
-                apply_op = stepper._heat_operator(grid, tau, p.K_cond, p.c_v)
-            res = np.max(np.abs(apply_op(x) - rhs.ravel()))
-            assert res <= 1e-12 * np.linalg.norm(rhs), (tau, rhs.size)
+                ax = heat_operator(x, grid, tau, p.K_cond, p.c_v)
+            assert _max_rel(ax, rhs) <= 1e-13, (tau, rhs.size)
             solved.add((tau, rhs.size))
         # both blocks were solved at every dt tried after the failure
         assert len(solved) == 2 * len(set(taus[1:]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
-    def test_non_finite_rhs_fails_at_once(self, bad):
-        # 1e200 is finite, but its 2-norm overflows
+    def test_non_finite_rhs_fails_at_once(self, bad, monkeypatch):
+        # 1e200 is finite, but its 2-norm overflows; no transform runs
         grid = make_grid(2, (1.0, 1.0), (32, 32))
-        apply_op, lu, shape = _operators(grid)[0]
-        rhs = np.ones(shape)
-        rhs[3, 5, 1] = bad
-        counting = Counting(lu)
-        x, failure = stepper._lu_solve(counting, rhs)
-        assert "non-finite" in failure
-        assert counting.calls == 0
+        transforms = Counting(stepper._trig)
+        monkeypatch.setattr(stepper, "_trig", transforms)
+        for block_solve, args, shape in (
+            (stepper._momentum_inverse, (grid, 260.0, 0.7), grid.spatial_shape + (NCOMP,)),
+            (stepper._heat_inverse, (grid, 0.005, 0.011), grid.spatial_shape),
+        ):
+            rhs = np.ones(shape)
+            rhs[(3, 5) + (1,) * (len(shape) - 2)] = bad
+            counting = Counting(block_solve)
+            x, failure = stepper._checked_solve(counting, rhs, *args)
+            assert failure == "non-finite norm of the right-hand side"
+            assert counting.calls == 0
+        assert transforms.calls == 0
 
     def test_non_finite_solution_fails(self):
-        class ZeroPivot:
-            def solve(self, b):
-                return b / 0.0
+        def divide_by_zero(b):
+            return b / 0.0
 
         with np.errstate(divide="ignore"):
-            x, failure = stepper._lu_solve(ZeroPivot(), np.ones((4, 3, NCOMP)))
+            x, failure = stepper._checked_solve(divide_by_zero, np.ones((4, 3, NCOMP)))
         assert failure == "non-finite solution"
         assert x.shape == (4, 3, NCOMP)
-
-    def test_equal_grid_built_separately_hits_the_cache(self):
-        built = make_grid(2, (1.0, 0.5), (5, 7))
-        assert built.spacing == (0.2, 0.5 / 7) and built.cell_volume > 0.0
-        again = make_grid(2, (1.0, 0.5), (5, 7))
-        for lu_of, args in ((stepper._momentum_lu, (260.0, 0.7)),
-                            (stepper._heat_lu, (0.005, 1.1, 100.0))):
-            lu = lu_of(built, *args)
-            before = lu_of.cache_info()
-            assert lu_of(again, *args) is lu
-            after = lu_of.cache_info()
-            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-    def test_cache_stays_bounded_when_dt_is_halved(self, monkeypatch):
-        # five failed solves: the step is tried at six dt, then dt grows back
-        real = stepper._lu_solve
-        calls = []
-
-        def fail_five(lu, rhs):
-            calls.append(1)
-            if len(calls) <= 5:
-                return rhs, "stub failure"
-            return real(lu, rhs)
-
-        monkeypatch.setattr(stepper, "_lu_solve", fail_five)
-        stepper._momentum_lu.cache_clear()
-        cfg, state = _spatial_config(duration=0.005)
-        traj = run_scenario(cfg, initial_state=state)
-        assert traj.n_rejections == 5
-        assert traj.final_state.t == pytest.approx(0.005)
-        info = stepper._momentum_lu.cache_info()
-        assert info.misses > info.maxsize
-        assert info.currsize <= info.maxsize == 4

@@ -395,7 +395,7 @@ class TestSpatialAudit:
         new, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), cfg.dt, grid,
                         cfg.material, cfg.demag)
         assert rep.accepted
-        # momentum and heat are solved in every sweep, each by one LU solve
+        # momentum and heat are solved in every sweep, each by one transform solve
         assert rep.lu_solves == 2 * rep.iterations > 0
         assert rep.m_passes >= rep.iterations
 
@@ -467,8 +467,9 @@ class TestEarlyStop:
             assert rep.iterations <= 7 and rep.m_passes <= 18
 
     def test_dike_work_per_sweep(self):
-        # each sweep makes one momentum and one heat LU solve; the sweep and
-        # Newton-pass totals are pinned, with every residual in its gate
+        # each sweep makes one momentum and one heat transform solve; the
+        # sweep and Newton-pass totals are pinned, with every residual in its
+        # gate
         cfg, state = _dike_config()
         grid, loads = cfg.build_grid(), cfg.build_loads()
         sweeps = passes = 0
@@ -709,16 +710,16 @@ class TestInitialPotential:
 class TestKrylovFailure:
     def test_failed_solve_rejects_the_step(self, monkeypatch):
         # a failed linear solve halves dt instead of aborting the run
-        real = stepper._lu_solve
+        real = stepper._checked_solve
         calls = []
 
-        def fail_once(lu, rhs):
+        def fail_once(solve, rhs, *args):
             calls.append(1)
             if len(calls) == 1:
                 return rhs, "stub failure"
-            return real(lu, rhs)
+            return real(solve, rhs, *args)
 
-        monkeypatch.setattr(stepper, "_lu_solve", fail_once)
+        monkeypatch.setattr(stepper, "_checked_solve", fail_once)
         cfg, state = _spatial_config(duration=0.005)
         traj = run_scenario(cfg, initial_state=state)
         assert traj.n_rejections >= 1
@@ -756,16 +757,16 @@ class TestRejectionMessages:
     def test_failed_heat_solve_rejects_the_step(self, monkeypatch):
         # the solve fails on the heat system only (one unknown per cell, where
         # momentum has two): the step ends after the first sweep's heat block
-        real = stepper._lu_solve
+        real = stepper._checked_solve
         cfg, state = _spatial_config()
         n_cells = int(np.prod(cfg.cells))
 
-        def fail_heat(lu, rhs):
+        def fail_heat(solve, rhs, *args):
             if rhs.size == n_cells:
                 return rhs, "stub failure"
-            return real(lu, rhs)
+            return real(solve, rhs, *args)
 
-        monkeypatch.setattr(stepper, "_lu_solve", fail_heat)
+        monkeypatch.setattr(stepper, "_checked_solve", fail_heat)
         loads = sample_loads(cfg.build_loads(), cfg.dt, cfg.dt)
         new, rep = step(state, loads, cfg.dt, cfg.build_grid(), cfg.material, cfg.demag)
         assert not rep.accepted
