@@ -44,7 +44,7 @@ class EnergyLedger:
     """Energy bookkeeping of one state (all entries are volume integrals).
 
     kinetic: int rho |v|^2 / 2
-    stored:  int phi(Ee, m) + omega(m, 0) + (kappa mu0 / 2)|grad m|^2
+    stored:  int phi(Ee, m) + omega(m, 0) + exchange_energy(m)
              (elastic + magnetic internal energy, temperature part removed)
     demag:   -(mu0/2) int_Omega m . h_dem, h_dem = -grad_c u (the field
              energy of the infinite-lattice potential, >= 0; see demag)
@@ -98,10 +98,11 @@ def demag_energy(m: np.ndarray, u: np.ndarray, grid: Grid, mu0: float) -> float:
 
 
 def exchange_energy(m: np.ndarray, grid: Grid, params: con.MaterialParams) -> float:
+    """(kappa mu0 / 2) int dirichlet_density(m), whose negative gradient is
+    exactly the m block's exchange field kappa mu0 laplacian(m)."""
     if params.kappa == 0.0 or grid.dim == 0:
         return 0.0
-    gm = kin.grad_vector(m, grid)
-    return 0.5 * params.kappa * params.mu0 * grid.integrate(kin.sum_matrix(gm * gm))
+    return 0.5 * params.kappa * params.mu0 * grid.integrate(kin.dirichlet_density(m, grid))
 
 
 def _nonnegative(xi: np.ndarray) -> np.ndarray:

@@ -7,9 +7,12 @@ material spin W = skw(grad v):
     tensor:  A°  = dA/dt + (v.grad)A - W A + A W
 
 Spatial gradients are second-order central differences with one ghost
-layer; convective terms use first-order upwinding.  On a dim=0 grid every
-spatial derivative operator returns exactly zero, so the same code paths
-drive the homogeneous material-point mode.
+layer.  One Neumann face difference d = (f[i+1] - f[i]) / h, 0 on both
+walls, builds the upwind transport, the 5-point Laplacian (its face
+divergence) and the Dirichlet density (half of |d|^2 on each face of a
+cell), so int f . laplacian(f) = -int dirichlet_density(f) exactly.  On a
+dim=0 grid every spatial derivative operator returns exactly zero, so the
+same code paths drive the homogeneous material-point mode.
 """
 
 from __future__ import annotations
@@ -116,12 +119,13 @@ def _central_diff(f: np.ndarray, grid: Grid, axis: int, mode: str | np.ndarray) 
     return (_take(p, axis, slice(2, None)) - _take(p, axis, slice(None, -2))) / (2.0 * h)
 
 
-def _second_diff(f: np.ndarray, grid: Grid, axis: int, mode: str) -> np.ndarray:
-    h = grid.spacing[axis]
-    p = _pad1(f, axis, mode)
-    return (
-        _take(p, axis, slice(2, None)) - 2.0 * f + _take(p, axis, slice(None, -2))
-    ) / (h * h)
+def _face_diff(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """(f[i+1] - f[i]) / h on the n + 1 faces of an axis (cell i has i, i + 1), 0 on the walls."""
+    d = np.zeros(f.shape[:axis] + (f.shape[axis] + 1,) + f.shape[axis + 1:])
+    inner = _take(d, axis, slice(1, -1))
+    np.subtract(_take(f, axis, slice(1, None)), _take(f, axis, slice(None, -1)), out=inner)
+    inner /= grid.spacing[axis]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +141,8 @@ def grad_vector(vf: np.ndarray, grid: Grid, kind: str = "even") -> np.ndarray:
     """
     out = np.zeros(vf.shape[:-1] + (NCOMP, NCOMP))
     for a in range(grid.dim):
-        for i in range(NCOMP):
-            mode = "odd" if (kind == "velocity" and i == a) else "even"
-            out[..., i, a] = _central_diff(vf[..., i], grid, a, mode)
+        mode = 1.0 - 2.0 * EYE[a] if kind == "velocity" else "even"
+        out[..., a] = _central_diff(vf, grid, a, mode)
     return out
 
 
@@ -171,11 +174,21 @@ def div_tensor(S: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Componentwise 5-point Laplacian with Neumann (even) ghosts."""
+    """Componentwise 5-point Neumann Laplacian, the face divergence of _face_diff."""
     out = np.zeros_like(f)
     for a in range(grid.dim):
-        out += _second_diff(f, grid, a, "even")
+        d = _face_diff(f, grid, a)
+        out += (_take(d, a, slice(1, None)) - _take(d, a, slice(None, -1))) / grid.spacing[a]
     return out
+
+
+def dirichlet_density(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half of |_face_diff(f)|^2 on each face of a cell, summed over axes and components."""
+    out = np.zeros_like(f)
+    for a in range(grid.dim):
+        d2 = _face_diff(f, grid, a) ** 2
+        out += 0.5 * (_take(d2, a, slice(None, -1)) + _take(d2, a, slice(1, None)))
+    return out.reshape(out.shape[:grid.dim] + (-1,)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +198,15 @@ def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
 def upwind_advect(f: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
     """Non-conservative first-order upwind (v.grad)f for any trailing rank.
 
-    Per axis, d holds (f[i+1] - f[i]) / h between the cells and 0 at both
-    walls (even ghosts), so d[i] is the backward and d[i+1] the forward
-    difference of cell i; v > 0 takes the backward one.
+    Per axis, d = _face_diff(f) holds the face differences, so d[i] is the
+    backward and d[i+1] the forward difference of cell i; v > 0 takes the
+    backward one.
     """
     out = np.zeros_like(f)
     ncomp_axes = f.ndim - grid.dim
     for a in range(grid.dim):
-        h = grid.spacing[a]
         va = v[..., a].reshape(v.shape[:-1] + (1,) * ncomp_axes)
-        shape = list(f.shape)
-        shape[a] += 1
-        d = np.zeros(shape)
-        inner = _take(d, a, slice(1, -1))
-        np.subtract(_take(f, a, slice(1, None)), _take(f, a, slice(None, -1)), out=inner)
-        inner /= h
+        d = _face_diff(f, grid, a)
         out += va * np.where(va > 0.0, _take(d, a, slice(None, -1)), _take(d, a, slice(1, None)))
     return out
 
@@ -256,6 +263,7 @@ __all__ = [
     "grad_tensor",
     "div_tensor",
     "laplacian",
+    "dirichlet_density",
     "upwind_advect",
     "advect_scalar",
     "bzj_vector",

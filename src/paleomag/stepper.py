@@ -201,7 +201,7 @@ def _hyperstress_force(Ev: np.ndarray, grid: Grid, params: con.MaterialParams) -
 
 def stress_structural(
     m: np.ndarray,
-    grad_m: np.ndarray,
+    grad_m: np.ndarray | None,
     h_eff: np.ndarray,
     params: con.MaterialParams,
 ) -> np.ndarray:
@@ -209,9 +209,9 @@ def stress_structural(
 
     S_str = kappa mu0 (grad m (.) grad m - |grad m|^2/2 I)
             - mu0 skw(h_eff (x) m),
-    where (grad m (.) grad m)_ij = d_i m_k d_j m_k.  The couple term is the
-    skew stress whose working against the spin balances the corotational
-    transport of m in the energy identities.
+    where (grad m (.) grad m)_ij = d_i m_k d_j m_k; grad_m may be None when
+    kappa = 0.  The couple term is the skew stress whose working against
+    the spin balances the corotational transport of m in the energy identities.
     """
     outer_h_m = h_eff[..., :, None] * m[..., None, :]
     S = -params.mu0 * kin.skw(outer_h_m)
@@ -269,7 +269,8 @@ def _adiabatic_coupling(theta, m, r_conv, divv, params):
 
 def _stress(Ee, m, Ev, h_eff, grid: Grid, params) -> np.ndarray:
     """Stress S_E + nu1 E(v) + S_str (the hyperstress enters separately)."""
-    S_str = stress_structural(m, kin.grad_vector(m, grid), h_eff, params)
+    grad_m = kin.grad_vector(m, grid) if params.kappa != 0.0 else None
+    S_str = stress_structural(m, grad_m, h_eff, params)
     return con.stress_elastic(Ee, params) + params.nu1 * Ev + S_str
 
 
@@ -542,8 +543,8 @@ def _xi_field(Ev, R, r, hc_lag, M_lag, grid: Grid, params: con.MaterialParams):
         GE = kin.grad_tensor(Ev, grid)
         xi = xi + params.nu2 * kin.sum_rank3(GE * GE) ** (params.p / 2.0)
     if params.varkappa != 0.0 and grid.dim >= 1:
-        GR = kin.grad_tensor(R, grid)
-        xi = xi + params.varkappa * kin.sum_rank3(GR * GR)
+        # int varkappa dirichlet_density(R) = -int R : varkappa laplacian(R), the flow rule's term
+        xi = xi + params.varkappa * kin.dirichlet_density(R, grid)
     return xi
 
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from paleomag import kinematics as kin
+from paleomag.energetics import exchange_energy
 from paleomag.grid import make_grid
+
+from conftest import material
 
 
 class TestAlgebra:
@@ -76,6 +79,24 @@ def _upwind_max_min(f, v, grid):
     return out
 
 
+def _grad_vector_loop(vf, grid, kind):
+    """d_a v_i one component at a time from edge ghosts, negated for v_a under kind 'velocity'."""
+    out = np.zeros(vf.shape[:-1] + (2, 2))
+    for a in range(grid.dim):
+        lo = tuple(slice(None, -2) if k == a else slice(None) for k in range(grid.dim))
+        hi = tuple(slice(2, None) if k == a else slice(None) for k in range(grid.dim))
+        for i in range(2):
+            p = np.pad(vf[..., i], [(1, 1) if k == a else (0, 0) for k in range(grid.dim)],
+                       mode="edge")
+            if kind == "velocity" and i == a:
+                ends = [slice(None)] * grid.dim
+                for end in (0, -1):
+                    ends[a] = end
+                    p[tuple(ends)] = -p[tuple(ends)]
+            out[..., i, a] = (p[hi] - p[lo]) / (2.0 * grid.spacing[a])
+    return out
+
+
 class TestBitForBit:
     """The term-by-term kernels return the bits of the NumPy calls they replaced."""
 
@@ -108,6 +129,12 @@ class TestBitForBit:
                 0.5, 2.0, size=shape + (2,))
             _assert_same_bits(kin.upwind_advect(f, v, grid), _upwind_max_min(f, v, grid))
 
+    @pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: "x".join(map(str, g.spatial_shape)) or "0d")
+    @pytest.mark.parametrize("kind", ["even", "velocity"])
+    def test_grad_vector_is_the_per_component_loop(self, rng, grid, kind):
+        for vf in _draws(rng, grid.spatial_shape + (2,)):
+            _assert_same_bits(kin.grad_vector(vf, grid, kind), _grad_vector_loop(vf, grid, kind))
+
 
 class TestOperators:
     def test_dim0_derivatives_vanish(self, grid0, rng):
@@ -116,6 +143,23 @@ class TestOperators:
         assert np.all(kin.laplacian(f, grid0) == 0.0)
         v = rng.normal(size=(2,))
         assert np.all(kin.upwind_advect(f, v, grid0) == 0.0)
+
+    @pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: "x".join(map(str, g.spatial_shape)) or "0d")
+    @pytest.mark.parametrize("comps", [(), (2,), (2, 2)])
+    def test_laplacian_is_the_three_point_formula(self, rng, grid, comps):
+        # the face divergence rounds differently from (f[i+1] - 2 f[i] + f[i-1]) / h^2
+        # with edge ghosts: a few roundings of each term's size apart
+        for f in _draws(rng, grid.spatial_shape + comps):
+            want, size = np.zeros_like(f), np.zeros_like(f)
+            for a in range(grid.dim):
+                p = np.pad(f, [(1, 1) if k == a else (0, 0) for k in range(f.ndim)], mode="edge")
+                lo = tuple(slice(None, -2) if k == a else slice(None) for k in range(f.ndim))
+                hi = tuple(slice(2, None) if k == a else slice(None) for k in range(f.ndim))
+                h2 = grid.spacing[a] ** 2
+                want += (p[hi] - 2.0 * f + p[lo]) / h2
+                size += (np.abs(p[hi]) + 2.0 * np.abs(f) + np.abs(p[lo])) / h2
+            err = np.abs(kin.laplacian(f, grid) - want)
+            assert np.all(err <= 16.0 * np.finfo(np.float64).eps * size)
 
     def test_grad_scalar_linear_interior(self):
         g = make_grid(1, (1.0,), (32,))
@@ -181,6 +225,32 @@ class TestAdjointPairs:
             power = kin.ddot(S, kin.grad_vector(v, grid, kind="velocity"))
             scale = grid.integrate(np.abs(work)) + grid.integrate(np.abs(power))
             assert abs(grid.integrate(work) + grid.integrate(power)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("grid", _PAIRING_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+    def test_exchange_energy_change_is_the_laplacian_pairing(self, rng, grid):
+        # E(m1) - E(m0) = -kappa mu0 int lap m1 . dm - (kappa mu0/2) int density(dm):
+        # the m block's field kappa mu0 lap m is the exact negative gradient of
+        # the ledger's exchange entry, and the rest is its quadratic defect
+        params = material(kappa=0.3, mu0=1.7)
+        k = params.kappa * params.mu0
+        for size in (1.0, 1e-3, 1e-6):
+            m0 = rng.normal(size=grid.spatial_shape + (2,))
+            m1 = m0 + size * rng.normal(size=m0.shape)
+            e0, e1 = exchange_energy(m0, grid, params), exchange_energy(m1, grid, params)
+            pairing = -k * grid.integrate(kin.sum_vector(kin.laplacian(m1, grid) * (m1 - m0)))
+            defect = -0.5 * k * grid.integrate(kin.dirichlet_density(m1 - m0, grid))
+            scale = abs(e0) + abs(e1) + abs(pairing) + abs(defect)
+            assert abs(e1 - e0 - pairing - defect) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("grid", _PAIRING_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+    def test_rate_gradient_pairs_with_its_dissipation(self, rng, grid):
+        # int R : varkappa lap R = -varkappa int density(R), xi's varkappa term
+        varkappa = 0.7
+        for _ in range(3):
+            R = rng.normal(size=grid.spatial_shape + (2, 2))
+            work = grid.integrate(kin.sum_matrix(R * (varkappa * kin.laplacian(R, grid))))
+            dissipation = varkappa * grid.integrate(kin.dirichlet_density(R, grid))
+            assert abs(work + dissipation) <= 1e-13 * (abs(work) + abs(dissipation))
 
 
 class TestAdvectScalar:

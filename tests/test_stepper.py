@@ -442,6 +442,33 @@ class TestDemagDefect:
             state = new
 
 
+class TestExchangeDefect:
+    @pytest.mark.parametrize("cells", [(8, 8), (16, 16)], ids=["8x8", "16x16"])
+    def test_exchange_pairing_defect_vanishes(self, cells):
+        # X = dE + kappa mu0 int lap m_new . dm + (kappa mu0/2) int density(dm),
+        # the exchange part of the first-law remainder: the ledger's exchange
+        # entry changes by the work of the m block's field and its exact
+        # quadratic defect
+        cfg, state = _spatial_config(cells=cells)
+        grid, loads, params = cfg.build_grid(), cfg.build_loads(), cfg.material
+        k = params.kappa * params.mu0
+        for _ in range(3):
+            loads_k = sample_loads(loads, state.t + cfg.dt, cfg.dt)
+            new, rep = step(state, loads_k, cfg.dt, grid, params, cfg.demag)
+            assert rep.accepted, rep.message
+            audit = energetics.audit_step(state, new, loads_k, cfg.dt, grid, params,
+                                          terms=rep.terms)
+            dm = new.m - state.m
+            X = (
+                energetics.exchange_energy(new.m, grid, params)
+                - energetics.exchange_energy(state.m, grid, params)
+                + k * grid.integrate(kin.sum_vector(kin.laplacian(new.m, grid) * dm))
+                + 0.5 * k * grid.integrate(kin.dirichlet_density(dm, grid))
+            )
+            assert abs(X) <= 1e-13 * audit.scale
+            state = new
+
+
 class TestEarlyStop:
     @pytest.mark.parametrize("case", [_spatial_config, _dike_config], ids=["8x8", "dike16"])
     def test_stopped_step_is_within_its_gate(self, case):
