@@ -106,16 +106,17 @@ def make_grid(
     """Validate and build a :class:`Grid`."""
     if dim not in (0, 1, 2):
         raise ConfigError(f"dim must be 0, 1, or 2, got {dim}")
-    extents = tuple(float(L) for L in extents)[:dim]
-    cells = tuple(int(n) for n in cells)[:dim]
+    extents, cells = tuple(extents), tuple(cells)
     if len(extents) != dim or len(cells) != dim:
         raise ConfigError(
             f"need {dim} extents and cell counts, got {extents} / {cells}"
         )
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+               for n in cells):
+        raise ConfigError(f"cell counts must be integers >= 1, got {cells}")
+    extents, cells = tuple(float(L) for L in extents), tuple(int(n) for n in cells)
     if not all(0.0 < L < np.inf for L in extents):
         raise ConfigError(f"extents must be finite and positive, got {extents}")
-    if any(n < 1 for n in cells):
-        raise ConfigError(f"cell counts must be >= 1, got {cells}")
     return Grid(dim=dim, extents=extents, cells=cells)
 
 

@@ -779,12 +779,12 @@ def vrm_experiment(traj: Trajectory, out_dir=None) -> dict:
     cfg = traj.config
     t = np.asarray(traj.times)
     mx = traj.column("m_x")
-    # first-step secant: the anisotropy back-reaction is still negligible
-    drift_rate = float(mx[0] / t[0]) if len(t) else 0.0
+    m0 = np.asarray(cfg.m0, dtype=np.float64)
+    # first-step secant from m0: the anisotropy back-reaction is still negligible
+    drift_rate = float((mx[0] - m0[0]) / t[0]) if len(t) else 0.0
     # resolvent prediction of the initial drift rate at m = m0
     theta0 = float(make_scalar_schedule(cfg.theta_schedule)(0.0))
     h0 = make_vector_schedule(cfg.h_ext_schedule)(0.0)
-    m0 = np.asarray(cfg.m0, dtype=np.float64)
     h_eff0 = con.h_anisotropy(m0, theta0, cfg.material) + h0
     hc0 = con.h_c(theta0, cfg.material)
     r0 = con.zeta_resolvent(hc0, h_eff0, cfg.material)

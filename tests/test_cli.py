@@ -253,6 +253,23 @@ class TestRun:
         assert key in failure and "must be finite" in failure
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize(
+        "settings",
+        [["cells=[4]", "extents=[1.0, 2.0]"],
+         ["dim=1", "cells=[4, 4]", "extents=[1.0]"],
+         ["dim=1", "cells=[2.5]", "extents=[1.0]"]],
+        ids=["0d_with_cells", "extra_cells", "fractional_cells"],
+    )
+    def test_grid_of_the_wrong_shape(self, tmp_path, settings):
+        # extents and cells name exactly dim axes of whole cells: nothing is cut
+        out = tmp_path / "o"
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        code = run_cli("run", "--config", "vrm", "--out", str(out),
+                       "--set", "duration=0.01", *sets)
+        assert code == 2
+        assert "cell counts" in json.loads((out / "manifest.json").read_text())["failure"]
+        assert not (out / "config.json").exists()
+
     def test_bad_set_syntax(self, tmp_path):
         assert run_cli("run", "--config", "trm", "--out", str(tmp_path / "o"),
                        "--set", "duration") == 2

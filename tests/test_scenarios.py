@@ -228,6 +228,16 @@ class TestVrm:
             report["drift_rate_oracle"], rel=0.01
         )
 
+    @pytest.mark.parametrize("m0", [(0.05, 0.0), (-0.05, 0.0)], ids=["sticks", "drifts"])
+    def test_drift_is_measured_from_m0(self, m0):
+        # the first-step secant starts at m0, where the oracle evaluates the drift
+        cfg = builtin_config("vrm")
+        cfg.duration, cfg.m0 = 0.5, m0
+        report = vrm_experiment(run_scenario(cfg))
+        assert report["drift_rate_measured"] == pytest.approx(
+            report["drift_rate_oracle"], rel=0.01, abs=1e-12
+        )
+
     def test_doubling_tau_c_halves_drift(self):
         base = builtin_config("vrm")
         base.duration = 0.25
