@@ -83,17 +83,12 @@ def _grad_vector_loop(vf, grid, kind):
     """d_a v_i one component at a time from edge ghosts, negated for v_a under kind 'velocity'."""
     out = np.zeros(vf.shape[:-1] + (2, 2))
     for a in range(grid.dim):
-        lo = tuple(slice(None, -2) if k == a else slice(None) for k in range(grid.dim))
-        hi = tuple(slice(2, None) if k == a else slice(None) for k in range(grid.dim))
         for i in range(2):
-            p = np.pad(vf[..., i], [(1, 1) if k == a else (0, 0) for k in range(grid.dim)],
-                       mode="edge")
+            f = np.moveaxis(vf[..., i], a, 0)
+            p = np.concatenate((f[:1], f, f[-1:]))
             if kind == "velocity" and i == a:
-                ends = [slice(None)] * grid.dim
-                for end in (0, -1):
-                    ends[a] = end
-                    p[tuple(ends)] = -p[tuple(ends)]
-            out[..., i, a] = (p[hi] - p[lo]) / (2.0 * grid.spacing[a])
+                p[0], p[-1] = -p[0], -p[-1]
+            out[..., i, a] = np.moveaxis((p[2:] - p[:-2]) / (2.0 * grid.spacing[a]), 0, a)
     return out
 
 
@@ -160,6 +155,13 @@ class TestOperators:
                 size += (np.abs(p[hi]) + 2.0 * np.abs(f) + np.abs(p[lo])) / h2
             err = np.abs(kin.laplacian(f, grid) - want)
             assert np.all(err <= 16.0 * np.finfo(np.float64).eps * size)
+
+    def test_dirichlet_density_splits_each_face_between_its_cells(self):
+        # faces d = (0, 1, 2, 0) and (0, 0, 1, 0): each cell takes half of
+        # d^2 on each of its two faces, summed over the components
+        g = make_grid(1, (3.0,), (3,))
+        f = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]])
+        np.testing.assert_array_equal(kin.dirichlet_density(f, g), [0.5, 3.0, 2.5])
 
     def test_grad_scalar_linear_interior(self):
         g = make_grid(1, (1.0,), (32,))
