@@ -10,12 +10,19 @@ Spatial gradients are second-order central differences with one ghost
 layer.  One Neumann face difference d = (f[i+1] - f[i]) / h, 0 on both
 walls, builds the upwind transport, the 5-point Laplacian (its face
 divergence) and the Dirichlet density (half of |d|^2 on each face of a
-cell), so int f . laplacian(f) = -int dirichlet_density(f) exactly.  On a
-dim=0 grid every spatial derivative operator returns exactly zero, so the
-same code paths drive the homogeneous material-point mode.
+cell), so int f . laplacian(f) = -int dirichlet_density(f) exactly.  The
+transport is built once per velocity, by upwind(v, grid): it keeps each
+cell's upwind neighbour and |v| per axis, and each field it transports
+is one gather of the upwind face difference.  On a dim=0 grid every
+spatial derivative operator returns exactly zero, so the same code paths
+drive the homogeneous material-point mode.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -195,20 +202,67 @@ def dirichlet_density(f: np.ndarray, grid: Grid) -> np.ndarray:
 # transport
 
 
-def upwind_advect(f: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Non-conservative first-order upwind (v.grad)f for any trailing rank.
+@functools.lru_cache(maxsize=8)
+def _neighbours(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (backward, forward) neighbour of each cell per axis, shape (dim, cells); read-only.
 
-    Per axis, d = _face_diff(f) holds the face differences, so d[i] is the
-    backward and d[i+1] the forward difference of cell i; v > 0 takes the
-    backward one.
+    Across a wall a cell is its own neighbour, so f - f[nbr] is the wall's
+    zero face difference.
     """
-    out = np.zeros_like(f)
-    ncomp_axes = f.ndim - grid.dim
-    for a in range(grid.dim):
-        va = v[..., a].reshape(v.shape[:-1] + (1,) * ncomp_axes)
-        d = _face_diff(f, grid, a)
-        out += va * np.where(va > 0.0, _take(d, a, slice(None, -1)), _take(d, a, slice(1, None)))
-    return out
+    shape = grid.spatial_shape
+    pos = np.indices(shape).reshape(grid.dim, -1)
+    stride = np.array([math.prod(shape[a + 1:]) for a in range(grid.dim)])[:, None]
+    cell = np.arange(math.prod(shape))
+    backward = cell - stride * (pos > 0)
+    forward = cell + stride * (pos < np.array(shape)[:, None] - 1)
+    backward.flags.writeable = forward.flags.writeable = False
+    return backward, forward
+
+
+def upwind(v: np.ndarray, grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+    """The first-order upwind transport f -> (v.grad)f of the velocity v, for any trailing rank.
+
+    Built once per velocity and applied to every field it transports.  Per
+    axis, v > 0 takes the backward face difference of a cell and v <= 0 the
+    forward one: d[i] and d[i+1] of d = _face_diff(f).  The operator keeps,
+    per axis, the flat index nbr of each cell's upwind neighbour and |v|,
+    and forms |v| (f - f[nbr]) / h.  Where v > 0 that is v d[i]; where
+    v <= 0 it is v d[i+1] with both factors negated, the same bits up to
+    the sign of a zero.  The closing + 0.0 turns a sum of -0.0 terms into
+    +0.0, so the result never depends on that sign.  On a dim=0 grid the
+    transport is zero.
+    """
+    if grid.dim == 0:
+        return np.zeros_like
+    n_cells = math.prod(grid.spatial_shape)
+    va = v.reshape(n_cells, NCOMP)[:, :grid.dim].T
+    nbr = np.where(va > 0.0, *_neighbours(grid))
+    speed = np.abs(va)[..., None]
+    weights = {}  # speed repeated over the components of each field rank transported
+
+    def transport(f: np.ndarray) -> np.ndarray:
+        F = f.reshape(n_cells, -1)
+        w = weights.get(F.shape[1])
+        if w is None:
+            w = weights[F.shape[1]] = np.repeat(speed, F.shape[1], axis=-1)
+        for a, h in enumerate(grid.spacing):
+            d = F.take(nbr[a], axis=0)
+            np.subtract(F, d, out=d)
+            d /= h
+            d *= w[a]
+            if a == 0:
+                out = d
+            else:
+                out += d
+        out += 0.0
+        return out.reshape(f.shape)
+
+    return transport
+
+
+def upwind_advect(f: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
+    """Non-conservative first-order upwind (v.grad)f for any trailing rank: upwind(v, grid)(f)."""
+    return upwind(v, grid)(f)
 
 
 def advect_scalar(w: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -264,6 +318,7 @@ __all__ = [
     "div_tensor",
     "laplacian",
     "dirichlet_density",
+    "upwind",
     "upwind_advect",
     "advect_scalar",
     "bzj_vector",

@@ -26,6 +26,14 @@ Under the wall rule of kin.div_tensor, fast trigonometric transforms
 diagonalize both (Swarztrauber 1977, SIAM Rev. 19:490), so each is solved
 exactly by one transform solve at the step's tau, momentum in correction
 form: v = v_cur - A^{-1} res(v_cur), the rest of the balance held at v_cur.
+The transform spectra depend on the grid and tau alone and are cached per
+grid and tau, so a fixed-dt run forms each once.
+
+Each velocity iterate's operators, its gradient L, E(v), the nu2 gradient
+grad E(v) and its upwind transport (a _Flow), are formed once.  The
+sweep's strain, m and enthalpy blocks read them, and so does the next
+sweep's momentum residual, whose v_cur is that iterate; the first sweep
+forms those of the previous state's velocity.
 
 One sweep suffices, and the step takes exactly one, where no block is
 lagged: a 0D step under temperature control with no stress drive.  There
@@ -69,8 +77,10 @@ the step converges to the same tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -182,15 +192,19 @@ def _cfl_failure(v: np.ndarray, grid: Grid, dt: float) -> str:
     return ""
 
 
-def _hyperstress_force(Ev: np.ndarray, grid: Grid, params: con.MaterialParams) -> np.ndarray:
+def _hyperstress_force(
+    Ev: np.ndarray, grid: Grid, params: con.MaterialParams, GE: np.ndarray | None = None
+) -> np.ndarray:
     """div div H with H = nu2 |grad E(v)|^(p-2) grad E(v) (zero when nu2 = 0).
 
-    The inner divergence's odd ghosts make it the negative adjoint of
-    grad_tensor, so sum v . div div H = sum H : grad E(v), xi's nu2 term.
+    GE is grad_tensor(Ev) where the caller has formed it.  The inner
+    divergence's odd ghosts make it the negative adjoint of grad_tensor, so
+    sum v . div div H = sum H : grad E(v), xi's nu2 term.
     """
     if params.nu2 == 0.0 or grid.dim == 0:
         return np.zeros(Ev.shape[:-1])
-    GE = kin.grad_tensor(Ev, grid)
+    if GE is None:
+        GE = kin.grad_tensor(Ev, grid)
     norm = np.sqrt(kin.sum_rank3(GE * GE))
     H = params.nu2 * (norm ** (params.p - 2.0))[..., None, None, None] * GE
     T = np.zeros(Ev.shape)
@@ -243,6 +257,22 @@ def _velocity_gradient(v, Ee, loads_k: LoadsSample, grid: Grid, params) -> tuple
     return kin.grad_vector(v, grid, kind="velocity"), False
 
 
+class _Flow(NamedTuple):
+    """The operators of one velocity iterate, formed once for every block that reads them."""
+
+    L: np.ndarray                 # velocity gradient
+    Ev: np.ndarray                # E(v) = sym L
+    GE: np.ndarray | None         # grad E(v), the nu2 gradient; None where the nu2 terms vanish
+    advect: Callable              # the upwind transport f -> (v.grad)f
+
+
+def _flow(v: np.ndarray, L: np.ndarray, grid: Grid, params) -> _Flow:
+    """The _Flow of the velocity v with gradient L."""
+    Ev = kin.sym(L)
+    GE = kin.grad_tensor(Ev, grid) if params.nu2 != 0.0 and grid.dim >= 1 else None
+    return _Flow(L, Ev, GE, kin.upwind(v, grid))
+
+
 def _lagged(state_prev: FieldState, params) -> tuple:
     """(theta^{k-1}, M, b, h_c): the step's lagged temperature and the laws read at it."""
     theta = con.thermal_law_for(params).theta_of_w(state_prev.w)
@@ -275,17 +305,16 @@ def _stress(Ee, m, Ev, h_eff, grid: Grid, params) -> np.ndarray:
 
 
 def _momentum_residual_field(
-    v, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k: LoadsSample, grid: Grid, params, tau
+    v, flow: _Flow, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k: LoadsSample, grid: Grid,
+    params, tau,
 ):
-    """Residual of the discrete momentum balance at velocity v."""
-    G = kin.grad_vector(v, grid, kind="velocity")
-    Ev = kin.sym(G)
+    """Residual of the discrete momentum balance at velocity v, whose operators flow holds."""
     f_mag = params.mu0 * kin.matvec(np.swapaxes(kin.grad_vector(h_dem, grid), -1, -2), m)
     return (
-        params.rho * ((v - v_prev) / tau + kin.upwind_advect(v, v, grid))
-        + 0.5 * params.rho * kin.tensor_trace(G)[..., None] * v
-        - kin.div_tensor(_stress(Ee, m, Ev, h_eff, grid, params), grid)
-        + _hyperstress_force(Ev, grid, params)
+        params.rho * ((v - v_prev) / tau + flow.advect(v))
+        + 0.5 * params.rho * kin.tensor_trace(flow.L)[..., None] * v
+        - kin.div_tensor(_stress(Ee, m, flow.Ev, h_eff, grid, params), grid)
+        + _hyperstress_force(flow.Ev, grid, params, flow.GE)
         - f_mag
         - params.rho * loads_k.g * (1.0 - np.asarray(b_lag))[..., None]
     )
@@ -346,6 +375,10 @@ def step(
     one_pass = grid.dim == 0 and loads_k.stress_dev_k is None and w_ctrl is not None
     report = StepReport(dt=tau)
     change_prev = 0.0  # no sweep before the first, so no contraction rate
+    # the operators of the velocity the momentum block linearizes about: the
+    # previous state's in the first sweep, then the last sweep's iterate
+    if not driven and grid.dim >= 1:
+        flow = _flow(v, _velocity_gradient(v, Ee, loads_k, grid, params)[0], grid, params)
 
     for it in range(_MAX_SWEEPS):
         report.iterations = it + 1
@@ -359,7 +392,7 @@ def step(
             v_new = state_prev.v + tau * loads_k.g * (1.0 - b_lag)
         else:
             v_new, failure = _momentum_solve(
-                state_prev.v, v, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
+                state_prev.v, v, flow, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
             )
             report.lu_solves += 1
             if failure:
@@ -370,7 +403,8 @@ def step(
             report.message = f"CFL violation: {failure} (sweep {report.iterations})"
             return state_prev, report
         L, _ = _velocity_gradient(v_new, Ee, loads_k, grid, params)
-        Ev = kin.sym(L)
+        flow = _flow(v_new, L, grid, params)
+        Ev = flow.Ev
         Wsp = kin.skw(L)
         wspin = np.asarray(Wsp[..., 1, 0])
 
@@ -379,7 +413,7 @@ def step(
         lapR = (
             kin.laplacian(R, grid) if (params.varkappa != 0.0 and grid.dim >= 1) else 0.0
         )
-        adv_Ee = kin.upwind_advect(Ee, v_new, grid) if grid.dim >= 1 else 0.0
+        adv_Ee = flow.advect(Ee) if grid.dim >= 1 else 0.0
         rhs_e = (
             Ev + state_prev.Ee / tau - adv_Ee
             - params.varkappa * np.asarray(lapR) / M_lag[..., None, None]
@@ -389,7 +423,7 @@ def step(
             2.0 * params.G_E * kin.dev(Ee_new) + params.varkappa * np.asarray(lapR)
         ) / M_lag[..., None, None]
 
-        adv_Ep = kin.upwind_advect(Ep, v_new, grid) if grid.dim >= 1 else 0.0
+        adv_Ep = flow.advect(Ep) if grid.dim >= 1 else 0.0
         Ep_new = _corot_solve(R_new + state_prev.Ep / tau - adv_Ep, wspin, 1.0 / tau)
 
         # --- magnetization block: one semismooth Newton step per pass -------
@@ -405,7 +439,7 @@ def step(
         for _ in range(_M_PASSES):
             report.m_passes += 1
             r = con.zeta_resolvent(hc_lag, h_eff, params)
-            adv_m = kin.upwind_advect(m_it, v_new, grid) if grid.dim >= 1 else 0.0
+            adv_m = flow.advect(m_it) if grid.dim >= 1 else 0.0
             DrDh = con.zeta_resolvent_jacobian(h_eff, r, params) @ con.h_anisotropy_jacobian(
                 m_it, theta_k, params
             )
@@ -453,9 +487,9 @@ def step(
         if w_ctrl is not None:
             w_new = w_ctrl.copy()
         else:
-            xi = _xi_field(Ev, R_new, r, hc_lag, M_lag, grid, params)
+            xi = _xi_field(Ev, R_new, r, hc_lag, M_lag, grid, params, flow.GE)
             r_conv = (m_new - state_prev.m) / tau + (
-                kin.upwind_advect(m_new, v_new, grid) if grid.dim >= 1 else 0.0
+                flow.advect(m_new) if grid.dim >= 1 else 0.0
             )
             adiab = _adiabatic_coupling(theta_k, m_new, r_conv, kin.tensor_trace(L), params)
             if grid.dim == 0:
@@ -534,13 +568,17 @@ def _gate(
     return state_new
 
 
-def _xi_field(Ev, R, r, hc_lag, M_lag, grid: Grid, params: con.MaterialParams):
-    """Dissipation heat source xi(E(v), R, mdot) >= 0 with M and h_c lagged at theta^{k-1}."""
+def _xi_field(Ev, R, r, hc_lag, M_lag, grid: Grid, params: con.MaterialParams, GE=None):
+    """Dissipation heat source xi(E(v), R, mdot) >= 0 with M and h_c lagged at theta^{k-1}.
+
+    GE is grad_tensor(Ev) where the caller has formed it.
+    """
     xi = params.nu1 * kin.sum_matrix(Ev * Ev)
     xi = xi + M_lag * kin.sum_matrix(R * R)
     xi = xi + params.mu0 * con.zeta_diss(hc_lag, r, params)
     if params.nu2 != 0.0 and grid.dim >= 1:
-        GE = kin.grad_tensor(Ev, grid)
+        if GE is None:
+            GE = kin.grad_tensor(Ev, grid)
         xi = xi + params.nu2 * kin.sum_rank3(GE * GE) ** (params.p / 2.0)
     if params.varkappa != 0.0 and grid.dim >= 1:
         # int varkappa dirichlet_density(R) = -int R : varkappa laplacian(R), the flow rule's term
@@ -575,6 +613,27 @@ def _trig(x: np.ndarray, sine: tuple, inverse: bool = False) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=8)
+def _momentum_spectrum(grid: Grid, rho_tau: float, nu1: float) -> tuple:
+    """(sines, slots, s, c per component, c + nu1 |s|^2 / 2) of _momentum_inverse; read-only.
+
+    sines[i] marks the DST-II axes of v_i and slots[i] its modes' place in
+    the wavenumber lattice; c = rho_tau + nu1 |s|^2 / 2.  One entry per
+    grid and tau, so a fixed-dt run forms it once.
+    """
+    s = np.meshgrid(*(np.sin(np.pi * np.arange(n + 1) / n) / h
+                      for n, h in zip(grid.cells, grid.spacing)), indexing="ij", sparse=True)
+    sines = tuple(tuple(a == i for a in range(grid.dim)) for i in range(NCOMP))
+    slots = tuple(tuple(slice(1, None) if odd else slice(-1) for odd in sine) for sine in sines)
+    half_s2 = 0.5 * nu1 * sum(sa * sa for sa in s)
+    c = rho_tau + half_s2
+    c_slots = tuple(np.ascontiguousarray(c[slot]) for slot in slots)
+    denominator = c + half_s2
+    for x in (*s, *c_slots, denominator):
+        x.flags.writeable = False
+    return sines, slots, tuple(s), c_slots, denominator
+
+
 def _momentum_inverse(rhs: np.ndarray, grid: Grid, rho_tau: float, nu1: float) -> np.ndarray:
     """v with rho_tau v - div(nu1 E(v)) = rhs, E(v) = sym grad_vector(v, kind='velocity').
 
@@ -585,49 +644,59 @@ def _momentum_inverse(rhs: np.ndarray, grid: Grid, rho_tau: float, nu1: float) -
     c = rho_tau + nu1 |s|^2 / 2, by Sherman-Morrison.  DST-II index j is
     p = j + 1 and DCT-II index j is p = j; at p_a = 0 or n_a one component
     has no mode, and s_a = 0 (to rounding at n_a) leaves the other alone.
+    The spectra are _momentum_spectrum's, cached per grid and tau.
     """
-    s = np.meshgrid(*(np.sin(np.pi * np.arange(n + 1) / n) / h
-                      for n, h in zip(grid.cells, grid.spacing)), indexing="ij", sparse=True)
-    sines = [tuple(a == i for a in range(grid.dim)) for i in range(NCOMP)]
-    slots = [tuple(slice(1, None) if odd else slice(-1) for odd in sine) for sine in sines]
+    sines, slots, s, c_slots, denominator = _momentum_spectrum(grid, rho_tau, nu1)
     coef = np.zeros(tuple(n + 1 for n in grid.cells) + (NCOMP,))
     for i in range(NCOMP):
         coef[slots[i] + (i,)] = _trig(rhs[..., i], sines[i])
-    half_s2 = 0.5 * nu1 * sum(sa * sa for sa in s)
-    c = rho_tau + half_s2
-    g = 0.5 * nu1 * sum(sa * coef[..., a] for a, sa in enumerate(s)) / (c + half_s2)
+    g = 0.5 * nu1 * sum(sa * coef[..., a] for a, sa in enumerate(s)) / denominator
     for a, sa in enumerate(s):
         coef[..., a] -= sa * g
     v = np.empty_like(rhs)
     for i in range(NCOMP):
-        v[..., i] = _trig(coef[slots[i] + (i,)] / c[slots[i]], sines[i], inverse=True)
+        v[..., i] = _trig(coef[slots[i] + (i,)] / c_slots[i], sines[i], inverse=True)
     return v
+
+
+@functools.lru_cache(maxsize=8)
+def _heat_spectrum(grid: Grid, tau: float, diffusivity: float) -> np.ndarray:
+    """1/tau - diffusivity lambda_k on the DCT-II modes k of _heat_inverse; read-only.
+
+    Mode k on an axis of n cells of width h has the Laplacian eigenvalue
+    -(2 sin(pi k / 2n) / h)^2, and lambda_k sums them over the axes.  One
+    entry per grid and tau, so a fixed-dt run forms it once.
+    """
+    k2 = np.meshgrid(*((2.0 * np.sin(0.5 * np.pi * np.arange(n) / n) / h) ** 2
+                       for n, h in zip(grid.cells, grid.spacing)), indexing="ij", sparse=True)
+    spectrum = 1.0 / tau + diffusivity * sum(k2)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def _heat_inverse(rhs: np.ndarray, grid: Grid, tau: float, diffusivity: float) -> np.ndarray:
     """w with w / tau - diffusivity Delta w = rhs, Delta the Neumann 5-point Laplacian.
 
-    The DCT-II diagonalizes Delta: mode k on an axis of n cells of width h
-    has the eigenvalue -(2 sin(pi k / 2n) / h)^2.
+    The DCT-II diagonalizes Delta; its spectrum is _heat_spectrum's, cached
+    per grid and tau.
     """
-    k2 = np.meshgrid(*((2.0 * np.sin(0.5 * np.pi * np.arange(n) / n) / h) ** 2
-                       for n, h in zip(grid.cells, grid.spacing)), indexing="ij", sparse=True)
     cosine = (False,) * grid.dim
-    return _trig(_trig(rhs, cosine) / (1.0 / tau + diffusivity * sum(k2)), cosine, inverse=True)
+    return _trig(_trig(rhs, cosine) / _heat_spectrum(grid, tau, diffusivity), cosine,
+                 inverse=True)
 
 
 def _momentum_solve(
-    v_prev, v_cur, Ee, m, h_eff, h_dem, b_lag, loads_k: LoadsSample,
+    v_prev, v_cur, flow: _Flow, Ee, m, h_eff, h_dem, b_lag, loads_k: LoadsSample,
     grid: Grid, params: con.MaterialParams, tau: float,
 ):
     """Implicit Stokes-like solve with the remaining momentum terms lagged.
 
     The operator A v = rho v / tau - div(nu1 E(v)) is implicit; with the rest
-    of the balance held at v_cur, v = v_cur - A^{-1} res(v_cur).  h_eff is
-    the effective field of m.
+    of the balance held at v_cur, v = v_cur - A^{-1} res(v_cur).  flow holds
+    the operators of v_cur, and h_eff is the effective field of m.
     """
     res = _momentum_residual_field(
-        v_cur, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
+        v_cur, flow, v_prev, Ee, m, h_eff, h_dem, b_lag, loads_k, grid, params, tau
     )
     dv, failure = _checked_solve(_momentum_inverse, res, grid, params.rho / tau, params.nu1)
     return v_cur - dv, failure
@@ -767,7 +836,8 @@ def residuals(
     res_a, scale_a = 0.0, 1.0  # kinematics prescribed; momentum not solved
     if not terms.driven:
         res_a_field = _momentum_residual_field(
-            v, state_prev.v, Ee, m, h_eff, h_dem, terms.b_lag, loads_k, grid, params, tau
+            v, _flow(v, terms.L, grid, params), state_prev.v, Ee, m, h_eff, h_dem,
+            terms.b_lag, loads_k, grid, params, tau,
         )
         res_a = _max_abs(res_a_field)
         scale_a = params.rho * max(1.0, _max_abs(v)) / tau

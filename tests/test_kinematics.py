@@ -125,6 +125,23 @@ class TestBitForBit:
             _assert_same_bits(kin.upwind_advect(f, v, grid), _upwind_max_min(f, v, grid))
 
     @pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: "x".join(map(str, g.spatial_shape)) or "0d")
+    def test_one_upwind_operator_transports_every_rank(self, rng, grid):
+        # one operator per velocity, applied to a rank-0, a rank-1 and a
+        # rank-2 field in turn; velocities with 0.0 and -0.0 components, and
+        # each negated, so every cell takes both of its faces
+        shape = grid.spatial_shape
+        for draw in _draws(rng, shape + (2,)):
+            for v in (draw, -draw):
+                transport = kin.upwind(v, grid)
+                for comps in [(), (2,), (2, 2)]:
+                    f = np.asarray(rng.normal(size=shape + comps) * rng.choice([1.0, 1e-300, 1e16]))
+                    f[rng.integers(0, 2, size=f.shape) == 1] = -0.0
+                    adv = transport(f)
+                    _assert_same_bits(adv, _upwind_max_min(f, v, grid))
+                    if grid.dim == 0:
+                        assert np.all(adv == 0.0)
+
+    @pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: "x".join(map(str, g.spatial_shape)) or "0d")
     @pytest.mark.parametrize("kind", ["even", "velocity"])
     def test_grad_vector_is_the_per_component_loop(self, rng, grid, kind):
         for vf in _draws(rng, grid.spatial_shape + (2,)):

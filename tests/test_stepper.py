@@ -717,6 +717,31 @@ class TestWorkPerStep:
         assert rep.accepted and rep.iterations > 1 and rep.lu_solves > 0
         assert len(fields) == rep.m_passes + len(records)
 
+    def test_each_velocity_iterate_builds_one_transport(self, monkeypatch):
+        # one upwind operator per sweep's iterate, which the next sweep's
+        # momentum residual reads too; the first sweep's starting velocity
+        # and the residual gate add at most five
+        cfg, state = _spatial_config(duration=2 * 0.005)
+        builds, upwind = [], kin.upwind
+        monkeypatch.setattr(kin, "upwind", lambda *a: builds.append(a) or upwind(*a))
+        traj = run_scenario(cfg, initial_state=state)
+        assert (traj.n_steps, traj.n_rejections) == (2, 0)
+        assert len(builds) <= traj.sweeps + 5 * traj.n_steps
+
+    def test_fixed_dt_run_forms_each_spectrum_once(self):
+        # the transform solves' spectra are cached per grid and tau; dt is a
+        # power of two, so the last step is not shortened by a rounding of
+        # duration - t and every step solves at the same tau
+        dt = 2.0 ** -8
+        cfg, state = _spatial_config(dt=dt, duration=3 * dt)
+        stepper._momentum_spectrum.cache_clear()
+        stepper._heat_spectrum.cache_clear()
+        traj = run_scenario(cfg, initial_state=state)
+        assert (traj.n_steps, traj.n_rejections) == (3, 0)
+        assert set(traj.column("dt")) == {dt}
+        assert stepper._momentum_spectrum.cache_info().misses == 1
+        assert stepper._heat_spectrum.cache_info().misses == 1
+
 
 class TestInitialPotential:
     def test_config_built_run_balances_from_step_one(self):
