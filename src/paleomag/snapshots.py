@@ -51,7 +51,8 @@ def read_snapshot(path, blob: Optional[bytes] = None) -> tuple[FieldState, Grid]
 
     ``blob``, when given, must be the file's bytes, read by the caller; the
     file is then not read again.  The fields are read-only views of the
-    bytes.  A malformed file raises ConfigError.
+    bytes.  A malformed file raises ConfigError, and so does one with bytes
+    after its last field.
     """
     path = Path(path)
     if blob is None:
@@ -89,6 +90,8 @@ def read_snapshot(path, blob: Optional[bytes] = None) -> tuple[FieldState, Grid]
             arr.flags.writeable = False
         arrays[name] = arr.reshape(shape)
         offset += 8 * count
+    if offset != len(blob):
+        raise ConfigError(f"{path}: {len(blob) - offset} bytes after the last field")
     try:
         state = FieldState(t=t, **{k: arrays[k] for k in _FIELDS})
     except KeyError as exc:

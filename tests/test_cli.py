@@ -533,6 +533,14 @@ class TestAudit:
         assert run_cli("audit", str(out)) == 2
         assert f"audit.csv row {index} has no valid" in capsys.readouterr().err
 
+    def test_bytes_after_the_last_field(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_short_trm(out) == 0
+        pair = sorted((out / "snapshots").glob("pair_*_b.bin"))[-1]
+        pair.write_bytes(pair.read_bytes() + bytes(23))
+        assert run_cli("audit", str(out)) == 2
+        assert "23 bytes after the last field" in capsys.readouterr().err
+
     def test_truncated_preamble(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_short_trm(out) == 0

@@ -65,6 +65,14 @@ def test_truncated_payload(tmp_path, grid0):
         read_snapshot(path)
 
 
+def test_bytes_after_the_last_field(tmp_path, grid0):
+    path = tmp_path / "long.bin"
+    write_snapshot(path, FieldState.zeros(grid0, w0=1.0), grid0)
+    path.write_bytes(path.read_bytes() + bytes(23))
+    with pytest.raises(ConfigError, match="23 bytes after the last field"):
+        read_snapshot(path)
+
+
 def test_corrupt_header(tmp_path, grid0):
     state = FieldState.zeros(grid0, w0=1.0)
     path = tmp_path / "hdr.bin"
