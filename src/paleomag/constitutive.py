@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, ConstitutiveError, ThermodynamicError
-from .grid import EYE
+from .grid import EYE, NCOMP
 from .kinematics import dev, sum_matrix, tensor_trace
 
 
@@ -173,18 +173,44 @@ def h_anisotropy(m: np.ndarray, theta, params: MaterialParams) -> np.ndarray:
     return -(phi_m_prime(m, params) + omega_m(m, theta, params)) / params.mu0
 
 
+def _h_anisotropy_jacobian_planes(m: np.ndarray, theta, params: MaterialParams) -> tuple:
+    """(Dh_00, Dh_01, Dh_11): the component planes of the symmetric Dh.
+
+    With q = |m|^2, c = 2 a0 (theta - theta_c) and iso = 2 b0 q + c,
+    -mu0 Dh = iso I + 4 b0 m m^T.  Each plane is the sum of its two terms,
+    and iso * 0.0 is iso I's off-diagonal, so the planes have the bits of
+    the matrix sum, the signs of zero included.
+    """
+    m0, m1 = m[..., 0], m[..., 1]
+    q0, q1 = m0 * m0, m1 * m1
+    c = 2.0 * params.a0 * (np.asarray(theta) - params.theta_c)
+    iso = 2.0 * params.b0 * (q0 + q1) + c
+    k = 4.0 * params.b0
+    # x / -mu0 has the bits of -x / mu0
+    return (
+        (iso + k * q0) / -params.mu0,
+        (iso * 0.0 + k * (m0 * m1)) / -params.mu0,
+        (iso + k * q1) / -params.mu0,
+    )
+
+
+def _symmetric(planes: tuple) -> np.ndarray:
+    """The 2x2 matrices of the symmetric planes (X_00, X_01, X_11)."""
+    x00, x01, x11 = planes
+    X = np.empty(np.shape(x00) + (NCOMP, NCOMP))
+    X[..., 0, 0] = x00
+    X[..., 0, 1] = X[..., 1, 0] = x01
+    X[..., 1, 1] = x11
+    return X
+
+
 def h_anisotropy_jacobian(m: np.ndarray, theta, params: MaterialParams):
     """Dh = -(phi''_mm + omega''_mm)/mu0, the m-Jacobian of h_anisotropy.
 
     With q = |m|^2 and c = 2 a0 (theta - theta_c):
     phi''_mm = 2 b0 (q I + 2 m m^T) and omega''_mm = c I.
     """
-    q = _m2(m)
-    c = 2.0 * params.a0 * (np.asarray(theta) - params.theta_c)
-    iso = 2.0 * params.b0 * q + c
-    outer = m[..., :, None] * m[..., None, :]
-    hess = iso[..., None, None] * EYE + 4.0 * params.b0 * outer
-    return -hess / params.mu0
+    return _symmetric(_h_anisotropy_jacobian_planes(m, theta, params))
 
 
 def equilibrium_m(theta: float, h_mag: float, params: MaterialParams) -> float:
@@ -299,12 +325,11 @@ def zeta_resolvent(hc, h_eff: np.ndarray, params: MaterialParams) -> np.ndarray:
     return s[..., None] * unit
 
 
-def zeta_resolvent_jacobian(h_eff: np.ndarray, r: np.ndarray, params: MaterialParams):
-    """Generalized Jacobian Dr of the resolvent at h_eff, given r = zeta_resolvent(h_eff).
+def _zeta_resolvent_jacobian_planes(h_eff: np.ndarray, r: np.ndarray, params: MaterialParams):
+    """(Dr_00, Dr_01, Dr_11): the component planes of the symmetric Dr.
 
-    The resolvent is radial, r = s(H) h/H with H = |h_eff|, so
-    Dr = s'(H) hh^T + (s/H)(I - hh^T) with hh^T the projector on h_eff and
-    s' = 1/zeta''(s), and Dr = 0 at sticking (r = 0).
+    Dr = (s' - s/H) u u^T + (s/H) I with u = h_eff/H, written per plane as
+    in _h_anisotropy_jacobian_planes, so they have the matrix sum's bits.
     """
     H = np.sqrt(_m2(h_eff))
     s = np.sqrt(_m2(r))
@@ -314,9 +339,19 @@ def zeta_resolvent_jacobian(h_eff: np.ndarray, r: np.ndarray, params: MaterialPa
     ds = np.where(moving, 1.0 / np.maximum(zpp, 1e-300), 0.0)
     H_on = np.maximum(H, 1e-300)
     ratio = np.where(moving, s / H_on, 0.0)
-    unit = h_eff / H_on[..., None]
-    proj = unit[..., :, None] * unit[..., None, :]
-    return (ds - ratio)[..., None, None] * proj + ratio[..., None, None] * EYE
+    u0, u1 = h_eff[..., 0] / H_on, h_eff[..., 1] / H_on
+    radial = ds - ratio
+    return radial * (u0 * u0) + ratio, radial * (u0 * u1) + ratio * 0.0, radial * (u1 * u1) + ratio
+
+
+def zeta_resolvent_jacobian(h_eff: np.ndarray, r: np.ndarray, params: MaterialParams):
+    """Generalized Jacobian Dr of the resolvent at h_eff, given r = zeta_resolvent(h_eff).
+
+    The resolvent is radial, r = s(H) h/H with H = |h_eff|, so
+    Dr = s'(H) hh^T + (s/H)(I - hh^T) with hh^T the projector on h_eff and
+    s' = 1/zeta''(s), and Dr = 0 at sticking (r = 0).
+    """
+    return _symmetric(_zeta_resolvent_jacobian_planes(h_eff, r, params))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ r(h_eff(m)), with r the zeta-resolvent, is solved by semismooth Newton
 passes: the resolvent is radial, so its generalized Jacobian Dr is a
 closed-form 2x2 matrix per cell, and each pass solves (I/tau - W - Dr Dh)
 per cell in closed form, Dh being the Jacobian of the anisotropy field.
+Dr and Dh are symmetric, so each is three component planes, and the pass
+forms P = Dr Dh term by term on the planes, with no BLAS: the m block's
+bits do not depend on the BLAS build.
 Advection, exchange and the gradient regularizations (varkappa Laplacian
 of the inelastic rate, the hyperstress) are taken at the current iterate,
 so the converged sweep satisfies the fully implicit equations.  Under
@@ -138,13 +141,35 @@ def _corot_solve(B: np.ndarray, wspin, a, lam=0.0) -> np.ndarray:
     return E
 
 
-def _solve_2x2(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Closed-form per-cell solve of J x = rhs for 2x2 matrices J."""
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+def _solve_2x2(j00, j01, j10, j11, b0, b1) -> np.ndarray:
+    """Closed-form per-cell solve of J x = b, J and b given by their component planes."""
+    det = j00 * j11 - j01 * j10
     x = np.empty(np.shape(det) + (NCOMP,))
-    x[..., 0] = (J[..., 1, 1] * rhs[..., 0] - J[..., 0, 1] * rhs[..., 1]) / det
-    x[..., 1] = (J[..., 0, 0] * rhs[..., 1] - J[..., 1, 0] * rhs[..., 0]) / det
+    x[..., 0] = (j11 * b0 - j01 * b1) / det
+    x[..., 1] = (j00 * b1 - j10 * b0) / det
     return x
+
+
+def _m_newton_update(m, h_eff, r, theta, A, b, params: con.MaterialParams) -> np.ndarray:
+    """One semismooth Newton update of the m block: x with J x = J m - F(m) per cell.
+
+    J = A - P with A = I/tau - W, given by its planes (A_00, A_01, A_10,
+    A_11), and P = Dr Dh, r being the resolvent at h_eff; J m - F(m) is
+    b - P m with b = m_prev/tau - (v.grad) m + r.  Dr and Dh are symmetric,
+    three planes each, and P is formed term by term on the planes.
+    """
+    dr00, dr01, dr11 = con._zeta_resolvent_jacobian_planes(h_eff, r, params)
+    dh00, dh01, dh11 = con._h_anisotropy_jacobian_planes(m, theta, params)
+    p00 = dr00 * dh00 + dr01 * dh01
+    p01 = dr00 * dh01 + dr01 * dh11
+    p10 = dr01 * dh00 + dr11 * dh01
+    p11 = dr01 * dh01 + dr11 * dh11
+    m0, m1 = m[..., 0], m[..., 1]
+    a00, a01, a10, a11 = A
+    return _solve_2x2(
+        a00 - p00, a01 - p01, a10 - p10, a11 - p11,
+        b[..., 0] - (p00 * m0 + p01 * m1), b[..., 1] - (p10 * m0 + p11 * m1),
+    )
 
 
 # Newton passes of the m block per sweep before the step is rejected
@@ -368,6 +393,7 @@ def step(
     if demag:
         h_dem = h_dem_from_u(state_prev.u, grid)
     j_src = boundary_source(loads_k.j_ext_k, grid)
+    m_prev_tau = state_prev.m / tau
 
     driven = loads_k.grad_v_k is not None or loads_k.stress_dev_k is not None
     # no block reads a field that a later block of the same sweep writes,
@@ -429,8 +455,10 @@ def step(
         # --- magnetization block: one semismooth Newton step per pass -------
         # F(m) = (I/tau - W) m - m_prev/tau + adv_m - r(h_eff(m)) with adv_m
         # and kappa Delta m held at the iterate; J = (I/tau - W) - Dr Dh, and
-        # J m_new = J m - F(m) is solved in closed form per cell
+        # J m_new = J m - F(m) is solved in closed form per cell; A_m holds
+        # the component planes of I/tau - W
         A_m = EYE / tau - Wsp
+        A_m = tuple(A_m[..., i, j].copy() for i, j in np.ndindex(NCOMP, NCOMP))
         m_it = m
         dm_prev = 0.0
         # the forcing term of the inexact solve: zero in the first sweep,
@@ -440,12 +468,7 @@ def step(
             report.m_passes += 1
             r = con.zeta_resolvent(hc_lag, h_eff, params)
             adv_m = flow.advect(m_it) if grid.dim >= 1 else 0.0
-            DrDh = con.zeta_resolvent_jacobian(h_eff, r, params) @ con.h_anisotropy_jacobian(
-                m_it, theta_k, params
-            )
-            m_cand = _solve_2x2(
-                A_m - DrDh, state_prev.m / tau - adv_m + r - kin.matvec(DrDh, m_it)
-            )
+            m_cand = _m_newton_update(m_it, h_eff, r, theta_k, A_m, m_prev_tau - adv_m + r, params)
             # snap exact sticking: cells with zero rate, spin, and advection
             # keep m bit-identical, so the audited rate is exactly zero
             stuck = (r[..., 0] == 0.0) & (r[..., 1] == 0.0) & (wspin == 0.0)
