@@ -289,16 +289,30 @@ def advect_scalar(w: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
 # Zaremba-Jaumann rates (convective-corotational parts)
 
 
-def bzj_vector(v: np.ndarray, grad_v: np.ndarray, m: np.ndarray, grid: Grid) -> np.ndarray:
-    """(v.grad)m - W m, the transport part of the ZJ vector rate."""
+def bzj_vector(
+    v: np.ndarray, grad_v: np.ndarray, m: np.ndarray, grid: Grid, advect: Callable | None = None
+) -> np.ndarray:
+    """(v.grad)m - W m, the transport part of the ZJ vector rate.
+
+    advect is upwind(v, grid) where the caller has built it.
+    """
     W = skw(grad_v)
-    return upwind_advect(m, v, grid) - matvec(W, m)
+    if advect is None:
+        advect = upwind(v, grid)
+    return advect(m) - matvec(W, m)
 
 
-def bzj_tensor(v: np.ndarray, grad_v: np.ndarray, A: np.ndarray, grid: Grid) -> np.ndarray:
-    """(v.grad)A - W A + A W, the transport part of the ZJ tensor rate."""
+def bzj_tensor(
+    v: np.ndarray, grad_v: np.ndarray, A: np.ndarray, grid: Grid, advect: Callable | None = None
+) -> np.ndarray:
+    """(v.grad)A - W A + A W, the transport part of the ZJ tensor rate.
+
+    advect is upwind(v, grid) where the caller has built it.
+    """
     W = skw(grad_v)
-    return upwind_advect(A, v, grid) - matmat(W, A) + matmat(A, W)
+    if advect is None:
+        advect = upwind(v, grid)
+    return advect(A) - matmat(W, A) + matmat(A, W)
 
 
 __all__ = [

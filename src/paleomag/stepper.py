@@ -36,7 +36,9 @@ Each velocity iterate's operators, its gradient L, E(v), the nu2 gradient
 grad E(v) and its upwind transport (a _Flow), are formed once.  The
 sweep's strain, m and enthalpy blocks read them, and so does the next
 sweep's momentum residual, whose v_cur is that iterate; the first sweep
-forms those of the previous state's velocity.
+forms those of the previous state's velocity.  The residual gate's record
+of a state reads the last sweep's too, except on a stress-driven step,
+whose L reads the Ee iterate that the strain block has since replaced.
 
 One sweep suffices, and the step takes exactly one, where no block is
 lagged: a 0D step under temperature control with no stress drive.  There
@@ -265,21 +267,26 @@ def stress_structural(
 # discrete operators shared by the sweep, the residual check and the audit
 
 
-def _velocity_gradient(v, Ee, loads_k: LoadsSample, grid: Grid, params) -> tuple:
-    """Velocity gradient L of the step and whether the kinematics are driven.
+def _velocity_gradient(v, Ee, loads_k: LoadsSample, grid: Grid, params) -> np.ndarray:
+    """Velocity gradient L of the step.
 
     Prescribed grad_v, or quasi-static deviatoric stress control (Jeffreys
     element: nu1 E(v) + dev S_E = sigma_applied), or the solved velocity;
     a 0D material point has no velocity gradient of its own.
     """
     if loads_k.grad_v_k is not None:
-        return np.broadcast_to(loads_k.grad_v_k, grid.spatial_shape + (NCOMP, NCOMP)), True
+        return np.broadcast_to(loads_k.grad_v_k, grid.spatial_shape + (NCOMP, NCOMP))
     if loads_k.stress_dev_k is not None:
         S_dev = kin.dev(con.stress_elastic(Ee, params))
-        return (loads_k.stress_dev_k - S_dev) / params.nu1, True
+        return (loads_k.stress_dev_k - S_dev) / params.nu1
     if grid.dim == 0:
-        return np.zeros((NCOMP, NCOMP)), False
-    return kin.grad_vector(v, grid, kind="velocity"), False
+        return np.zeros((NCOMP, NCOMP))
+    return kin.grad_vector(v, grid, kind="velocity")
+
+
+def _driven(loads_k: LoadsSample) -> bool:
+    """Whether L is prescribed (grad_v) or stress-controlled rather than solved."""
+    return loads_k.grad_v_k is not None or loads_k.stress_dev_k is not None
 
 
 class _Flow(NamedTuple):
@@ -395,7 +402,7 @@ def step(
     j_src = boundary_source(loads_k.j_ext_k, grid)
     m_prev_tau = state_prev.m / tau
 
-    driven = loads_k.grad_v_k is not None or loads_k.stress_dev_k is not None
+    driven = _driven(loads_k)
     # no block reads a field that a later block of the same sweep writes,
     # so the first sweep is the fixed point (see the module docstring)
     one_pass = grid.dim == 0 and loads_k.stress_dev_k is None and w_ctrl is not None
@@ -404,7 +411,7 @@ def step(
     # the operators of the velocity the momentum block linearizes about: the
     # previous state's in the first sweep, then the last sweep's iterate
     if not driven and grid.dim >= 1:
-        flow = _flow(v, _velocity_gradient(v, Ee, loads_k, grid, params)[0], grid, params)
+        flow = _flow(v, _velocity_gradient(v, Ee, loads_k, grid, params), grid, params)
 
     for it in range(_MAX_SWEEPS):
         report.iterations = it + 1
@@ -428,7 +435,7 @@ def step(
         if failure:
             report.message = f"CFL violation: {failure} (sweep {report.iterations})"
             return state_prev, report
-        L, _ = _velocity_gradient(v_new, Ee, loads_k, grid, params)
+        L = _velocity_gradient(v_new, Ee, loads_k, grid, params)
         flow = _flow(v_new, L, grid, params)
         Ev = flow.Ev
         Wsp = kin.skw(L)
@@ -549,7 +556,7 @@ def step(
             and float(np.min(w)) >= -_TOL_ABS
         ):
             state_new = _gate(state_prev, (v, Ee, Ep, m, u, w), loads_k, tau, grid, params,
-                              demag, report)
+                              demag, report, flow if loads_k.stress_dev_k is None else None)
             if report.accepted:
                 return state_new, report
             if converged:
@@ -564,13 +571,14 @@ def step(
 
 def _gate(
     state_prev: FieldState, iterate: tuple, loads_k: LoadsSample, dt: float, grid: Grid,
-    params: con.MaterialParams, demag: bool, report: StepReport,
+    params: con.MaterialParams, demag: bool, report: StepReport, flow: _Flow | None,
 ) -> FieldState:
     """The state of the sweep iterate (v, Ee, Ep, m, u, w), checked by the residual gate.
 
     Sets report.terms, .residuals and .accepted (every residual within its
-    gate).  min w >= -_TOL_ABS is the caller's to check; w is clipped at 0.
-    The iterate's arrays are not written.
+    gate).  flow is the _Flow of the state's velocity and L, or None, where
+    step_terms forms it.  min w >= -_TOL_ABS is the caller's to check; w is
+    clipped at 0.  The iterate's arrays are not written.
     """
     v, Ee, Ep, m, u, w = iterate
     state_new = FieldState(
@@ -582,7 +590,7 @@ def _gate(
         w=np.maximum(w, 0.0),
         t=state_prev.t + dt,
     )
-    report.terms = step_terms(state_prev, state_new, loads_k, dt, grid, params)
+    report.terms = step_terms(state_prev, state_new, loads_k, dt, grid, params, flow)
     report.residuals = residuals(state_prev, state_new, loads_k, dt, grid, params, demag,
                                  report.terms)
     report.accepted = all(
@@ -765,9 +773,8 @@ class StepTerms:
     hc_lag: np.ndarray            # coercivity h_c(theta^{k-1})
     h_dem: np.ndarray             # demag field of state_new's u
     h_eff: np.ndarray             # effective field at state_new
-    L: np.ndarray                 # velocity gradient
+    flow: _Flow                   # L, E(v), grad E(v) and the transport of state_new's v
     driven: bool                  # L prescribed (grad_v) or stress-controlled
-    Ev: np.ndarray                # E(v) = sym L
     R: np.ndarray                 # ZJ rate of Ep
     r: np.ndarray                 # ZJ rate of m
     r_conv: np.ndarray            # convective rate of m
@@ -780,18 +787,25 @@ class StepTerms:
 
 def step_terms(
     state_prev: FieldState, state_new: FieldState, loads_k: LoadsSample, dt: float,
-    grid: Grid, params: con.MaterialParams,
+    grid: Grid, params: con.MaterialParams, flow: _Flow | None = None,
 ) -> StepTerms:
-    """The terms of the step state_prev -> state_new, as the stepper defines them."""
+    """The terms of the step state_prev -> state_new, as the stepper defines them.
+
+    flow is the _Flow of state_new's velocity and the step's L, where the
+    caller has formed it; where it is None, the record forms its own.
+    """
     _, M_lag, b_lag, hc_lag = _lagged(state_prev, params)
     theta_new = con.thermal_law_for(params).theta_of_w(state_new.w)
     v, m, w = state_new.v, state_new.m, state_new.w
-    L, driven = _velocity_gradient(v, state_new.Ee, loads_k, grid, params)
-    Ev = kin.sym(L)
-    R = (state_new.Ep - state_prev.Ep) / dt + kin.bzj_tensor(v, L, state_new.Ep, grid)
-    r = (m - state_prev.m) / dt + kin.bzj_vector(v, L, m, grid)
+    driven = _driven(loads_k)
+    if flow is None:
+        flow = _flow(v, _velocity_gradient(v, state_new.Ee, loads_k, grid, params), grid, params)
+    L, Ev = flow.L, flow.Ev
+    R = (state_new.Ep - state_prev.Ep) / dt + kin.bzj_tensor(v, L, state_new.Ep, grid,
+                                                             flow.advect)
+    r = (m - state_prev.m) / dt + kin.bzj_vector(v, L, m, grid, flow.advect)
     r_conv = r + kin.matvec(kin.skw(L), m)
-    xi = _xi_field(Ev, R, r, hc_lag, M_lag, grid, params)
+    xi = _xi_field(Ev, R, r, hc_lag, M_lag, grid, params, flow.GE)
     adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params)
     j_src = boundary_source(loads_k.j_ext_k, grid)
     adv_w = kin.advect_scalar(w, v, grid) if grid.dim >= 1 else 0.0
@@ -802,7 +816,7 @@ def step_terms(
     p_drive = (grid.integrate(kin.ddot(_stress(state_new.Ee, m, Ev, h_eff, grid, params), L))
                if driven else 0.0)
     return StepTerms(
-        theta_new, M_lag, b_lag, hc_lag, h_dem, h_eff, L, driven, Ev,
+        theta_new, M_lag, b_lag, hc_lag, h_dem, h_eff, flow, driven,
         R, r, r_conv, xi, adiab, j_src, heat_res, p_drive,
     )
 
@@ -820,9 +834,12 @@ def residuals(
     tau = dt
     v, Ee, m = state_new.v, state_new.Ee, state_new.m
     M_lag, R, r, h_dem, h_eff = terms.M_lag, terms.R, terms.r, terms.h_dem, terms.h_eff
+    flow = terms.flow
 
     # (b) strain split
-    res_b = (Ee - state_prev.Ee) / tau + kin.bzj_tensor(v, terms.L, Ee, grid) + R - terms.Ev
+    res_b = (
+        (Ee - state_prev.Ee) / tau + kin.bzj_tensor(v, flow.L, Ee, grid, flow.advect) + R - flow.Ev
+    )
     scale_b = max(1.0, _max_abs(Ee)) / tau
 
     # (c) inelastic flow rule M(theta^{k-1}) R = dev S_E + varkappa lap R
@@ -859,7 +876,7 @@ def residuals(
     res_a, scale_a = 0.0, 1.0  # kinematics prescribed; momentum not solved
     if not terms.driven:
         res_a_field = _momentum_residual_field(
-            v, _flow(v, terms.L, grid, params), state_prev.v, Ee, m, h_eff, h_dem,
+            v, flow, state_prev.v, Ee, m, h_eff, h_dem,
             terms.b_lag, loads_k, grid, params, tau,
         )
         res_a = _max_abs(res_a_field)
