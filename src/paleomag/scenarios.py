@@ -440,8 +440,13 @@ def run_scenario(
     dt = config.dt
     step_index = 0
     t_end = t0 + config.duration
-    while state.t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        dt = min(dt, t_end - state.t)
+    t_tol = 1e-12 * max(1.0, abs(t_end))
+    while state.t < t_end - t_tol:
+        # the remainder is taken only where it is shorter than dt beyond the
+        # loop's tolerance, so a rounding of t_end - t does not shorten the
+        # last step of a whole number of dt steps
+        if t_end - state.t < dt - t_tol:
+            dt = t_end - state.t
         loads_s = sample_loads(loads, state.t + dt, dt)
         new_state, report = step(state, loads_s, dt, grid, params, config.demag)
         traj.sweeps += report.iterations

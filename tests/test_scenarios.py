@@ -168,6 +168,29 @@ class TestRunScenario:
         np.testing.assert_allclose(traj.column("dt")[:6], np.multiply(factors, cfg.dt),
                                    rtol=1e-15)
 
+    @pytest.mark.parametrize("name, n", [("trm", 100), ("irm", 1000)])
+    def test_whole_number_of_steps_keeps_dt(self, name, n):
+        # t_end - t of the last step rounds below dt; the run still takes
+        # every step at the configured dt and ends within the loop's tolerance
+        cfg = builtin_config(name)
+        cfg.experiment = None
+        cfg.duration = n * cfg.dt
+        traj = run_scenario(cfg)
+        assert (traj.n_steps, traj.n_rejections) == (n, 0)
+        assert set(traj.column("dt")) == {cfg.dt}
+        assert abs(traj.final_state.t - cfg.duration) <= 1e-12 * max(1.0, cfg.duration)
+
+    def test_short_remainder_is_taken(self):
+        # a duration that is not a whole number of dt ends on a shorter step
+        cfg = builtin_config("vrm")
+        cfg.experiment = None
+        cfg.duration = 3.5 * cfg.dt
+        traj = run_scenario(cfg)
+        dts = traj.column("dt")
+        assert traj.n_steps == 4 and set(dts[:3]) == {cfg.dt}
+        assert dts[3] == pytest.approx(0.5 * cfg.dt, rel=1e-9)
+        assert traj.final_state.t == pytest.approx(cfg.duration, rel=1e-14)
+
     def test_carried_ledger_is_the_recomputed_one(self, tmp_path):
         # the audit of a step reuses the previous step's ledger_new as its
         # ledger_prev; a ledger holds no field, so under a sine field every
