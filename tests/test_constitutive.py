@@ -283,6 +283,76 @@ class TestJacobians:
                 Dr[i, j], con.zeta_resolvent_jacobian(h_eff[i, j], r[i, j], p))
 
 
+def _broadcast_resolvent_jacobian(h_eff, r, p):
+    """Dr as a broadcast sum over the 2x2 axes, the matrix form the planes rebuild."""
+    H = np.sqrt(h_eff[..., 0] * h_eff[..., 0] + h_eff[..., 1] * h_eff[..., 1])
+    s = np.sqrt(r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1])
+    moving = s > 0.0
+    zpp = 6.0 * p.eps_reg * np.where(moving, s, 1.0) + 2.0 * p.tau_c
+    ds = np.where(moving, 1.0 / np.maximum(zpp, 1e-300), 0.0)
+    H_on = np.maximum(H, 1e-300)
+    ratio = np.where(moving, s / H_on, 0.0)
+    unit = h_eff / H_on[..., None]
+    proj = unit[..., :, None] * unit[..., None, :]
+    return (ds - ratio)[..., None, None] * proj + ratio[..., None, None] * np.eye(2)
+
+
+def _broadcast_anisotropy_jacobian(m, theta, p):
+    """Dh as a broadcast sum over the 2x2 axes, the matrix form the planes rebuild."""
+    q = m[..., 0] * m[..., 0] + m[..., 1] * m[..., 1]
+    iso = 2.0 * p.b0 * q + 2.0 * p.a0 * (np.asarray(theta) - p.theta_c)
+    hess = iso[..., None, None] * np.eye(2) + 4.0 * p.b0 * (m[..., :, None] * m[..., None, :])
+    return -hess / p.mu0
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestJacobianPlanes:
+    @staticmethod
+    def _fields(rng, shape):
+        # sticking cells (|h_eff| <= h_c gives r = 0), h_eff = 0 and m = 0
+        # with both signs of zero, theta on both sides of theta_c
+        h_eff = rng.standard_normal(shape + (2,)) * rng.choice([0.02, 1.0], shape)[..., None]
+        m = rng.standard_normal(shape + (2,))
+        flat_h, flat_m = h_eff.reshape(-1, 2), m.reshape(-1, 2)
+        zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+        flat_h[:4], flat_m[4:8] = zeros, zeros
+        flat_h[8:12, 0], flat_m[12:16, 1] = zeros[:, 0], zeros[:, 1]
+        theta = rng.uniform(0.3, 1.5, shape)
+        return h_eff, m, theta
+
+    @pytest.mark.parametrize("shape", [(32, 32), (7, 5), (16,)])
+    def test_planes_rebuild_the_matrix_forms_bit_for_bit(self, rng, shape):
+        p = material(h_c_high=0.2, theta_b=2.0, a0=0.8, b0=1.3, mu0=1.7, eps_reg=1e-3)
+        h_eff, m, theta = self._fields(rng, shape)
+        r = con.zeta_resolvent(con.h_c(0.5, p), h_eff, p)
+        sticking = (r[..., 0] == 0.0) & (r[..., 1] == 0.0)
+        assert sticking.any() and not sticking.all()
+        assert np.signbit(r[sticking]).any()
+        Dr = con.zeta_resolvent_jacobian(h_eff, r, p)
+        Dh = con.h_anisotropy_jacobian(m, theta, p)
+        assert np.array_equal(_bits(Dr), _bits(_broadcast_resolvent_jacobian(h_eff, r, p)))
+        assert np.array_equal(_bits(Dh), _bits(_broadcast_anisotropy_jacobian(m, theta, p)))
+        for matrix, planes in ((Dr, con._zeta_resolvent_jacobian_planes(h_eff, r, p)),
+                               (Dh, con._h_anisotropy_jacobian_planes(m, theta, p))):
+            for (i, j), plane in zip(((0, 0), (0, 1), (1, 1)), planes):
+                assert np.array_equal(_bits(matrix[..., i, j]), _bits(plane))
+            assert np.array_equal(_bits(matrix[..., 1, 0]), _bits(planes[1]))
+
+    def test_planes_at_a_material_point(self, rng):
+        p = material(h_c_high=0.2, theta_b=2.0)
+        for h_eff, m in (([0.6, -0.3], [0.3, 0.5]), ([0.1, 0.0], [-0.0, 0.4]),
+                         ([0.0, -0.0], [0.0, 0.0])):
+            h_eff, m = np.array(h_eff), np.array(m)
+            r = con.zeta_resolvent(con.h_c(0.5, p), h_eff, p)
+            assert np.array_equal(_bits(con.zeta_resolvent_jacobian(h_eff, r, p)),
+                                  _bits(_broadcast_resolvent_jacobian(h_eff, r, p)))
+            assert np.array_equal(_bits(con.h_anisotropy_jacobian(m, 0.7, p)),
+                                  _bits(_broadcast_anisotropy_jacobian(m, 0.7, p)))
+
+
 class TestThermalLaw:
     def test_enthalpy_roundtrip(self):
         law = con.thermal_law_for(material(c_v=100.0))

@@ -247,6 +247,58 @@ class TestCorotSolve:
         assert np.max(np.abs(_corot_solve(B, w, 3.0) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _matrix_newton_update(m, h_eff, r, theta, A_m, b, p):
+    """The m block's Newton update from the 2x2 matrices: J = A_m - Dr @ Dh, rhs b - Dr Dh m."""
+    DrDh = con.zeta_resolvent_jacobian(h_eff, r, p) @ con.h_anisotropy_jacobian(m, theta, p)
+    J, rhs = A_m - DrDh, b - kin.matvec(DrDh, m)
+    return stepper._solve_2x2(J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1],
+                              rhs[..., 0], rhs[..., 1])
+
+
+class TestNewtonKernel:
+    P = material(h_c_high=0.2, theta_b=2.0, eps_reg=1e-3)
+    TAU = 0.005
+
+    def _update(self, m, h_eff, theta, spin):
+        # the update of one pass and of the matrix form, at the pass's inputs
+        r = con.zeta_resolvent(con.h_c(0.5, self.P), h_eff, self.P)
+        W = np.zeros(np.shape(spin) + (2, 2))
+        W[..., 0, 1], W[..., 1, 0] = -spin, spin
+        A_m = np.eye(2) / self.TAU - W
+        planes = tuple(A_m[..., i, j].copy() for i, j in np.ndindex(2, 2))
+        b = m / self.TAU - 0.01 * m[..., ::-1] + r
+        got = stepper._m_newton_update(m, h_eff, r, theta, planes, b, self.P)
+        return got, _matrix_newton_update(m, h_eff, r, theta, A_m, b, self.P)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (7, 5)])
+    @pytest.mark.parametrize("spin_scale", [0.0, 30.0])
+    def test_matches_the_matrix_form(self, rng, shape, spin_scale):
+        m = rng.uniform(-0.8, 0.8, shape + (2,))
+        h_eff = rng.standard_normal(shape + (2,)) * rng.choice([0.05, 1.0], shape)[..., None]
+        theta = rng.uniform(0.3, 1.3, shape)
+        got, want = self._update(m, h_eff, theta, spin_scale * rng.standard_normal(shape))
+        assert got.shape == shape + (2,)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spin", [0.0, -12.5])
+    def test_material_point_keeps_the_bits(self, spin):
+        # m and h_eff on an axis, as in the shipped 0D runs: each entry of
+        # Dr @ Dh has one nonzero term, which gemm rounds once as the planes
+        # do, so the update has the matrix form's bits
+        for m, h_eff in (([0.4, 0.0], [0.7, 0.0]), ([0.0, -0.3], [0.0, 0.05]),
+                         ([-0.2, 0.0], [-0.5, -0.0])):
+            got, want = self._update(np.array(m), np.array(h_eff), np.float64(0.8), spin)
+            assert got.shape == (2,)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_material_point_off_axis(self, rng):
+        # off an axis gemm's fused multiply-adds round differently, within 1e-14
+        for _ in range(50):
+            m, h_eff = rng.uniform(-0.8, 0.8, 2), rng.standard_normal(2)
+            got, want = self._update(m, h_eff, np.float64(0.8), rng.standard_normal() * 20.0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestSpatial:
     def test_cfl_violation_rejects_the_step(self):
         # the momentum block's solved velocity breaks the bound in the first
@@ -727,6 +779,16 @@ class TestWorkPerStep:
         traj = run_scenario(cfg, initial_state=state)
         assert (traj.n_steps, traj.n_rejections) == (2, 0)
         assert len(builds) <= traj.sweeps + 5 * traj.n_steps
+
+    def test_residual_gate_reads_the_last_sweeps_transport(self, monkeypatch):
+        # each step builds one transport per sweep and one for its starting
+        # velocity; the gate's record and residuals read the last sweep's
+        cfg, state = _spatial_config(duration=2 * 0.005)
+        builds, upwind = [], kin.upwind
+        monkeypatch.setattr(kin, "upwind", lambda *a: builds.append(a) or upwind(*a))
+        traj = run_scenario(cfg, initial_state=state)
+        assert (traj.n_steps, traj.n_rejections) == (2, 0)
+        assert len(builds) <= traj.sweeps + traj.n_steps
 
     def test_fixed_dt_run_forms_each_spectrum_once(self):
         # the transform solves' spectra are cached per grid and tau; dt is a
