@@ -33,12 +33,12 @@ The transform spectra depend on the grid and tau alone and are cached per
 grid and tau, so a fixed-dt run forms each once.
 
 Each velocity iterate's operators, its gradient L, E(v), the nu2 gradient
-grad E(v) and its upwind transport (a _Flow), are formed once.  The
-sweep's strain, m and enthalpy blocks read them, and so does the next
-sweep's momentum residual, whose v_cur is that iterate; the first sweep
-forms those of the previous state's velocity.  The residual gate's record
-of a state reads the last sweep's too, except on a stress-driven step,
-whose L reads the Ee iterate that the strain block has since replaced.
+grad E(v) and |grad E(v)|^2, and its upwind transport (a _Flow), are
+formed once.  The sweep's strain, m and enthalpy blocks read them, and so
+does the next sweep's momentum residual, whose v_cur is that iterate; the
+first sweep forms those of the previous state's velocity.  The residual
+gate's record of a state reads the last sweep's too, except on a
+stress-driven step, whose L reads the Ee iterate the strain block replaced.
 
 One sweep suffices, and the step takes exactly one, where no block is
 lagged: a 0D step under temperature control with no stress drive.  There
@@ -69,15 +69,15 @@ test of CVODE's nonlinear solve (Hindmarsh et al. 2005, ACM TOMS 31:363).
   _MAX_SWEEPS sweeps the step is rejected.  The estimate alone is not
   enough: the m_inclusion residual grows like dm / tau as dt shrinks.
 
-From the second sweep on the m block is solved inexactly: its Newton passes
-also stop once dm <= _ETA_M change_prev max(1, |m|), change_prev being the
-last sweep's largest relative block change.  This is the forcing term of
-an inexact Newton method (Eisenstat & Walker 1996, SIAM J. Sci. Comput.
-17:16): while the other blocks still move by change_prev, the next sweep
-undoes a tighter m solve.  The first sweep has no last change, so it
-solves m to tol_m, and so does the one sweep of a one-pass step.  The
-sweep's change test still covers m and the residual gate still decides, so
-the step converges to the same tolerances.
+The m block is solved inexactly: its Newton passes also stop once
+dm <= _ETA_M change max(1, |m|), change being the last sweep's largest
+relative block change, or in the first sweep the largest that the sweep has
+made so far, over v, Ee, R and Ep.  This is the forcing term of an inexact
+Newton method (Eisenstat & Walker 1996, SIAM J. Sci. Comput. 17:16): while
+the other blocks still move by that much, the next sweep undoes a tighter m
+solve.  A one-pass step has no change test, so its change is 0 and its one
+sweep solves m to tol_m.  The change test still covers m and w and the
+residual gate still decides, so the step converges to the same tolerances.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ _MAX_SWEEPS = 200
 # the m block and the residual gate add the absolute floor _TOL_ABS
 _TOL_REL = 1e-11
 _TOL_ABS = 1e-13
-# from the second sweep on, the m block's Newton passes also stop once
-# dm <= _ETA_M change_prev max(1, |m|), change_prev the last sweep's change
+# the m block's Newton passes also stop once dm <= _ETA_M change max(1, |m|),
+# change the last sweep's, or in the first sweep this sweep's so far
 _ETA_M = 0.1
 # largest |v| dt / h on any axis
 _CFL_MAX = 0.9
@@ -219,21 +219,28 @@ def _cfl_failure(v: np.ndarray, grid: Grid, dt: float) -> str:
     return ""
 
 
+def _nu2_gradient(Ev: np.ndarray, grid: Grid, params: con.MaterialParams) -> tuple:
+    """(grad E(v), |grad E(v)|^2) of the nu2 terms, or (None, None) where they vanish."""
+    if params.nu2 == 0.0 or grid.dim == 0:
+        return None, None
+    GE = kin.grad_tensor(Ev, grid)
+    return GE, kin.sum_rank3(GE * GE)
+
+
 def _hyperstress_force(
-    Ev: np.ndarray, grid: Grid, params: con.MaterialParams, GE: np.ndarray | None = None
+    Ev: np.ndarray, grid: Grid, params: con.MaterialParams, GE=None, GE2=None
 ) -> np.ndarray:
     """div div H with H = nu2 |grad E(v)|^(p-2) grad E(v) (zero when nu2 = 0).
 
-    GE is grad_tensor(Ev) where the caller has formed it.  The inner
-    divergence's odd ghosts make it the negative adjoint of grad_tensor, so
-    sum v . div div H = sum H : grad E(v), xi's nu2 term.
+    GE, GE2 are _nu2_gradient(Ev), formed here where the caller has not.  The
+    inner divergence's odd ghosts make it the negative adjoint of grad_tensor,
+    so sum v . div div H = sum H : grad E(v), xi's nu2 term.
     """
     if params.nu2 == 0.0 or grid.dim == 0:
         return np.zeros(Ev.shape[:-1])
     if GE is None:
-        GE = kin.grad_tensor(Ev, grid)
-    norm = np.sqrt(kin.sum_rank3(GE * GE))
-    H = params.nu2 * (norm ** (params.p - 2.0))[..., None, None, None] * GE
+        GE, GE2 = _nu2_gradient(Ev, grid, params)
+    H = params.nu2 * (np.sqrt(GE2) ** (params.p - 2.0))[..., None, None, None] * GE
     T = np.zeros(Ev.shape)
     for a in range(grid.dim):
         T += kin._central_diff(H[..., a], grid, a, "odd")
@@ -295,14 +302,14 @@ class _Flow(NamedTuple):
     L: np.ndarray                 # velocity gradient
     Ev: np.ndarray                # E(v) = sym L
     GE: np.ndarray | None         # grad E(v), the nu2 gradient; None where the nu2 terms vanish
+    GE2: np.ndarray | None        # |grad E(v)|^2, which the hyperstress and xi read; None with GE
     advect: Callable              # the upwind transport f -> (v.grad)f
 
 
 def _flow(v: np.ndarray, L: np.ndarray, grid: Grid, params) -> _Flow:
     """The _Flow of the velocity v with gradient L."""
     Ev = kin.sym(L)
-    GE = kin.grad_tensor(Ev, grid) if params.nu2 != 0.0 and grid.dim >= 1 else None
-    return _Flow(L, Ev, GE, kin.upwind(v, grid))
+    return _Flow(L, Ev, *_nu2_gradient(Ev, grid, params), kin.upwind(v, grid))
 
 
 def _lagged(state_prev: FieldState, params) -> tuple:
@@ -346,7 +353,7 @@ def _momentum_residual_field(
         params.rho * ((v - v_prev) / tau + flow.advect(v))
         + 0.5 * params.rho * kin.tensor_trace(flow.L)[..., None] * v
         - kin.div_tensor(_stress(Ee, m, flow.Ev, h_eff, grid, params), grid)
-        + _hyperstress_force(flow.Ev, grid, params, flow.GE)
+        + _hyperstress_force(flow.Ev, grid, params, flow.GE, flow.GE2)
         - f_mag
         - params.rho * loads_k.g * (1.0 - np.asarray(b_lag))[..., None]
     )
@@ -468,9 +475,13 @@ def step(
         A_m = tuple(A_m[..., i, j].copy() for i, j in np.ndindex(NCOMP, NCOMP))
         m_it = m
         dm_prev = 0.0
-        # the forcing term of the inexact solve: zero in the first sweep,
-        # which has no last change (so a one-pass step solves tight)
-        eta_m = _ETA_M * change_prev
+        # the change test's terms of v, Ee, R and Ep, taken before the m block
+        # for its forcing term (0 in a one-pass step, which solves m tight)
+        change = 0.0
+        if not one_pass:
+            for old, new in ((v, v_new), (Ee, Ee_new), (R, R_new), (Ep, Ep_new)):
+                change = max(change, _max_abs(new - old) / max(1.0, _max_abs(new)))
+        eta_m = _ETA_M * (change_prev if it else change)  # the first sweep's change so far
         for _ in range(_M_PASSES):
             report.m_passes += 1
             r = con.zeta_resolvent(hc_lag, h_eff, params)
@@ -517,7 +528,7 @@ def step(
         if w_ctrl is not None:
             w_new = w_ctrl.copy()
         else:
-            xi = _xi_field(Ev, R_new, r, hc_lag, M_lag, grid, params, flow.GE)
+            xi = _xi_field(Ev, R_new, r, hc_lag, M_lag, grid, params, flow.GE2)
             r_conv = (m_new - state_prev.m) / tau + (
                 flow.advect(m_new) if grid.dim >= 1 else 0.0
             )
@@ -534,11 +545,8 @@ def step(
         theta_new = thermal.theta_of_w(np.maximum(w_new, 0.0))
 
         # --- convergence ------------------------------------------------------
-        change = 0.0
         if not one_pass:
-            for old, new in (
-                (v, v_new), (Ee, Ee_new), (R, R_new), (Ep, Ep_new), (m, m_new), (w, w_new)
-            ):
+            for old, new in ((m, m_new), (w, w_new)):
                 change = max(change, _max_abs(new - old) / max(1.0, _max_abs(new)))
         report.change = change
         v, Ee, R, Ep, m, u, w = v_new, Ee_new, R_new, Ep_new, m_new, u_new, w_new
@@ -599,18 +607,16 @@ def _gate(
     return state_new
 
 
-def _xi_field(Ev, R, r, hc_lag, M_lag, grid: Grid, params: con.MaterialParams, GE=None):
+def _xi_field(Ev, R, r, hc_lag, M_lag, grid: Grid, params: con.MaterialParams, GE2=None):
     """Dissipation heat source xi(E(v), R, mdot) >= 0 with M and h_c lagged at theta^{k-1}.
 
-    GE is grad_tensor(Ev) where the caller has formed it.
+    GE2 is |grad E(v)|^2, the _Flow's, read where the nu2 term does not vanish.
     """
     xi = params.nu1 * kin.sum_matrix(Ev * Ev)
     xi = xi + M_lag * kin.sum_matrix(R * R)
     xi = xi + params.mu0 * con.zeta_diss(hc_lag, r, params)
     if params.nu2 != 0.0 and grid.dim >= 1:
-        if GE is None:
-            GE = kin.grad_tensor(Ev, grid)
-        xi = xi + params.nu2 * kin.sum_rank3(GE * GE) ** (params.p / 2.0)
+        xi = xi + params.nu2 * GE2 ** (params.p / 2.0)
     if params.varkappa != 0.0 and grid.dim >= 1:
         # int varkappa dirichlet_density(R) = -int R : varkappa laplacian(R), the flow rule's term
         xi = xi + params.varkappa * kin.dirichlet_density(R, grid)
@@ -633,36 +639,36 @@ def _checked_solve(solve, rhs: np.ndarray, *args) -> tuple:
     return x, ""
 
 
-# (forward, inverse) type-II transforms, keyed by sine (True) or cosine
-_TRANSFORMS = {False: (scipy.fft.dct, scipy.fft.idct), True: (scipy.fft.dst, scipy.fft.idst)}
-
-
-def _trig(x: np.ndarray, sine: tuple, inverse: bool = False) -> np.ndarray:
-    """Orthonormal DST-II (where sine[a]) or DCT-II along each spatial axis a, or the inverse."""
-    for axis, is_sine in enumerate(sine):
-        x = _TRANSFORMS[is_sine][inverse](x, type=2, axis=axis, norm="ortho")
+def _trig(x: np.ndarray, dim: int, inverse: bool = False) -> np.ndarray:
+    """Orthonormal DCT-II along each of the first dim axes, or its inverse."""
+    transform = scipy.fft.idct if inverse else scipy.fft.dct
+    for axis in range(dim):
+        x = transform(x, type=2, axis=axis, norm="ortho")
     return x
 
 
 @functools.lru_cache(maxsize=8)
 def _momentum_spectrum(grid: Grid, rho_tau: float, nu1: float) -> tuple:
-    """(sines, slots, s, c per component, c + nu1 |s|^2 / 2) of _momentum_inverse; read-only.
+    """(sign, slots, s, c per component, c + nu1 |s|^2 / 2) of _momentum_inverse; read-only.
 
-    sines[i] marks the DST-II axes of v_i and slots[i] its modes' place in
-    the wavenumber lattice; c = rho_tau + nu1 |s|^2 / 2.  One entry per
-    grid and tau, so a fixed-dt run forms it once.
+    sign[..., i] is (-1)^j along axis i, slots[i] v_i's modes in the wavenumber
+    lattice, reversed along axis i; c = rho_tau + nu1 |s|^2 / 2.  One entry
+    per grid and tau, so a fixed-dt run forms it once.
     """
     s = np.meshgrid(*(np.sin(np.pi * np.arange(n + 1) / n) / h
                       for n, h in zip(grid.cells, grid.spacing)), indexing="ij", sparse=True)
-    sines = tuple(tuple(a == i for a in range(grid.dim)) for i in range(NCOMP))
-    slots = tuple(tuple(slice(1, None) if odd else slice(-1) for odd in sine) for sine in sines)
+    sign = np.ones(grid.cells + (NCOMP,))
+    for a in range(grid.dim):
+        np.moveaxis(sign, a, 0)[1::2, ..., a] = -1.0
+    slots = tuple(tuple(slice(None, 0, -1) if a == i else slice(-1) for a in range(grid.dim))
+                  for i in range(NCOMP))
     half_s2 = 0.5 * nu1 * sum(sa * sa for sa in s)
     c = rho_tau + half_s2
     c_slots = tuple(np.ascontiguousarray(c[slot]) for slot in slots)
     denominator = c + half_s2
-    for x in (*s, *c_slots, denominator):
+    for x in (sign, *s, *c_slots, denominator):
         x.flags.writeable = False
-    return sines, slots, tuple(s), c_slots, denominator
+    return sign, slots, tuple(s), c_slots, denominator
 
 
 def _momentum_inverse(rhs: np.ndarray, grid: Grid, rho_tau: float, nu1: float) -> np.ndarray:
@@ -675,19 +681,22 @@ def _momentum_inverse(rhs: np.ndarray, grid: Grid, rho_tau: float, nu1: float) -
     c = rho_tau + nu1 |s|^2 / 2, by Sherman-Morrison.  DST-II index j is
     p = j + 1 and DCT-II index j is p = j; at p_a = 0 or n_a one component
     has no mode, and s_a = 0 (to rounding at n_a) leaves the other alone.
-    The spectra are _momentum_spectrum's, cached per grid and tau.
+    The DST-II of x is the DCT-II of (-1)^j x read in reverse, and the
+    inverse DST-II of X is (-1)^j times the inverse DCT-II of X reversed,
+    so both components take one DCT per axis each way.  The spectra are
+    _momentum_spectrum's, cached per grid and tau.
     """
-    sines, slots, s, c_slots, denominator = _momentum_spectrum(grid, rho_tau, nu1)
+    sign, slots, s, c_slots, denominator = _momentum_spectrum(grid, rho_tau, nu1)
+    modes = _trig(rhs * sign, grid.dim)
     coef = np.zeros(tuple(n + 1 for n in grid.cells) + (NCOMP,))
     for i in range(NCOMP):
-        coef[slots[i] + (i,)] = _trig(rhs[..., i], sines[i])
+        coef[slots[i] + (i,)] = modes[..., i]
     g = 0.5 * nu1 * sum(sa * coef[..., a] for a, sa in enumerate(s)) / denominator
     for a, sa in enumerate(s):
         coef[..., a] -= sa * g
-    v = np.empty_like(rhs)
     for i in range(NCOMP):
-        v[..., i] = _trig(coef[slots[i] + (i,)] / c_slots[i], sines[i], inverse=True)
-    return v
+        modes[..., i] = coef[slots[i] + (i,)] / c_slots[i]
+    return _trig(modes, grid.dim, inverse=True) * sign
 
 
 @functools.lru_cache(maxsize=8)
@@ -711,8 +720,7 @@ def _heat_inverse(rhs: np.ndarray, grid: Grid, tau: float, diffusivity: float) -
     The DCT-II diagonalizes Delta; its spectrum is _heat_spectrum's, cached
     per grid and tau.
     """
-    cosine = (False,) * grid.dim
-    return _trig(_trig(rhs, cosine) / _heat_spectrum(grid, tau, diffusivity), cosine,
+    return _trig(_trig(rhs, grid.dim) / _heat_spectrum(grid, tau, diffusivity), grid.dim,
                  inverse=True)
 
 
@@ -805,7 +813,7 @@ def step_terms(
                                                              flow.advect)
     r = (m - state_prev.m) / dt + kin.bzj_vector(v, L, m, grid, flow.advect)
     r_conv = r + kin.matvec(kin.skw(L), m)
-    xi = _xi_field(Ev, R, r, hc_lag, M_lag, grid, params, flow.GE)
+    xi = _xi_field(Ev, R, r, hc_lag, M_lag, grid, params, flow.GE2)
     adiab = _adiabatic_coupling(theta_new, m, r_conv, kin.tensor_trace(L), params)
     j_src = boundary_source(loads_k.j_ext_k, grid)
     adv_w = kin.advect_scalar(w, v, grid) if grid.dim >= 1 else 0.0

@@ -10,6 +10,7 @@ operators written here from ``kin.grad_vector``, ``kin.div_tensor`` and
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse.linalg as spla
 
 from paleomag import kinematics as kin
@@ -87,6 +88,67 @@ class TestProbe:
             assert x.shape == shape
             assert _max_rel(x.ravel(), plain) <= 1e-11
             assert _max_rel(oracle(x), rhs) <= 1e-13
+
+
+def _per_component_inverse(rhs, grid, rho_tau, nu1):
+    """The momentum transform solve with one DST-II/DCT-II pass per component.
+
+    v_i is transformed by the DST-II along its own axis i and the DCT-II
+    across it, and back, each component on its own.
+    """
+    pair = {False: (scipy.fft.dct, scipy.fft.idct), True: (scipy.fft.dst, scipy.fft.idst)}
+
+    def trig(x, sine, inverse=False):
+        for axis, is_sine in enumerate(sine):
+            x = pair[is_sine][inverse](x, type=2, axis=axis, norm="ortho")
+        return x
+
+    s = np.meshgrid(*(np.sin(np.pi * np.arange(n + 1) / n) / h
+                      for n, h in zip(grid.cells, grid.spacing)), indexing="ij", sparse=True)
+    sines = [tuple(a == i for a in range(grid.dim)) for i in range(NCOMP)]
+    slots = [tuple(slice(1, None) if odd else slice(-1) for odd in sine) for sine in sines]
+    half_s2 = 0.5 * nu1 * sum(sa * sa for sa in s)
+    c = rho_tau + half_s2
+    coef = np.zeros(tuple(n + 1 for n in grid.cells) + (NCOMP,))
+    for i in range(NCOMP):
+        coef[slots[i] + (i,)] = trig(rhs[..., i], sines[i])
+    g = 0.5 * nu1 * sum(sa * coef[..., a] for a, sa in enumerate(s)) / (c + half_s2)
+    for a, sa in enumerate(s):
+        coef[..., a] -= sa * g
+    v = np.empty_like(rhs)
+    for i in range(NCOMP):
+        c_i = np.ascontiguousarray(c[slots[i]])
+        v[..., i] = trig(coef[slots[i] + (i,)] / c_i, sines[i], inverse=True)
+    return v
+
+
+class TestStackedTransform:
+    """Both velocity components through one DCT-II per axis, each way."""
+
+    @pytest.mark.parametrize("cells", [(32, 32), (7, 5), (1, 6), (5, 1), (33, 17),
+                                       (16,), (7,), (1,)], ids=lambda c: "x".join(map(str, c)))
+    def test_matches_the_per_component_transforms_bit_for_bit(self, rng, cells):
+        # the DST-II is the reversed DCT-II of the sign-alternated input, and
+        # the inverse likewise, so every bit of v, signs of zero included, is
+        # that of the per-component form (an all-zero rhs is left out: the
+        # sign flip before a transform, not after, may turn a +0 into -0)
+        grid = make_grid(len(cells), (1.0, 0.8)[:len(cells)], cells)
+        for rho_tau, nu1 in ((260.0, 0.7), (1.3, 2.0)):
+            for rhs in (rng.standard_normal(cells + (NCOMP,)),
+                        rng.integers(-2, 3, cells + (NCOMP,)).astype(float)):
+                got = stepper._momentum_inverse(rhs, grid, rho_tau, nu1)
+                want = _per_component_inverse(rhs, grid, rho_tau, nu1)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_each_solve_makes_one_transform_per_axis_each_way(self, rng, monkeypatch):
+        calls = []
+        for name in ("dct", "idct", "dst", "idst"):
+            real = getattr(scipy.fft, name)
+            monkeypatch.setattr(scipy.fft, name,
+                                lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+        grid = make_grid(2, (1.0, 0.8), (7, 5))
+        stepper._momentum_inverse(rng.standard_normal((7, 5, NCOMP)), grid, 260.0, 0.7)
+        assert calls == ["dct", "dct", "idct", "idct"]
 
 
 class Counting:

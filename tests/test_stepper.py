@@ -561,7 +561,7 @@ class TestEarlyStop:
                 assert stepper._within_tolerance(res, scale), name
             sweeps += rep.iterations
             passes += rep.m_passes
-        assert (sweeps, passes) == (21, 27)
+        assert (sweeps, passes) == (21, 24)
 
     def test_failed_gate_sweeps_on(self, monkeypatch):
         # where the estimate passes but the gate fails, the sweep goes on
@@ -635,6 +635,34 @@ class TestInexactNewton:
                               grid, cfg.material, cfg.demag)
             assert rep.accepted, rep.message
             assert rep.iterations <= 7 and rep.m_passes <= 10
+
+    def test_dike_first_sweep_is_inexact(self, monkeypatch):
+        # the first sweep's m block stops at a tenth of the change that the
+        # sweep's v, Ee, R and Ep have made, so it takes two passes, not four
+        take = _passes_per_sweep(monkeypatch)
+        cfg, state = _dike_config((32, 32))
+        _, rep = step(state, sample_loads(cfg.build_loads(), cfg.dt, cfg.dt), cfg.dt,
+                      cfg.build_grid(), cfg.material, cfg.demag)
+        assert rep.accepted, rep.message
+        assert take() == [2, 1, 1, 1, 1, 1, 1]
+        for name, (res, scale) in rep.residuals.items():
+            assert stepper._within_tolerance(res, scale), name
+
+    def test_stress_driven_material_point_solves_m_inexactly(self, grid0, monkeypatch):
+        # a 0D step under a stress drive sweeps, so its first m block has a
+        # forcing term too; it takes fewer passes than the tight solve and
+        # ends at the same state
+        drive = {"theta": lambda t: 0.4 - 0.01 * t,
+                 "stress_dev": lambda t: np.array([[0.05, 0.02], [0.02, -0.05]])}
+        inexact, rep = TestZeroDimensional._trm_cooling_step(grid0, **drive)
+        monkeypatch.setattr(stepper, "_ETA_M", 0.0)
+        tight, rep_tight = TestZeroDimensional._trm_cooling_step(grid0, **drive)
+        assert rep.accepted and rep_tight.accepted
+        assert rep.iterations >= 2
+        assert rep.m_passes < rep_tight.m_passes
+        for name in ("v", "Ee", "Ep", "m", "u", "w"):
+            a, b = getattr(inexact, name), getattr(tight, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b))), name
 
     def test_zero_forcing_is_the_tight_solve(self, monkeypatch):
         # with the forcing term at 0 every sweep solves m to tol_m; the two
@@ -841,7 +869,8 @@ class TestKrylovFailure:
 
     def test_overflowing_sweep_first_rejection_names_the_m_block(self):
         # the exchange term, held at the iterate, makes the m passes diverge
-        # at this dt: the step ends in the m block, before the heat solve
+        # at this dt: the step ends in the third sweep's m block, after two
+        # heat solves
         cfg, state = _spatial_config(material=material(kappa=0.05), theta0=1.0)
         state.m[...] = (0.5, 0.2)
         grid = cfg.build_grid()
@@ -851,7 +880,7 @@ class TestKrylovFailure:
             new, rep = step(state, loads, cfg.dt, grid, cfg.material, cfg.demag)
         assert not rep.accepted
         assert new is state
-        assert rep.iterations == 1
+        assert rep.iterations == 3
         assert rep.message.startswith("magnetization block")
         assert "change" in rep.message
 
