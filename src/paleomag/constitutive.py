@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, ConstitutiveError, ThermodynamicError
-from .grid import EYE, NCOMP
+from .grid import EYE
 from .kinematics import dev, sum_matrix, tensor_trace
 
 
@@ -174,12 +174,13 @@ def h_anisotropy(m: np.ndarray, theta, params: MaterialParams) -> np.ndarray:
 
 
 def _h_anisotropy_jacobian_planes(m: np.ndarray, theta, params: MaterialParams) -> tuple:
-    """(Dh_00, Dh_01, Dh_11): the component planes of the symmetric Dh.
+    """(Dh_00, Dh_01, Dh_11): the component planes of Dh, the m-Jacobian of h_anisotropy.
 
-    With q = |m|^2, c = 2 a0 (theta - theta_c) and iso = 2 b0 q + c,
-    -mu0 Dh = iso I + 4 b0 m m^T.  Each plane is the sum of its two terms,
-    and iso * 0.0 is iso I's off-diagonal, so the planes have the bits of
-    the matrix sum, the signs of zero included.
+    Dh = -(phi''_mm + omega''_mm)/mu0 is symmetric.  With q = |m|^2,
+    c = 2 a0 (theta - theta_c) and iso = 2 b0 q + c, -mu0 Dh = iso I +
+    4 b0 m m^T.  Each plane is the sum of its two terms, and iso * 0.0 is
+    iso I's off-diagonal, so the planes have the bits of the matrix sum,
+    the signs of zero included.
     """
     m0, m1 = m[..., 0], m[..., 1]
     q0, q1 = m0 * m0, m1 * m1
@@ -192,25 +193,6 @@ def _h_anisotropy_jacobian_planes(m: np.ndarray, theta, params: MaterialParams) 
         (iso * 0.0 + k * (m0 * m1)) / -params.mu0,
         (iso + k * q1) / -params.mu0,
     )
-
-
-def _symmetric(planes: tuple) -> np.ndarray:
-    """The 2x2 matrices of the symmetric planes (X_00, X_01, X_11)."""
-    x00, x01, x11 = planes
-    X = np.empty(np.shape(x00) + (NCOMP, NCOMP))
-    X[..., 0, 0] = x00
-    X[..., 0, 1] = X[..., 1, 0] = x01
-    X[..., 1, 1] = x11
-    return X
-
-
-def h_anisotropy_jacobian(m: np.ndarray, theta, params: MaterialParams):
-    """Dh = -(phi''_mm + omega''_mm)/mu0, the m-Jacobian of h_anisotropy.
-
-    With q = |m|^2 and c = 2 a0 (theta - theta_c):
-    phi''_mm = 2 b0 (q I + 2 m m^T) and omega''_mm = c I.
-    """
-    return _symmetric(_h_anisotropy_jacobian_planes(m, theta, params))
 
 
 def equilibrium_m(theta: float, h_mag: float, params: MaterialParams) -> float:
@@ -326,9 +308,11 @@ def zeta_resolvent(hc, h_eff: np.ndarray, params: MaterialParams) -> np.ndarray:
 
 
 def _zeta_resolvent_jacobian_planes(h_eff: np.ndarray, r: np.ndarray, params: MaterialParams):
-    """(Dr_00, Dr_01, Dr_11): the component planes of the symmetric Dr.
+    """(Dr_00, Dr_01, Dr_11): the planes of the resolvent's generalized Jacobian Dr.
 
-    Dr = (s' - s/H) u u^T + (s/H) I with u = h_eff/H, written per plane as
+    r = zeta_resolvent(h_eff) is radial, r = s(H) u with H = |h_eff| and
+    u = h_eff/H, so Dr = (s' - s/H) u u^T + (s/H) I with s' = 1/zeta''(s),
+    symmetric, and Dr = 0 at sticking (r = 0).  The planes are written as
     in _h_anisotropy_jacobian_planes, so they have the matrix sum's bits.
     """
     H = np.sqrt(_m2(h_eff))
@@ -342,16 +326,6 @@ def _zeta_resolvent_jacobian_planes(h_eff: np.ndarray, r: np.ndarray, params: Ma
     u0, u1 = h_eff[..., 0] / H_on, h_eff[..., 1] / H_on
     radial = ds - ratio
     return radial * (u0 * u0) + ratio, radial * (u0 * u1) + ratio * 0.0, radial * (u1 * u1) + ratio
-
-
-def zeta_resolvent_jacobian(h_eff: np.ndarray, r: np.ndarray, params: MaterialParams):
-    """Generalized Jacobian Dr of the resolvent at h_eff, given r = zeta_resolvent(h_eff).
-
-    The resolvent is radial, r = s(H) h/H with H = |h_eff|, so
-    Dr = s'(H) hh^T + (s/H)(I - hh^T) with hh^T the projector on h_eff and
-    s' = 1/zeta''(s), and Dr = 0 at sticking (r = 0).
-    """
-    return _symmetric(_zeta_resolvent_jacobian_planes(h_eff, r, params))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +379,6 @@ __all__ = [
     "entropy_density",
     "equilibrium_m",
     "h_anisotropy",
-    "h_anisotropy_jacobian",
     "h_c",
     "m_sat",
     "maxwell_viscosity",
@@ -421,5 +394,4 @@ __all__ = [
     "zeta_diss",
     "zeta_prime",
     "zeta_resolvent",
-    "zeta_resolvent_jacobian",
 ]

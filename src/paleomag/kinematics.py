@@ -260,11 +260,6 @@ def upwind(v: np.ndarray, grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     return transport
 
 
-def upwind_advect(f: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Non-conservative first-order upwind (v.grad)f for any trailing rank: upwind(v, grid)(f)."""
-    return upwind(v, grid)(f)
-
-
 def advect_scalar(w: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
     """Conservative upwind flux divergence div(v w) with v.n = 0 walls.
 
@@ -333,7 +328,6 @@ __all__ = [
     "laplacian",
     "dirichlet_density",
     "upwind",
-    "upwind_advect",
     "advect_scalar",
     "bzj_vector",
     "bzj_tensor",

@@ -47,6 +47,16 @@ def rewrite_snapshot_header(path, edit):
     path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen:])
 
 
+def symmetric(planes) -> np.ndarray:
+    """The 2x2 matrices of the symmetric component planes (X_00, X_01, X_11)."""
+    x00, x01, x11 = planes
+    X = np.empty(np.shape(x00) + (2, 2))
+    X[..., 0, 0] = x00
+    X[..., 0, 1] = X[..., 1, 0] = x01
+    X[..., 1, 1] = x11
+    return X
+
+
 def material(**overrides) -> MaterialParams:
     """The shipped nondimensional base material with overrides."""
     base = dict(

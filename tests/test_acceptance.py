@@ -49,13 +49,13 @@ class TestCriterion1ZjAlgebra:
     def test_trace_commutation(self):
         rate = kin.bzj_tensor(self.v, self.L, self.A, self.grid)
         tr_of_rate = kin.tensor_trace(rate)
-        rate_of_tr = kin.upwind_advect(kin.tensor_trace(self.A), self.v, self.grid)
+        rate_of_tr = kin.upwind(self.v, self.grid)(kin.tensor_trace(self.A))
         assert np.max(np.abs(tr_of_rate - rate_of_tr)) < 1e-12
 
     def test_pressure_commutation(self):
         P = self.alpha[..., None, None] * np.eye(2)
         rate = kin.bzj_tensor(self.v, self.L, P, self.grid)
-        expect = kin.upwind_advect(self.alpha, self.v, self.grid)[..., None, None] * np.eye(2)
+        expect = kin.upwind(self.v, self.grid)(self.alpha)[..., None, None] * np.eye(2)
         assert np.max(np.abs(rate - expect)) < 1e-12
 
 

@@ -7,7 +7,17 @@ from scipy.optimize import minimize_scalar
 from paleomag import constitutive as con
 from paleomag.errors import ConfigError, ConstitutiveError, ThermodynamicError
 
-from conftest import material
+from conftest import material, symmetric
+
+
+def _dr(h_eff, r, p):
+    """The resolvent's Jacobian Dr as 2x2 matrices, from its planes."""
+    return symmetric(con._zeta_resolvent_jacobian_planes(h_eff, r, p))
+
+
+def _dh(m, theta, p):
+    """The anisotropy field's Jacobian Dh as 2x2 matrices, from its planes."""
+    return symmetric(con._h_anisotropy_jacobian_planes(m, theta, p))
 
 
 class TestMaterialParams:
@@ -243,7 +253,7 @@ class TestJacobians:
         r = con.zeta_resolvent(hc, h_eff, p)
         s = float(np.linalg.norm(r))
         assert s > 0.0
-        Dr = con.zeta_resolvent_jacobian(h_eff, r, p)
+        Dr = _dr(h_eff, r, p)
         fd = _central_jacobian(lambda h: con.zeta_resolvent(hc, h, p), h_eff)
         np.testing.assert_allclose(Dr, fd, rtol=1e-6, atol=1e-9 * np.max(np.abs(fd)))
         # radial: symmetric, with the tangential eigenvalue s/H
@@ -256,13 +266,13 @@ class TestJacobians:
         h_eff = np.array([[0.2, 0.1], [0.0, 0.0]])
         r = con.zeta_resolvent(con.h_c(0.5, p), h_eff, p)
         assert np.all(r == 0.0)
-        assert np.all(con.zeta_resolvent_jacobian(h_eff, r, p) == 0.0)
+        assert np.all(_dr(h_eff, r, p) == 0.0)
 
     @pytest.mark.parametrize("theta", [0.4, 1.3])
     def test_h_anisotropy_jacobian_matches_central_differences(self, theta):
         p = material(a0=0.8, b0=1.3, mu0=1.7)
         m = np.array([0.3, -0.5])
-        Dh = con.h_anisotropy_jacobian(m, theta, p)
+        Dh = _dh(m, theta, p)
         fd = _central_jacobian(lambda x: con.h_anisotropy(x, theta, p), m)
         np.testing.assert_allclose(Dh, fd, rtol=1e-8, atol=1e-10)
         # a Hessian of the free energy: symmetric
@@ -272,15 +282,13 @@ class TestJacobians:
         p = material(h_c_high=0.2, theta_b=2.0)
         m = rng.standard_normal((3, 4, 2))
         theta = rng.uniform(0.3, 1.5, (3, 4))
-        Dh = con.h_anisotropy_jacobian(m, theta, p)
+        Dh = _dh(m, theta, p)
         h_eff = rng.standard_normal((3, 4, 2))
         r = con.zeta_resolvent(con.h_c(0.5, p), h_eff, p)
-        Dr = con.zeta_resolvent_jacobian(h_eff, r, p)
+        Dr = _dr(h_eff, r, p)
         for i, j in np.ndindex(3, 4):
-            np.testing.assert_array_equal(
-                Dh[i, j], con.h_anisotropy_jacobian(m[i, j], theta[i, j], p))
-            np.testing.assert_array_equal(
-                Dr[i, j], con.zeta_resolvent_jacobian(h_eff[i, j], r[i, j], p))
+            np.testing.assert_array_equal(Dh[i, j], _dh(m[i, j], theta[i, j], p))
+            np.testing.assert_array_equal(Dr[i, j], _dr(h_eff[i, j], r[i, j], p))
 
 
 def _broadcast_resolvent_jacobian(h_eff, r, p):
@@ -331,12 +339,10 @@ class TestJacobianPlanes:
         sticking = (r[..., 0] == 0.0) & (r[..., 1] == 0.0)
         assert sticking.any() and not sticking.all()
         assert np.signbit(r[sticking]).any()
-        Dr = con.zeta_resolvent_jacobian(h_eff, r, p)
-        Dh = con.h_anisotropy_jacobian(m, theta, p)
-        assert np.array_equal(_bits(Dr), _bits(_broadcast_resolvent_jacobian(h_eff, r, p)))
-        assert np.array_equal(_bits(Dh), _bits(_broadcast_anisotropy_jacobian(m, theta, p)))
-        for matrix, planes in ((Dr, con._zeta_resolvent_jacobian_planes(h_eff, r, p)),
-                               (Dh, con._h_anisotropy_jacobian_planes(m, theta, p))):
+        for matrix, planes in ((_broadcast_resolvent_jacobian(h_eff, r, p),
+                                con._zeta_resolvent_jacobian_planes(h_eff, r, p)),
+                               (_broadcast_anisotropy_jacobian(m, theta, p),
+                                con._h_anisotropy_jacobian_planes(m, theta, p))):
             for (i, j), plane in zip(((0, 0), (0, 1), (1, 1)), planes):
                 assert np.array_equal(_bits(matrix[..., i, j]), _bits(plane))
             assert np.array_equal(_bits(matrix[..., 1, 0]), _bits(planes[1]))
@@ -347,9 +353,9 @@ class TestJacobianPlanes:
                          ([0.0, -0.0], [0.0, 0.0])):
             h_eff, m = np.array(h_eff), np.array(m)
             r = con.zeta_resolvent(con.h_c(0.5, p), h_eff, p)
-            assert np.array_equal(_bits(con.zeta_resolvent_jacobian(h_eff, r, p)),
+            assert np.array_equal(_bits(_dr(h_eff, r, p)),
                                   _bits(_broadcast_resolvent_jacobian(h_eff, r, p)))
-            assert np.array_equal(_bits(con.h_anisotropy_jacobian(m, 0.7, p)),
+            assert np.array_equal(_bits(_dh(m, 0.7, p)),
                                   _bits(_broadcast_anisotropy_jacobian(m, 0.7, p)))
 
 

@@ -224,6 +224,24 @@ class TestConvolution:
         assert poisson_residual(sol.u, 1.01 * m, g) > 1e-3
 
 
+class TestSpectrum:
+    @pytest.mark.parametrize("grid", [
+        make_grid(2, (1.0, 1.0), (8, 8)), make_grid(2, (1.0, 0.6), (7, 5)),
+        make_grid(1, (1.0,), (7,)), make_grid(1, (1.0,), (32,)),
+    ], ids=["8x8", "7x5", "7", "32"])
+    def test_demag_map_lies_between_minus_identity_and_zero(self, grid):
+        # D: m -> h_dem is symmetric with -I <= D <= 0, the bound the m block's
+        # shift of the lagged field rests on; a 1D field has no y block
+        n = 2 * math.prod(grid.spatial_shape)
+        D = np.column_stack([solve_demag(e.reshape(grid.spatial_shape + (2,)), grid).h_dem.ravel()
+                             for e in np.eye(n)])
+        assert np.max(np.abs(D - D.T)) <= 1e-14
+        eigenvalues = np.linalg.eigvalsh(D)
+        assert eigenvalues.min() >= -1.0 - 1e-12 and eigenvalues.max() <= 1e-12
+        if grid.dim == 1:
+            assert not D[1::2].any() and not D[:, 1::2].any()
+
+
 def _clear_demag_caches():
     for f in vars(demag).values():
         if hasattr(f, "cache_clear"):

@@ -122,7 +122,7 @@ class TestBitForBit:
             # each velocity component 0, -0, positive or negative
             v = rng.choice([0.0, -0.0, 0.7, -1.3], size=shape + (2,)) * rng.uniform(
                 0.5, 2.0, size=shape + (2,))
-            _assert_same_bits(kin.upwind_advect(f, v, grid), _upwind_max_min(f, v, grid))
+            _assert_same_bits(kin.upwind(v, grid)(f), _upwind_max_min(f, v, grid))
 
     @pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: "x".join(map(str, g.spatial_shape)) or "0d")
     def test_one_upwind_operator_transports_every_rank(self, rng, grid):
@@ -154,7 +154,7 @@ class TestOperators:
         assert np.all(kin.grad_tensor(f, grid0) == 0.0)
         assert np.all(kin.laplacian(f, grid0) == 0.0)
         v = rng.normal(size=(2,))
-        assert np.all(kin.upwind_advect(f, v, grid0) == 0.0)
+        assert np.all(kin.upwind(v, grid0)(f) == 0.0)
 
     @pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: "x".join(map(str, g.spatial_shape)) or "0d")
     @pytest.mark.parametrize("comps", [(), (2,), (2, 2)])
@@ -210,13 +210,13 @@ class TestOperators:
         f = 2.0 * x
         v = np.zeros((16, 2))
         v[..., 0] = 1.0
-        adv = kin.upwind_advect(f, v, g)
+        adv = kin.upwind(v, g)(f)
         np.testing.assert_allclose(adv[1:], 2.0, atol=1e-12)  # backward difference
 
     def test_upwind_constant_field(self, rng):
         g = make_grid(2, (1.0, 1.0), (8, 8))
         v = rng.normal(size=(8, 8, 2))
-        assert np.max(np.abs(kin.upwind_advect(np.full((8, 8), 1.3), v, g))) == 0.0
+        assert np.max(np.abs(kin.upwind(v, g)(np.full((8, 8), 1.3)))) == 0.0
 
 
 # 1D and 2D, n = 1, odd and even n, unequal spacings
